@@ -195,7 +195,10 @@ int main(int argc, char** argv) {
             }
             if (status.value() != gateway::SourceStatus::kProgress) break;
         }
-        source.value().finalize(gw);
+        if (auto finalized = source.value().finalize(gw); !finalized.ok()) {
+            std::fprintf(stderr, "finalize failed: %s\n", finalized.error().message.c_str());
+            return 1;
+        }
         gw.drain_all();
         run.ingest_seconds = now_seconds() - t0;
         run.report = replay::canonical_report(gw.snapshot());

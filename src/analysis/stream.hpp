@@ -44,16 +44,18 @@ struct StreamOptions {
 };
 
 /// A frame already reduced to what ingest() extracts from it: the per-record
-/// content of a .tvcr event stream. Replaying DecodedRecords through the
-/// analyzer is byte-identical to ingesting the frames they were decoded from
-/// — parse decisions were made at record time and stored, not re-derived.
+/// content of a .tvcr event stream and of the gateway's ring. Replaying
+/// DecodedRecords through the analyzer is byte-identical to ingesting the
+/// frames they were decoded from — parse decisions were made at record time
+/// and stored, not re-derived. The DNS payload is owned, so a record
+/// outlives the buffer it was decoded from.
 struct DecodedRecord {
     SimTime timestamp;
     std::uint32_t frame_bytes = 0;
     bool parseable = false;  // decoded as Ethernet/IPv4 at record time
     net::Ipv4Address source;
     net::Ipv4Address destination;
-    BytesView dns_payload;  // UDP payload iff sourced from the DNS port
+    Bytes dns_payload;  // UDP payload iff sourced from the DNS port
 };
 
 class StreamingCaptureAnalyzer {

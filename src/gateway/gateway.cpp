@@ -49,7 +49,7 @@ void Gateway::ledger_drop(std::uint64_t first_offer, std::uint64_t count, DropRe
     ledger_.push_back(DropRun{first_offer, count, reason});
 }
 
-bool Gateway::offer(GatewayRecord record) {
+bool Gateway::offer(analysis::DecodedRecord record) {
     const std::uint64_t offer_index = offered_++;
     m_offered_.add();
     if (ring_size_ == slots_.size()) {
@@ -78,15 +78,8 @@ void Gateway::note_truncated(std::uint64_t records) {
 std::size_t Gateway::drain(std::size_t max_records) {
     std::size_t taken = 0;
     while (taken < max_records && ring_size_ > 0) {
-        GatewayRecord& record = slots_[ring_head_];
-        analysis::DecodedRecord decoded;
-        decoded.timestamp = record.timestamp;
-        decoded.frame_bytes = record.frame_bytes;
-        decoded.parseable = record.parseable;
-        decoded.source = record.source;
-        decoded.destination = record.destination;
-        decoded.dns_payload = BytesView(record.dns_payload);
-        analyzer_.ingest(decoded);
+        analysis::DecodedRecord& record = slots_[ring_head_];
+        analyzer_.ingest(record);
         record.dns_payload = Bytes{};  // release payload storage eagerly
         ring_head_ = (ring_head_ + 1) % slots_.size();
         --ring_size_;

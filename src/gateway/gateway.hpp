@@ -35,18 +35,6 @@
 
 namespace tvacr::gateway {
 
-/// One decoded record as queued in the ring: the analyzer-facing content of
-/// analysis::DecodedRecord, with the DNS payload owned (the source buffer
-/// it was decoded from is gone by the time the record is drained).
-struct GatewayRecord {
-    SimTime timestamp;
-    std::uint32_t frame_bytes = 0;
-    bool parseable = false;
-    net::Ipv4Address source;
-    net::Ipv4Address destination;
-    Bytes dns_payload;
-};
-
 enum class DropReason : std::uint8_t {
     kRingFull = 0,   // offered while the ring had no free slot
     kTruncated = 1,  // torn at the source: partial record/block at stream end
@@ -81,9 +69,10 @@ class Gateway {
   public:
     explicit Gateway(GatewayOptions options);
 
-    /// Offers one record to the ring. Returns false (and ledgers a
-    /// ring_full drop) when the ring is at capacity.
-    bool offer(GatewayRecord record);
+    /// Offers one decoded record to the ring. Its DNS payload is owned, so
+    /// it outlives the source buffer it was decoded from. Returns false (and
+    /// ledgers a ring_full drop) when the ring is at capacity.
+    bool offer(analysis::DecodedRecord record);
 
     /// Accounts `records` torn records at the source (partial trailing pcap
     /// record, torn .tvcr block): they are offered and simultaneously
@@ -134,7 +123,7 @@ class Gateway {
     analysis::StreamingCaptureAnalyzer analyzer_;
 
     // Fixed-capacity ring: slots_ never reallocates after construction.
-    std::vector<GatewayRecord> slots_;
+    std::vector<analysis::DecodedRecord> slots_;
     std::size_t ring_head_ = 0;  // index of the oldest queued record
     std::size_t ring_size_ = 0;
 

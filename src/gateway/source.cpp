@@ -3,8 +3,6 @@
 #include <fstream>
 
 #include "net/fast_parse.hpp"
-#include "net/pcap.hpp"
-#include "replay/tvcr.hpp"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define TVACR_GATEWAY_HAVE_FD 1
@@ -18,7 +16,7 @@ namespace tvacr::gateway {
 namespace {
 
 /// Compaction threshold: once this many consumed bytes accumulate at the
-/// front of a parser buffer, slide the unread tail down. Keeps tailing
+/// front of the source buffer, slide the unread tail down. Keeps tailing
 /// memory O(chunk + largest in-flight record/block), not O(stream).
 constexpr std::size_t kCompactAt = 1 << 20;
 
@@ -30,159 +28,22 @@ void append_and_compact(Bytes& buffer, std::size_t& consumed, BytesView bytes) {
     buffer.insert(buffer.end(), bytes.begin(), bytes.end());
 }
 
-GatewayRecord record_from_frame(BytesView frame, SimTime timestamp) {
-    GatewayRecord record;
-    record.timestamp = timestamp;
+analysis::DecodedRecord record_from_pcap(const net::PcapRecord& pcap) {
+    const BytesView frame = pcap.frame;
+    analysis::DecodedRecord record;
+    record.timestamp = pcap.timestamp;
     record.frame_bytes = static_cast<std::uint32_t>(frame.size());
     const net::FrameSummary summary = net::summarize_frame(frame);
     record.parseable = summary.attributable;
     if (summary.attributable) {
         record.source = summary.source;
         record.destination = summary.destination;
-        if (!summary.dns_payload.empty()) {
-            record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
-        }
+        record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
     }
     return record;
 }
 
 }  // namespace
-
-// ------------------------------------------------------- PcapStreamParser
-
-Status PcapStreamParser::feed(BytesView bytes, const RecordSink& sink) {
-    append_and_compact(buffer_, consumed_, bytes);
-
-    if (!header_parsed_) {
-        if (buffer_.size() - consumed_ < net::kPcapGlobalHeaderLen) return Status::success();
-        const std::uint8_t* h = buffer_.data() + consumed_;
-        const std::uint32_t magic = bytes::load_u32le(h);
-        if (magic == net::kPcapMagicMicros) {
-            swapped_ = false;
-        } else if (magic == 0xD4C3B2A1) {
-            swapped_ = true;
-        } else {
-            return make_error("pcap: unrecognized magic number");
-        }
-        const std::uint16_t major = swapped_ ? bytes::load_u16be(h + 4) : bytes::load_u16le(h + 4);
-        if (major != 2) return make_error("pcap: unsupported major version");
-        const std::uint32_t snaplen =
-            swapped_ ? bytes::load_u32be(h + 16) : bytes::load_u32le(h + 16);
-        const std::uint32_t linktype =
-            swapped_ ? bytes::load_u32be(h + 20) : bytes::load_u32le(h + 20);
-        if (linktype != net::kPcapLinkTypeEthernet) {
-            return make_error("pcap: unsupported link type (want Ethernet)");
-        }
-        effective_snaplen_ = (snaplen == 0 || snaplen > net::kPcapMaxSnapLen)
-                                 ? net::kPcapMaxSnapLen
-                                 : snaplen;
-        consumed_ += net::kPcapGlobalHeaderLen;
-        header_parsed_ = true;
-    }
-
-    const auto u32 = [this](const std::uint8_t* p) {
-        return swapped_ ? bytes::load_u32be(p) : bytes::load_u32le(p);
-    };
-    while (buffer_.size() - consumed_ >= net::kPcapRecordHeaderLen) {
-        const std::uint8_t* h = buffer_.data() + consumed_;
-        const std::uint32_t ts_sec = u32(h);
-        const std::uint32_t ts_usec = u32(h + 4);
-        const std::uint32_t incl_len = u32(h + 8);
-        if (incl_len > effective_snaplen_) return make_error("pcap: record exceeds snaplen");
-        const std::size_t need = net::kPcapRecordHeaderLen + incl_len;
-        if (buffer_.size() - consumed_ < need) break;  // wait for the rest
-        const SimTime timestamp =
-            SimTime::micros(static_cast<std::int64_t>(ts_sec) * 1'000'000 + ts_usec);
-        sink(record_from_frame(BytesView(h + net::kPcapRecordHeaderLen, incl_len), timestamp));
-        consumed_ += need;
-        ++records_;
-    }
-    return Status::success();
-}
-
-std::uint64_t PcapStreamParser::finalize() const {
-    // A leftover tail after the last complete record is exactly one torn
-    // record: the writer emitted a record header (or part of one) and died
-    // before the body landed. Before the global header parsed, leftover
-    // bytes are a torn file header — no records were promised yet.
-    if (!header_parsed_) return 0;
-    return buffer_.size() - consumed_ > 0 ? 1 : 0;
-}
-
-// ------------------------------------------------------- TvcrStreamParser
-
-Status TvcrStreamParser::feed(BytesView bytes, const RecordSink& sink) {
-    if (finished_) return Status::success();  // past the index: writer done
-    append_and_compact(buffer_, consumed_, bytes);
-
-    if (!header_parsed_) {
-        if (buffer_.size() - consumed_ < replay::kTvcrHeaderLen) return Status::success();
-        const std::uint8_t* h = buffer_.data() + consumed_;
-        if (bytes::load_u32be(h) != replay::kTvcrMagic) {
-            return make_error("tvcr: bad magic (not a .tvcr file)");
-        }
-        if (bytes::load_u16be(h + 4) != replay::kTvcrVersion) {
-            return make_error("tvcr: unsupported version");
-        }
-        keep_frames_ = (bytes::load_u16be(h + 6) & replay::kTvcrFlagFrames) != 0;
-        snaplen_ = bytes::load_u32be(h + 8);
-        consumed_ += replay::kTvcrHeaderLen;
-        header_parsed_ = true;
-    }
-
-    while (buffer_.size() - consumed_ >= 4) {
-        const std::uint32_t magic = bytes::load_u32be(buffer_.data() + consumed_);
-        if (magic == replay::kTvcrIndexMagic) {
-            // The writer's finish() ran: every record is accounted for and
-            // the remaining bytes are index + trailer, already covered by
-            // the per-block validation done on the way in.
-            finished_ = true;
-            return Status::success();
-        }
-        if (magic != replay::kTvcrBlockMagic) {
-            return make_error("tvcr: bad block magic (stream corrupt?)");
-        }
-        if (buffer_.size() - consumed_ < replay::kTvcrBlockHeaderLen) break;
-        auto info = replay::parse_block_header(
-            BytesView(buffer_.data() + consumed_, replay::kTvcrBlockHeaderLen));
-        if (!info.ok()) return info.error();
-        const std::size_t need = replay::kTvcrBlockHeaderLen + info.value().compressed_len;
-        if (buffer_.size() - consumed_ < need) break;  // wait for the payload
-        auto records = replay::decode_block_payload(
-            info.value(),
-            BytesView(buffer_.data() + consumed_ + replay::kTvcrBlockHeaderLen,
-                      info.value().compressed_len),
-            keep_frames_, snaplen_);
-        if (!records.ok()) return records.error();
-        for (replay::TvcrRecord& decoded : records.value()) {
-            GatewayRecord record;
-            record.timestamp = decoded.timestamp;
-            record.frame_bytes = decoded.frame_bytes;
-            record.parseable = decoded.parseable;
-            record.source = decoded.source;
-            record.destination = decoded.destination;
-            record.dns_payload = std::move(decoded.dns_payload);
-            sink(std::move(record));
-            ++records_;
-        }
-        consumed_ += need;
-    }
-    return Status::success();
-}
-
-std::uint64_t TvcrStreamParser::finalize() const {
-    if (finished_ || !header_parsed_) return 0;
-    const std::size_t leftover = buffer_.size() - consumed_;
-    if (leftover == 0) return 0;
-    // A torn block with a readable header declares how many records died
-    // with it; anything shorter is a single torn record at minimum.
-    if (leftover >= replay::kTvcrBlockHeaderLen) {
-        auto info = replay::parse_block_header(
-            BytesView(buffer_.data() + consumed_, replay::kTvcrBlockHeaderLen));
-        if (info.ok()) return info.value().records;
-    }
-    return 1;
-}
 
 // --------------------------------------------------------------- ByteFeeds
 
@@ -262,61 +123,127 @@ Result<StreamSource> StreamSource::open_fd(int fd) {
 #endif
 }
 
-Status StreamSource::dispatch(BytesView bytes, Gateway& gateway) {
-    const RecordSink sink = [&](GatewayRecord&& record) {
-        ++records_offered_;
-        gateway.offer(std::move(record));
-    };
-    if (pcap_ != nullptr) return pcap_->feed(bytes, sink);
-    if (tvcr_ != nullptr) return tvcr_->feed(bytes, sink);
+void StreamSource::offer(Gateway& gateway, analysis::DecodedRecord&& record) {
+    ++records_offered_;
+    gateway.offer(std::move(record));
+}
 
-    // Format not chosen yet: hold bytes back until four arrived, then route
-    // everything held through the matching parser.
-    sniff_.insert(sniff_.end(), bytes.begin(), bytes.end());
-    if (sniff_.size() < 4) return Status::success();
-    const std::uint32_t be = bytes::load_u32be(sniff_.data());
-    const std::uint32_t le = bytes::load_u32le(sniff_.data());
-    if (be == replay::kTvcrMagic) {
-        tvcr_ = std::make_unique<TvcrStreamParser>();
-    } else if (le == net::kPcapMagicMicros || le == 0xD4C3B2A1) {
-        // The parser still re-validates version/linktype once the full
-        // header arrives; rejecting garbage here means a stream that can
-        // never become a capture fails on its first four bytes instead of
-        // idling forever waiting for a header that will not come.
-        pcap_ = std::make_unique<PcapStreamParser>();
-    } else {
-        return make_error("gateway: unrecognized capture magic (not pcap or .tvcr)");
+Status StreamSource::decode(Gateway& gateway) {
+    if (format_ == replay::CaptureFormat::kUnknown) {
+        if (pending().size() < 4) return Status::success();
+        format_ = replay::sniff_capture_format(pending());
+        if (format_ == replay::CaptureFormat::kPcapng) {
+            return make_error("gateway: pcapng streams are not supported (send pcap or .tvcr)");
+        }
+        // An unknown magic reads as pcap, as in the batch tools, so it fails
+        // with the pcap reader's error — on the first four bytes, instead of
+        // idling forever for a header that will not come.
+        if (format_ == replay::CaptureFormat::kUnknown) {
+            return net::parse_pcap_file_header(pending()).error();
+        }
     }
-    const Bytes held = std::move(sniff_);
-    sniff_ = Bytes{};
-    return dispatch(BytesView(held), gateway);
+    return format_ == replay::CaptureFormat::kTvcr ? decode_tvcr(gateway) : decode_pcap(gateway);
+}
+
+Status StreamSource::decode_pcap(Gateway& gateway) {
+    if (!pcap_) {
+        // The magic is known good, so a short header only waits.
+        if (pending().size() < net::kPcapGlobalHeaderLen) return Status::success();
+        auto header = net::parse_pcap_file_header(pending());
+        if (!header.ok()) return header.error();
+        pcap_ = header.value();
+        consumed_ += net::kPcapGlobalHeaderLen;
+    }
+    while (true) {
+        auto step = net::decode_pcap_record(*pcap_, pending());
+        if (!step.ok()) return step.error();
+        if (!step.value().record) return Status::success();  // wait for the rest
+        offer(gateway, record_from_pcap(*step.value().record));
+        consumed_ += step.value().size;
+    }
+}
+
+Status StreamSource::decode_tvcr(Gateway& gateway) {
+    if (!tvcr_) {
+        if (pending().size() < replay::kTvcrHeaderLen) return Status::success();
+        auto header = replay::parse_tvcr_file_header(pending());
+        if (!header.ok()) return header.error();
+        tvcr_ = header.value();
+        consumed_ += replay::kTvcrHeaderLen;
+    }
+    while (!tvcr_finished_ && pending().size() >= 4) {
+        const std::uint32_t magic = bytes::load_u32be(pending().data());
+        if (magic == replay::kTvcrIndexMagic) {
+            // The writer's finish() ran: every record is accounted for and
+            // the remaining bytes are index + trailer, already covered by
+            // the per-block validation done on the way in.
+            tvcr_finished_ = true;
+            break;
+        }
+        if (magic != replay::kTvcrBlockMagic) {
+            return make_error("tvcr: bad block magic (stream corrupt?)");
+        }
+        if (pending().size() < replay::kTvcrBlockHeaderLen) break;
+        auto info = replay::parse_block_header(pending().first(replay::kTvcrBlockHeaderLen));
+        if (!info.ok()) return info.error();
+        const std::size_t need = replay::kTvcrBlockHeaderLen + info.value().compressed_len;
+        if (pending().size() < need) break;  // wait for the payload
+        const BytesView stored =
+            pending().subspan(replay::kTvcrBlockHeaderLen, info.value().compressed_len);
+        auto records = replay::decode_block_payload(info.value(), stored, tvcr_->has_frames,
+                                                    tvcr_->snaplen);
+        if (!records.ok()) return records.error();
+        for (replay::TvcrRecord& record : records.value()) {
+            offer(gateway, replay::to_decoded_record(std::move(record)));
+        }
+        consumed_ += need;
+    }
+    return Status::success();
 }
 
 Result<SourceStatus> StreamSource::poll(Gateway& gateway, std::size_t max_bytes) {
-    if (finalized_ || feed_ended_ || (tvcr_ != nullptr && tvcr_->finished())) {
-        return SourceStatus::kEnd;
-    }
+    if (finalized_ || feed_ended_ || tvcr_finished_) return SourceStatus::kEnd;
     Bytes chunk;
     auto status = feed_->read_some(chunk, max_bytes > 0 ? max_bytes : 1);
     if (!status.ok()) return status.error();
     if (status.value() == SourceStatus::kProgress) {
-        if (auto parsed = dispatch(BytesView(chunk), gateway); !parsed.ok()) {
-            return parsed.error();
-        }
-        if (tvcr_ != nullptr && tvcr_->finished()) return SourceStatus::kEnd;
-        return SourceStatus::kProgress;
+        append_and_compact(buffer_, consumed_, chunk);
+        if (auto decoded = decode(gateway); !decoded.ok()) return decoded.error();
+        return tvcr_finished_ ? SourceStatus::kEnd : SourceStatus::kProgress;
     }
     if (status.value() == SourceStatus::kEnd) feed_ended_ = true;
     return status.value();
 }
 
-void StreamSource::finalize(Gateway& gateway) {
-    if (finalized_) return;
+Result<std::uint64_t> StreamSource::torn_records() const {
+    const BytesView tail = pending();
+    if (tail.empty() || tvcr_finished_) return std::uint64_t{0};
+    if (format_ == replay::CaptureFormat::kTvcr) {
+        if (!tvcr_) return replay::parse_tvcr_file_header(tail).error();
+        // A torn block with a readable header declares how many records
+        // died with it; anything shorter is a single torn record at minimum.
+        if (tail.size() >= replay::kTvcrBlockHeaderLen) {
+            auto info = replay::parse_block_header(tail.first(replay::kTvcrBlockHeaderLen));
+            if (info.ok()) return std::uint64_t{info.value().records};
+        }
+        return std::uint64_t{1};
+    }
+    // Fewer than four bytes name no format; like the batch tools, read
+    // them as pcap.
+    if (!pcap_) return net::parse_pcap_file_header(tail).error();
+    // A leftover tail after the last complete record is exactly one torn
+    // record: the writer began a record and died before the body landed.
+    // (Batch readers ignore that record; neither side analyzes it.)
+    return std::uint64_t{1};
+}
+
+Status StreamSource::finalize(Gateway& gateway) {
+    if (finalized_) return Status::success();
     finalized_ = true;
-    std::uint64_t torn = 0;
-    if (pcap_ != nullptr) torn = pcap_->finalize();
-    if (tvcr_ != nullptr) torn = tvcr_->finalize();
-    gateway.note_truncated(torn);
+    auto torn = torn_records();
+    if (!torn.ok()) return torn.error();
+    gateway.note_truncated(torn.value());
+    return Status::success();
 }
 
 }  // namespace tvacr::gateway

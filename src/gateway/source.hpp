@@ -4,87 +4,31 @@
 // file: they seal at EOF, and the .tvcr reader refuses a file with no
 // trailer outright. A resident gateway instead watches a capture *while it
 // is being written* — a file that grows between polls, or raw bytes on a
-// pipe — so the readers here are incremental: bytes are fed as they
+// pipe — so this source is incremental: bytes are fed as they
 // arrive, complete records are decoded and offered to the gateway, and a
 // partial tail simply waits for the rest (or, at true end-of-stream, is
 // accounted as a truncated drop so conservation stays exact).
 //
-// Format is auto-detected from the first four bytes (pcap magic in either
-// byte order, or the "TVCR" magic). A growing .tvcr has no index/trailer
-// yet, so the tvcr parser walks block headers forward
-// (replay::parse_block_header + decode_block_payload — the same validation
-// the indexed reader applies); the index magic, when it finally appears,
-// is the writer's explicit end-of-stream marker.
+// The format is named from the first four bytes by replay's one sniffer,
+// and every record is decoded by the format's one decoder — the same code
+// the batch readers run: net::decode_pcap_record for pcap, and
+// replay::parse_block_header + decode_block_payload for a growing .tvcr,
+// which has no index/trailer yet, so its block headers are walked forward.
+// The index magic, when it finally appears, is the writer's explicit
+// end-of-stream marker.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/bytes.hpp"
 #include "gateway/gateway.hpp"
+#include "net/pcap.hpp"
+#include "replay/tvcr.hpp"
 
 namespace tvacr::gateway {
-
-/// Sink receiving each decoded record. Implemented by Gateway::offer.
-using RecordSink = std::function<void(GatewayRecord&&)>;
-
-/// Incremental parser over an append-only pcap byte stream. Decodes each
-/// complete record's frame via net::summarize_frame — the same decode the
-/// streaming analyzer's ingest(BytesView) performs, so replaying the
-/// records is byte-identical to batch analysis of the same file.
-class PcapStreamParser {
-  public:
-    /// Appends stream bytes, then decodes every complete record into
-    /// `sink`. Errors are structural (bad magic, record exceeds snaplen)
-    /// and unrecoverable.
-    [[nodiscard]] Status feed(BytesView bytes, const RecordSink& sink);
-
-    /// Marks true end-of-stream. Returns the number of torn records in the
-    /// leftover tail: 1 when any partial record remains (the writer had
-    /// begun a record that never completed), else 0. Note that batch
-    /// readers *tolerate* a torn trailing pcap record by ignoring it — the
-    /// gateway instead accounts it, which is exactly what keeps its
-    /// snapshot equal to the batch run: neither side analyzes it.
-    [[nodiscard]] std::uint64_t finalize() const;
-
-    [[nodiscard]] std::uint64_t records_decoded() const noexcept { return records_; }
-
-  private:
-    Bytes buffer_;
-    std::size_t consumed_ = 0;
-    bool header_parsed_ = false;
-    bool swapped_ = false;
-    std::uint32_t effective_snaplen_ = 0;
-    std::uint64_t records_ = 0;
-};
-
-/// Incremental parser over an append-only .tvcr byte stream (forward block
-/// scan; no index needed). Sets finished() once the index magic appears —
-/// the writer has called finish(), nothing more will follow.
-class TvcrStreamParser {
-  public:
-    [[nodiscard]] Status feed(BytesView bytes, const RecordSink& sink);
-
-    /// Torn records in the leftover tail at true end-of-stream: a torn
-    /// block with a complete header accounts for its declared record
-    /// count, a torn bare header for 1; 0 after a clean finish().
-    [[nodiscard]] std::uint64_t finalize() const;
-
-    /// True once the index magic was seen (clean writer finish()).
-    [[nodiscard]] bool finished() const noexcept { return finished_; }
-    [[nodiscard]] std::uint64_t records_decoded() const noexcept { return records_; }
-
-  private:
-    Bytes buffer_;
-    std::size_t consumed_ = 0;
-    bool header_parsed_ = false;
-    bool finished_ = false;
-    bool keep_frames_ = false;
-    std::uint32_t snaplen_ = 0;
-    std::uint64_t records_ = 0;
-};
 
 /// What one poll achieved.
 enum class SourceStatus {
@@ -103,9 +47,10 @@ class ByteFeed {
     [[nodiscard]] virtual Result<SourceStatus> read_some(Bytes& out, std::size_t max_bytes) = 0;
 };
 
-/// Auto-detecting tailing source: pulls bytes from a feed, routes them
-/// through the pcap or tvcr stream parser (chosen from the first four
-/// bytes), and offers each decoded record to the gateway.
+/// Auto-detecting tailing source: pulls bytes from a feed, names the
+/// format from the first four bytes, decodes every complete pcap record or
+/// .tvcr block, and offers each record to the gateway. A partial record
+/// waits for the rest.
 class StreamSource {
   public:
     explicit StreamSource(std::unique_ptr<ByteFeed> feed) : feed_(std::move(feed)) {}
@@ -117,23 +62,44 @@ class StreamSource {
     /// non-blocking; poll() reports kIdle when no bytes are ready.
     [[nodiscard]] static Result<StreamSource> open_fd(int fd);
 
-    /// One poll turn: read up to max_bytes, parse, offer records to the
-    /// gateway. kEnd means no further records can ever arrive.
+    /// One poll turn: read up to max_bytes, decode, offer records to the
+    /// gateway. kEnd means no further records can ever arrive. Errors are
+    /// structural (bad magic, record exceeds snaplen, corrupt block) and
+    /// unrecoverable.
     [[nodiscard]] Result<SourceStatus> poll(Gateway& gateway, std::size_t max_bytes);
 
-    /// Accounts the torn tail (if any) as truncated drops. Call exactly
-    /// once, after the final poll, before the final snapshot.
-    void finalize(Gateway& gateway);
+    /// Marks true end-of-stream. Call exactly once, after the final poll,
+    /// before the final snapshot. A torn tail is accounted as truncated
+    /// drops: 1 for a partial pcap record, the declared record count for a
+    /// .tvcr block cut mid-payload (1 when its header is cut too). A stream
+    /// that ends inside its file header fails with the batch reader's
+    /// "truncated file header" error; a stream that delivered no bytes at
+    /// all is an empty capture, since a daemon may start before its writer.
+    Status finalize(Gateway& gateway);
 
     [[nodiscard]] std::uint64_t records_offered() const noexcept { return records_offered_; }
 
   private:
-    [[nodiscard]] Status dispatch(BytesView bytes, Gateway& gateway);
+    /// Decodes every complete record in the pending bytes.
+    [[nodiscard]] Status decode(Gateway& gateway);
+    [[nodiscard]] Status decode_pcap(Gateway& gateway);
+    [[nodiscard]] Status decode_tvcr(Gateway& gateway);
+    /// Records lost in the pending tail at end-of-stream (see finalize).
+    [[nodiscard]] Result<std::uint64_t> torn_records() const;
+
+    /// Received bytes not yet decoded.
+    [[nodiscard]] BytesView pending() const noexcept {
+        return BytesView(buffer_).subspan(consumed_);
+    }
+    void offer(Gateway& gateway, analysis::DecodedRecord&& record);
 
     std::unique_ptr<ByteFeed> feed_;
-    Bytes sniff_;  // bytes held back until the format is known
-    std::unique_ptr<PcapStreamParser> pcap_;
-    std::unique_ptr<TvcrStreamParser> tvcr_;
+    Bytes buffer_;
+    std::size_t consumed_ = 0;  // decoded bytes at the front of buffer_
+    replay::CaptureFormat format_ = replay::CaptureFormat::kUnknown;  // until 4 bytes arrive
+    std::optional<net::PcapFileHeader> pcap_;
+    std::optional<replay::TvcrFileHeader> tvcr_;
+    bool tvcr_finished_ = false;  // index magic seen: the writer called finish()
     bool feed_ended_ = false;
     bool finalized_ = false;
     std::uint64_t records_offered_ = 0;

@@ -18,6 +18,11 @@ namespace tvacr::net {
 
 namespace {
 
+/// Header fields are little-endian unless the magic read swapped.
+std::uint32_t load_u32(const std::uint8_t* p, bool swapped) noexcept {
+    return swapped ? bytes::load_u32be(p) : bytes::load_u32le(p);
+}
+
 void append_global_header(ByteWriter& out) {
     out.u32le(kPcapMagicMicros);
     out.u16le(2);  // version major
@@ -80,59 +85,70 @@ Bytes to_pcap_bytes(const std::vector<Packet>& packets) {
     return std::move(out).take();
 }
 
-Result<std::vector<Packet>> from_pcap_bytes(BytesView data) {
-    ByteReader reader(data);
-    auto magic = reader.u32le();
-    if (!magic) return magic.error();
-
-    bool swapped = false;
-    if (magic.value() == kPcapMagicMicros) {
-        swapped = false;
-    } else if (magic.value() == 0xD4C3B2A1) {
-        swapped = true;
-    } else {
-        return make_error("pcap: unrecognized magic number");
+Result<PcapFileHeader> parse_pcap_file_header(BytesView data) {
+    PcapFileHeader header;
+    if (data.size() >= 4) {
+        const std::uint32_t magic = bytes::load_u32le(data.data());
+        if (magic != kPcapMagicMicros && magic != kPcapMagicSwapped) {
+            return make_error("pcap: unrecognized magic number");
+        }
+        header.swapped = magic == kPcapMagicSwapped;
     }
-    const auto read_u32 = [&](ByteReader& r) { return swapped ? r.u32() : r.u32le(); };
-    const auto read_u16 = [&](ByteReader& r) { return swapped ? r.u16() : r.u16le(); };
-
-    auto major = read_u16(reader);
-    if (!major) return major.error();
-    if (auto minor = read_u16(reader); !minor) return minor.error();
-    if (major.value() != 2) return make_error("pcap: unsupported major version");
-    if (auto s = reader.skip(8); !s) return s.error();  // thiszone + sigfigs
-    auto snaplen = read_u32(reader);
-    if (!snaplen) return snaplen.error();
-    auto linktype = read_u32(reader);
-    if (!linktype) return linktype.error();
-    if (linktype.value() != kPcapLinkTypeEthernet) {
+    if (data.size() < kPcapGlobalHeaderLen) return make_error("pcap: truncated file header");
+    const std::uint8_t* h = data.data();
+    const std::uint16_t major =
+        header.swapped ? bytes::load_u16be(h + 4) : bytes::load_u16le(h + 4);
+    if (major != 2) return make_error("pcap: unsupported major version");
+    // Bytes 6..15 (minor version, thiszone, sigfigs) carry nothing we use.
+    header.declared_snaplen = load_u32(h + 16, header.swapped);
+    if (load_u32(h + 20, header.swapped) != kPcapLinkTypeEthernet) {
         return make_error("pcap: unsupported link type (want Ethernet)");
     }
     // Records are checked against the snaplen this file declares, not our
     // writer's compile-time kPcapSnapLen: foreign captures written with a
     // larger snaplen are valid input. A zero or absurd declared value means
     // "effectively unlimited" and is clamped to the structural maximum.
-    const std::uint32_t effective_snaplen =
-        (snaplen.value() == 0 || snaplen.value() > kPcapMaxSnapLen) ? kPcapMaxSnapLen
-                                                                    : snaplen.value();
+    header.effective_snaplen =
+        (header.declared_snaplen == 0 || header.declared_snaplen > kPcapMaxSnapLen)
+            ? kPcapMaxSnapLen
+            : header.declared_snaplen;
+    return header;
+}
 
+Result<PcapRecordStep> decode_pcap_record(const PcapFileHeader& header, BytesView data) {
+    PcapRecordStep step;
+    step.size = kPcapRecordHeaderLen;
+    if (data.size() < kPcapRecordHeaderLen) return step;
+    const std::uint8_t* h = data.data();
+    const bool swapped = header.swapped;
+    const std::uint32_t incl_len = load_u32(h + 8, swapped);
+    if (incl_len > header.effective_snaplen) return make_error("pcap: record exceeds snaplen");
+    step.size = kPcapRecordHeaderLen + incl_len;
+    if (data.size() < step.size) return step;
+    PcapRecord record;
+    record.timestamp = SimTime::micros(static_cast<std::int64_t>(load_u32(h, swapped)) * 1'000'000 +
+                                       load_u32(h + 4, swapped));
+    record.orig_len = load_u32(h + 12, swapped);
+    record.frame = data.subspan(kPcapRecordHeaderLen, incl_len);
+    step.record = record;
+    return step;
+}
+
+Result<std::vector<Packet>> from_pcap_bytes(BytesView data) {
+    auto header = parse_pcap_file_header(data);
+    if (!header) return header.error();
     std::vector<Packet> packets;
-    while (!reader.at_end()) {
+    std::size_t position = kPcapGlobalHeaderLen;
+    while (true) {
+        auto step = decode_pcap_record(header.value(), data.subspan(position));
+        if (!step) return step.error();
         // A truncated final record (incomplete header or body) is tolerated:
         // real captures are often cut mid-packet when the capture stops.
-        if (reader.remaining() < 16) break;
-        auto ts_sec = read_u32(reader);
-        auto ts_usec = read_u32(reader);
-        auto incl_len = read_u32(reader);
-        auto orig_len = read_u32(reader);
-        if (!ts_sec || !ts_usec || !incl_len || !orig_len) break;
-        if (incl_len.value() > effective_snaplen) return make_error("pcap: record exceeds snaplen");
-        if (reader.remaining() < incl_len.value()) break;
-        auto body = reader.raw(incl_len.value());
-        if (!body) return body.error();
-        const auto timestamp = SimTime::micros(static_cast<std::int64_t>(ts_sec.value()) * 1'000'000 +
-                                               ts_usec.value());
-        packets.push_back(Packet{timestamp, std::move(body).value()});
+        if (!step.value().record) break;
+        const PcapRecord& record = *step.value().record;
+        packets.push_back(
+            Packet{record.timestamp, Bytes(record.frame.begin(), record.frame.end())});
+        position += step.value().size;
     }
     return packets;
 }
@@ -201,37 +217,6 @@ std::size_t PcapReader::buffered(std::size_t need) {
     return std::min(need, end_ - begin_);
 }
 
-Status PcapReader::parse_global_header(BytesView bytes) {
-    ByteReader header(bytes);
-    auto magic = header.u32le();
-    if (!magic) return magic.error();
-    if (magic.value() == kPcapMagicMicros) {
-        swapped_ = false;
-    } else if (magic.value() == 0xD4C3B2A1) {
-        swapped_ = true;
-    } else {
-        return make_error("pcap: unrecognized magic number");
-    }
-    const auto read_u32 = [&](ByteReader& r) { return swapped_ ? r.u32() : r.u32le(); };
-    const auto read_u16 = [&](ByteReader& r) { return swapped_ ? r.u16() : r.u16le(); };
-    auto major = read_u16(header);
-    if (!major) return major.error();
-    if (major.value() != 2) return make_error("pcap: unsupported major version");
-    if (auto s = header.skip(10); !s) return s.error();  // minor + thiszone + sigfigs
-    auto snaplen = read_u32(header);
-    if (!snaplen) return snaplen.error();
-    auto linktype = read_u32(header);
-    if (!linktype) return linktype.error();
-    if (linktype.value() != kPcapLinkTypeEthernet) {
-        return make_error("pcap: unsupported link type (want Ethernet)");
-    }
-    declared_snaplen_ = snaplen.value();
-    effective_snaplen_ = (snaplen.value() == 0 || snaplen.value() > kPcapMaxSnapLen)
-                             ? kPcapMaxSnapLen
-                             : snaplen.value();
-    return Status::success();
-}
-
 Result<PcapReader> PcapReader::open(const std::string& path, PcapBackend backend) {
     PcapReader reader;
 #if defined(TVACR_PCAP_HAVE_MMAP)
@@ -259,93 +244,40 @@ Result<PcapReader> PcapReader::open(const std::string& path, PcapBackend backend
     (void)backend;
 #endif
     if (reader.mapped_ != nullptr) {
-        if (reader.mapped_->size < kPcapGlobalHeaderLen) {
-            return make_error("pcap: truncated file header");
-        }
-        if (auto parsed = reader.parse_global_header(
-                BytesView(reader.mapped_->data, kPcapGlobalHeaderLen));
-            !parsed) {
-            return parsed.error();
-        }
-        reader.map_pos_ = kPcapGlobalHeaderLen;
-        return reader;
+        reader.end_ = reader.mapped_->size;
+    } else {
+        reader.file_ = std::make_unique<std::ifstream>(path, std::ios::binary);
+        if (!*reader.file_) return make_error("pcap: cannot open for reading: " + path);
+        (void)reader.buffered(kPcapGlobalHeaderLen);
     }
-
-    reader.file_ = std::make_unique<std::ifstream>(path, std::ios::binary);
-    if (!*reader.file_) return make_error("pcap: cannot open for reading: " + path);
-    if (reader.buffered(kPcapGlobalHeaderLen) < kPcapGlobalHeaderLen) {
-        return make_error("pcap: truncated file header");
-    }
-    if (auto parsed =
-            reader.parse_global_header(BytesView(reader.buffer_.data(), kPcapGlobalHeaderLen));
-        !parsed) {
-        return parsed.error();
-    }
+    auto header = parse_pcap_file_header(reader.unread());
+    if (!header) return header.error();
+    reader.header_ = header.value();
     reader.begin_ += kPcapGlobalHeaderLen;
     return reader;
 }
 
-Result<std::optional<PcapRecord>> PcapReader::next_mapped() {
-    if (done_) return std::optional<PcapRecord>(std::nullopt);
-    const std::uint8_t* base = mapped_->data;
-    std::size_t remaining = mapped_->size - map_pos_;
-    // Truncated trailing records end the capture cleanly, exactly like the
-    // buffered path and from_pcap_bytes.
-    if (remaining < kPcapRecordHeaderLen) {
-        done_ = true;
-        return std::optional<PcapRecord>(std::nullopt);
-    }
-    const std::uint8_t* h = base + map_pos_;
-    const std::uint32_t ts_sec = swapped_ ? bytes::load_u32be(h) : bytes::load_u32le(h);
-    const std::uint32_t ts_usec = swapped_ ? bytes::load_u32be(h + 4) : bytes::load_u32le(h + 4);
-    const std::uint32_t incl_len = swapped_ ? bytes::load_u32be(h + 8) : bytes::load_u32le(h + 8);
-    const std::uint32_t orig_len = swapped_ ? bytes::load_u32be(h + 12) : bytes::load_u32le(h + 12);
-    if (incl_len > effective_snaplen_) return make_error("pcap: record exceeds snaplen");
-    const std::size_t need = kPcapRecordHeaderLen + incl_len;
-    if (remaining < need) {
-        done_ = true;
-        return std::optional<PcapRecord>(std::nullopt);
-    }
-    PcapRecord record;
-    record.timestamp =
-        SimTime::micros(static_cast<std::int64_t>(ts_sec) * 1'000'000 + ts_usec);
-    record.orig_len = orig_len;
-    record.frame = BytesView(h + kPcapRecordHeaderLen, incl_len);
-    map_pos_ += need;
-    ++packets_read_;
-    return std::optional<PcapRecord>(record);
+BytesView PcapReader::unread() const noexcept {
+    const std::uint8_t* base = mapped_ != nullptr ? mapped_->data : buffer_.data();
+    return BytesView(base + begin_, end_ - begin_);
 }
 
 Result<std::optional<PcapRecord>> PcapReader::next() {
-    if (mapped_ != nullptr) return next_mapped();
-    if (done_) return std::optional<PcapRecord>(std::nullopt);
-    // Truncated trailing records (incomplete header or body) end the capture
-    // cleanly, matching from_pcap_bytes.
-    if (buffered(kPcapRecordHeaderLen) < kPcapRecordHeaderLen) {
-        done_ = true;
-        return std::optional<PcapRecord>(std::nullopt);
+    while (!done_) {
+        auto step = decode_pcap_record(header_, unread());
+        if (!step) return step.error();
+        if (step.value().record) {
+            begin_ += step.value().size;
+            ++packets_read_;
+            return step.value().record;
+        }
+        // A truncated trailing record (incomplete header or body) ends the
+        // capture cleanly, matching from_pcap_bytes. A mapping already holds
+        // every byte; the buffered backend first tries to read the rest.
+        const std::size_t need = step.value().size;
+        if (mapped_ != nullptr || buffered(need) < need) done_ = true;
     }
-    ByteReader header(BytesView(buffer_.data() + begin_, kPcapRecordHeaderLen));
-    const auto read_u32 = [&](ByteReader& r) { return swapped_ ? r.u32() : r.u32le(); };
-    auto ts_sec = read_u32(header);
-    auto ts_usec = read_u32(header);
-    auto incl_len = read_u32(header);
-    auto orig_len = read_u32(header);
-    if (!ts_sec || !ts_usec || !incl_len || !orig_len) return make_error("pcap: bad record header");
-    if (incl_len.value() > effective_snaplen_) return make_error("pcap: record exceeds snaplen");
-    const std::size_t need = kPcapRecordHeaderLen + incl_len.value();
-    if (buffered(need) < need) {
-        done_ = true;
-        return std::optional<PcapRecord>(std::nullopt);
-    }
-    PcapRecord record;
-    record.timestamp = SimTime::micros(static_cast<std::int64_t>(ts_sec.value()) * 1'000'000 +
-                                       ts_usec.value());
-    record.orig_len = orig_len.value();
-    record.frame = BytesView(buffer_.data() + begin_ + kPcapRecordHeaderLen, incl_len.value());
-    begin_ += need;
-    ++packets_read_;
-    return std::optional<PcapRecord>(record);
+    return std::optional<PcapRecord>(std::nullopt);
 }
 
 }  // namespace tvacr::net

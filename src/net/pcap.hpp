@@ -15,6 +15,8 @@
 namespace tvacr::net {
 
 inline constexpr std::uint32_t kPcapMagicMicros = 0xA1B2C3D4;
+/// kPcapMagicMicros as read little-endian from a file written big-endian.
+inline constexpr std::uint32_t kPcapMagicSwapped = 0xD4C3B2A1;
 inline constexpr std::uint32_t kPcapLinkTypeEthernet = 1;
 inline constexpr std::uint32_t kPcapSnapLen = 262144;
 /// Records are validated against the snaplen the file header declares, not
@@ -67,13 +69,46 @@ class PcapWriter {
 Status write_pcap_file(const std::string& path, const std::vector<Packet>& packets);
 [[nodiscard]] Result<std::vector<Packet>> read_pcap_file(const std::string& path);
 
-/// One record yielded by PcapReader. The frame span aliases the reader's
-/// internal buffer and is invalidated by the next call to next().
+/// One decoded pcap record. The frame span aliases the bytes it was decoded
+/// from (for PcapReader: invalidated by the next call to next()).
 struct PcapRecord {
     SimTime timestamp;
     std::uint32_t orig_len = 0;  // original frame size before snaplen capping
     BytesView frame;
 };
+
+/// The fields of a pcap file header that record decoding depends on.
+struct PcapFileHeader {
+    bool swapped = false;  // fields are big-endian (kPcapMagicSwapped)
+    std::uint32_t declared_snaplen = 0;
+    /// The declared snaplen, with 0 and anything above kPcapMaxSnapLen
+    /// ("unlimited") clamped to kPcapMaxSnapLen.
+    std::uint32_t effective_snaplen = 0;
+};
+
+/// Parses and validates the file header at the front of `data`. A bad
+/// magic is reported as soon as four bytes are present; fewer than
+/// kPcapGlobalHeaderLen bytes otherwise fail as "pcap: truncated file
+/// header". Every pcap reader (batch, streaming and tailing) calls this.
+[[nodiscard]] Result<PcapFileHeader> parse_pcap_file_header(BytesView data);
+
+/// What decode_pcap_record found at the front of a byte view.
+struct PcapRecordStep {
+    /// The whole record, when all of it is present.
+    std::optional<PcapRecord> record;
+    /// Bytes the front record occupies (header + body); just
+    /// kPcapRecordHeaderLen while its header is incomplete. With `record`
+    /// empty, the decoder needs at least this many bytes to make progress.
+    std::size_t size = 0;
+};
+
+/// Decodes the record at the front of `data` (the bytes after the file
+/// header or after the previous record): the record, "need more bytes"
+/// (no record, see PcapRecordStep::size), or an error when the record
+/// exceeds the header's snaplen. The one record decoder behind
+/// from_pcap_bytes, both PcapReader backends and the gateway.
+[[nodiscard]] Result<PcapRecordStep> decode_pcap_record(const PcapFileHeader& header,
+                                                        BytesView data);
 
 /// Record source selection for PcapReader::open. kAuto memory-maps the file
 /// when the platform supports it (records become zero-copy views into the
@@ -108,7 +143,9 @@ class PcapReader {
 
     [[nodiscard]] std::uint64_t packets_read() const noexcept { return packets_read_; }
     /// The file header's declared snaplen, before clamping.
-    [[nodiscard]] std::uint32_t declared_snaplen() const noexcept { return declared_snaplen_; }
+    [[nodiscard]] std::uint32_t declared_snaplen() const noexcept {
+        return header_.declared_snaplen;
+    }
     /// True when records are served from a memory mapping (diagnostics; the
     /// record stream is identical either way).
     [[nodiscard]] bool memory_mapped() const noexcept { return mapped_ != nullptr; }
@@ -121,30 +158,23 @@ class PcapReader {
     PcapReader() = default;
 
     /// Ensures `need` contiguous unread bytes are buffered; returns how many
-    /// are actually available (short at EOF).
+    /// are actually available (short at EOF). Buffered backend only.
     std::size_t buffered(std::size_t need);
 
-    /// Parses and validates the 24-byte global header; sets the byte order
-    /// and snaplen fields. Shared by both backends.
-    Status parse_global_header(BytesView header);
-
-    /// next() over the memory mapping; same truncation/error semantics as
-    /// the buffered path.
-    Result<std::optional<PcapRecord>> next_mapped();
+    /// The unread bytes, from the mapping or the buffer.
+    [[nodiscard]] BytesView unread() const noexcept;
 
     struct MappedFile;  // owns the mmap; unmaps on destruction
 
     std::unique_ptr<std::ifstream> file_;
     std::unique_ptr<MappedFile> mapped_;
-    std::size_t map_pos_ = 0;  // first unread byte of the mapping
     Bytes buffer_;
-    std::size_t begin_ = 0;  // first unread byte in buffer_
-    std::size_t end_ = 0;    // one past the last valid byte in buffer_
+    // Unread bytes are [begin_, end_) of the mapping or of buffer_.
+    std::size_t begin_ = 0;
+    std::size_t end_ = 0;
     bool source_exhausted_ = false;
     bool done_ = false;
-    bool swapped_ = false;
-    std::uint32_t declared_snaplen_ = 0;
-    std::uint32_t effective_snaplen_ = 0;
+    PcapFileHeader header_;
     std::uint64_t packets_read_ = 0;
 };
 

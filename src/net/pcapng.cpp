@@ -129,22 +129,4 @@ Result<std::vector<Packet>> read_pcapng_file(const std::string& path) {
     return from_pcapng_bytes(bytes);
 }
 
-Result<std::vector<Packet>> read_any_capture(BytesView data) {
-    if (data.size() >= 4) {
-        const std::uint32_t first = static_cast<std::uint32_t>(data[0]) |
-                                    (static_cast<std::uint32_t>(data[1]) << 8) |
-                                    (static_cast<std::uint32_t>(data[2]) << 16) |
-                                    (static_cast<std::uint32_t>(data[3]) << 24);
-        if (first == kPcapngSectionBlock) return from_pcapng_bytes(data);
-    }
-    return from_pcap_bytes(data);
-}
-
-Result<std::vector<Packet>> read_any_capture_file(const std::string& path) {
-    std::ifstream file(path, std::ios::binary);
-    if (!file) return make_error("capture: cannot open for reading: " + path);
-    Bytes bytes((std::istreambuf_iterator<char>(file)), std::istreambuf_iterator<char>());
-    return read_any_capture(bytes);
-}
-
 }  // namespace tvacr::net

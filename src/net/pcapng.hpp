@@ -30,8 +30,4 @@ inline constexpr std::uint32_t kPcapngByteOrderMagic = 0x1A2B3C4D;
 Status write_pcapng_file(const std::string& path, const std::vector<Packet>& packets);
 [[nodiscard]] Result<std::vector<Packet>> read_pcapng_file(const std::string& path);
 
-/// Sniffs a capture buffer and dispatches to the pcap or pcapng reader.
-[[nodiscard]] Result<std::vector<Packet>> read_any_capture(BytesView data);
-[[nodiscard]] Result<std::vector<Packet>> read_any_capture_file(const std::string& path);
-
 }  // namespace tvacr::net

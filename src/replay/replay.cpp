@@ -39,16 +39,9 @@ Result<analysis::CaptureAnalyzer> ReplayEngine::run(net::Ipv4Address device_ip,
         auto records = reader_.read_block(b);
         if (!records) return records.error();
         ++stats_.blocks_read;
-        for (const TvcrRecord& record : records.value()) {
+        for (TvcrRecord& record : records.value()) {
             if (options.since.has_value() && record.timestamp < *options.since) continue;
-            analysis::DecodedRecord decoded;
-            decoded.timestamp = record.timestamp;
-            decoded.frame_bytes = record.frame_bytes;
-            decoded.parseable = record.parseable;
-            decoded.source = record.source;
-            decoded.destination = record.destination;
-            decoded.dns_payload = record.dns_payload;
-            analyzer.ingest(decoded);
+            analyzer.ingest(to_decoded_record(std::move(record)));
             ++stats_.records_replayed;
         }
     }

@@ -10,6 +10,8 @@
 #include "common/file_io.hpp"
 #include "common/rng.hpp"
 #include "dns/message.hpp"
+#include "net/fast_parse.hpp"
+#include "net/pcapng.hpp"
 #include "replay/codec.hpp"
 
 namespace tvacr::replay {
@@ -76,6 +78,47 @@ Result<TvcrBlockInfo> read_block_fields(ByteReader& in) {
 
 }  // namespace
 
+CaptureFormat sniff_capture_format(BytesView head) noexcept {
+    if (head.size() < 4) return CaptureFormat::kUnknown;
+    const std::uint32_t le = bytes::load_u32le(head.data());
+    if (le == net::kPcapMagicMicros || le == net::kPcapMagicSwapped) return CaptureFormat::kPcap;
+    if (le == net::kPcapngSectionBlock) return CaptureFormat::kPcapng;
+    if (bytes::load_u32be(head.data()) == kTvcrMagic) return CaptureFormat::kTvcr;
+    return CaptureFormat::kUnknown;
+}
+
+CaptureFormat sniff_capture_file(const std::string& path) {
+    std::ifstream file(path, std::ios::binary);
+    std::uint8_t head[4] = {};
+    file.read(reinterpret_cast<char*>(head), sizeof(head));
+    return sniff_capture_format(BytesView(head, static_cast<std::size_t>(file.gcount())));
+}
+
+Result<TvcrFileHeader> parse_tvcr_file_header(BytesView data) {
+    if (data.size() >= 4 && bytes::load_u32be(data.data()) != kTvcrMagic) {
+        return make_error("tvcr: bad magic (not a .tvcr file)");
+    }
+    if (data.size() < kTvcrHeaderLen) return make_error("tvcr: truncated file header");
+    if (bytes::load_u16be(data.data() + 4) != kTvcrVersion) {
+        return make_error("tvcr: unsupported version");
+    }
+    TvcrFileHeader header;
+    header.has_frames = (bytes::load_u16be(data.data() + 6) & kTvcrFlagFrames) != 0;
+    header.snaplen = bytes::load_u32be(data.data() + 8);
+    return header;
+}
+
+analysis::DecodedRecord to_decoded_record(TvcrRecord&& record) {
+    analysis::DecodedRecord decoded;
+    decoded.timestamp = record.timestamp;
+    decoded.frame_bytes = record.frame_bytes;
+    decoded.parseable = record.parseable;
+    decoded.source = record.source;
+    decoded.destination = record.destination;
+    decoded.dns_payload = std::move(record.dns_payload);
+    return decoded;
+}
+
 // ------------------------------------------------------------- TvcrWriter
 
 struct TvcrWriter::Impl {
@@ -115,16 +158,15 @@ void TvcrWriter::add(BytesView frame, SimTime timestamp, std::uint32_t orig_len)
     record.orig_len = orig_len == 0 ? record.frame_bytes : orig_len;
     if (options_.keep_frames) record.frame.assign(frame.begin(), frame.end());
 
-    const auto parsed = net::parse_packet_view(frame, timestamp);
-    if (parsed.ok() && parsed.value().ip) {
-        const auto& view = parsed.value();
+    const net::FrameSummary summary = net::summarize_frame(frame);
+    if (summary.attributable) {
         record.parseable = true;
-        record.source = view.ip->source;
-        record.destination = view.ip->destination;
+        record.source = summary.source;
+        record.destination = summary.destination;
         impl_->shard_mask |= slot_bit(record.source.value());
         impl_->shard_mask |= slot_bit(record.destination.value());
-        if (view.udp && view.udp->source_port == dns::kDnsPort) {
-            record.dns_payload.assign(view.payload.begin(), view.payload.end());
+        if (!summary.dns_payload.empty()) {
+            record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
             // Harvest A records for the domain index, first mapping wins —
             // the same rule DnsMap applies during analysis, so the bloom
             // reflects what the analyzer will attribute.
@@ -323,22 +365,14 @@ Result<Bytes> TvcrReader::read_at(std::uint64_t offset, std::size_t length) {
 
 Status TvcrReader::load(std::uint64_t file_size) {
     file_size_ = file_size;
+    auto header_bytes = read_at(0, std::min<std::uint64_t>(file_size, kTvcrHeaderLen));
+    if (!header_bytes) return header_bytes.error();
+    auto header = parse_tvcr_file_header(header_bytes.value());
+    if (!header) return header.error();
+    header_ = header.value();
     if (file_size < kTvcrHeaderLen + kTvcrTrailerLen) {
         return make_error("tvcr: file too small for header and trailer");
     }
-
-    auto header_bytes = read_at(0, kTvcrHeaderLen);
-    if (!header_bytes) return header_bytes.error();
-    ByteReader header(header_bytes.value());
-    auto magic = header.u32();
-    auto version = header.u16();
-    auto flags = header.u16();
-    auto snaplen = header.u32();
-    if (!magic || !version || !flags || !snaplen) return make_error("tvcr: truncated header");
-    if (magic.value() != kTvcrMagic) return make_error("tvcr: bad magic (not a .tvcr file)");
-    if (version.value() != kTvcrVersion) return make_error("tvcr: unsupported version");
-    flags_ = flags.value();
-    snaplen_ = snaplen.value();
 
     auto trailer_bytes = read_at(file_size_ - kTvcrTrailerLen, kTvcrTrailerLen);
     if (!trailer_bytes) return trailer_bytes.error();
@@ -434,7 +468,7 @@ Result<std::vector<TvcrRecord>> TvcrReader::read_block(std::size_t block) {
     }
 
     const BytesView stored(raw.value().data() + kBlockHeaderLen, info.compressed_len);
-    return decode_block_payload(info, stored, has_frames(), snaplen_);
+    return decode_block_payload(info, stored, has_frames(), snaplen());
 }
 
 Result<TvcrBlockInfo> parse_block_header(BytesView bytes) {

@@ -34,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "analysis/stream.hpp"
 #include "common/bytes.hpp"
 #include "common/time.hpp"
 #include "net/packet.hpp"
@@ -55,6 +56,32 @@ inline constexpr std::size_t kTvcrTrailerLen = 24;
 inline constexpr std::uint32_t kTvcrMaxBlockPayload = 256 * 1024 * 1024;
 /// Slots in the per-block flow-shard membership mask and domain bloom.
 inline constexpr std::size_t kTvcrMaskSlots = 64;
+
+/// Capture formats tvacr reads, as told apart by their first four bytes.
+enum class CaptureFormat { kUnknown, kPcap, kPcapng, kTvcr };
+
+/// Names the format from a capture's first four bytes: the pcap magic in
+/// either byte order, the pcapng section block, or "TVCR". Fewer than four
+/// bytes, or any other magic, is kUnknown; readers treat that as pcap, so
+/// the error a bad file gets is the pcap reader's. The one format sniffer:
+/// replay is the lowest module that knows all three magics.
+[[nodiscard]] CaptureFormat sniff_capture_format(BytesView head) noexcept;
+
+/// sniff_capture_format over the first bytes of a file (kUnknown when it
+/// cannot be read).
+[[nodiscard]] CaptureFormat sniff_capture_file(const std::string& path);
+
+/// The .tvcr file header fields readers depend on.
+struct TvcrFileHeader {
+    bool has_frames = false;  // flags bit kTvcrFlagFrames
+    std::uint32_t snaplen = net::kPcapSnapLen;
+};
+
+/// Parses and validates the file header at the front of `data`. A bad
+/// magic is reported as soon as four bytes are present; fewer than
+/// kTvcrHeaderLen bytes otherwise fail as "tvcr: truncated file header".
+/// Shared by TvcrReader and the gateway's tailing parser.
+[[nodiscard]] Result<TvcrFileHeader> parse_tvcr_file_header(BytesView data);
 
 struct TvcrOptions {
     /// Records per block; the resume granularity. Smaller blocks give finer
@@ -79,6 +106,10 @@ struct TvcrRecord {
     Bytes dns_payload;  // UDP payload iff sourced from the DNS port
     Bytes frame;        // raw frame bytes (frames mode only)
 };
+
+/// The analyzer-facing part of a record, for replay through
+/// StreamingCaptureAnalyzer. The DNS payload is moved, not copied.
+[[nodiscard]] analysis::DecodedRecord to_decoded_record(TvcrRecord&& record);
 
 /// Per-block index entry: everything a reader needs to decide whether a
 /// block is relevant (time range, flow shards, domains) and to fetch and
@@ -160,8 +191,8 @@ class TvcrReader {
     /// Domain table harvested at record time; ids are positions.
     [[nodiscard]] const std::vector<std::string>& domains() const noexcept { return domains_; }
     [[nodiscard]] std::uint64_t total_records() const noexcept { return total_records_; }
-    [[nodiscard]] bool has_frames() const noexcept { return (flags_ & kTvcrFlagFrames) != 0; }
-    [[nodiscard]] std::uint32_t snaplen() const noexcept { return snaplen_; }
+    [[nodiscard]] bool has_frames() const noexcept { return header_.has_frames; }
+    [[nodiscard]] std::uint32_t snaplen() const noexcept { return header_.snaplen; }
 
     /// Decodes one block into records (CRC + structure validated).
     [[nodiscard]] Result<std::vector<TvcrRecord>> read_block(std::size_t block);
@@ -186,8 +217,7 @@ class TvcrReader {
     std::unique_ptr<std::ifstream> file_;
     BytesView memory_;
     std::uint64_t file_size_ = 0;
-    std::uint16_t flags_ = 0;
-    std::uint32_t snaplen_ = net::kPcapSnapLen;
+    TvcrFileHeader header_;
     std::uint64_t total_records_ = 0;
     std::vector<TvcrBlockInfo> blocks_;
     std::vector<std::string> domains_;

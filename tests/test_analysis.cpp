@@ -547,7 +547,7 @@ TEST(StreamingAnalyzerTest, PcapngFallbackPathMatchesSerial) {
     // byte-identity the pcap path guarantees, at several shard counts.
     const auto capture = temporal_capture();
     const Bytes wire = net::to_pcapng_bytes(capture);
-    const auto decoded = net::read_any_capture(wire);
+    const auto decoded = net::from_pcapng_bytes(wire);
     ASSERT_TRUE(decoded.ok()) << decoded.error().message;
     ASSERT_EQ(decoded.value().size(), capture.size());
 

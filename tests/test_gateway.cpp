@@ -3,14 +3,18 @@
 // patterns), the determinism contract (snapshots at worker counts 1/4/8 are
 // byte-identical to the batch analyzer; under forced drops they equal the
 // batch run over the accepted-record subset the ledger identifies), the
-// incremental pcap/.tvcr stream parsers (arbitrary chunk boundaries, torn
-// tails accounted as truncated drops), and the control protocol.
+// tailing pcap/.tvcr source (arbitrary chunk boundaries, torn tails
+// accounted as truncated drops, a torn file header failing as the batch
+// reader does), agreement of every pcap reader on damaged input, and the
+// control protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/traffic.hpp"
@@ -124,7 +128,7 @@ std::string run_stream(const Bytes& wire, Gateway& gateway, std::size_t chunk,
         EXPECT_TRUE(gateway.conservation_ok());
         if (status.value() == SourceStatus::kEnd) break;
     }
-    source.finalize(gateway);
+    EXPECT_TRUE(source.finalize(gateway).ok());
     gateway.drain_all();
     EXPECT_TRUE(gateway.conservation_ok());
     return replay::canonical_report(gateway.snapshot());
@@ -195,7 +199,7 @@ TEST(GatewayBackpressure, SnapshotEqualsBatchOverAcceptedSubset) {
         ASSERT_TRUE(status.ok());
         if (status.value() == SourceStatus::kEnd) break;
     }
-    source.finalize(gateway);
+    ASSERT_TRUE(source.finalize(gateway).ok());
     gateway.drain_all();
     ASSERT_TRUE(gateway.conservation_ok());
     ASSERT_GT(gateway.dropped_ring_full(), 0U);
@@ -233,7 +237,7 @@ TEST(GatewayBackpressure, ConservationHoldsOverRandomizedLoadPatterns) {
         while (next < capture.size()) {
             const auto burst = static_cast<std::size_t>(rng.uniform(1, 48));
             for (std::size_t i = 0; i < burst && next < capture.size(); ++i, ++next) {
-                GatewayRecord record;
+                analysis::DecodedRecord record;
                 record.timestamp = capture[next].timestamp;
                 record.frame_bytes = static_cast<std::uint32_t>(capture[next].data.size());
                 const auto view = net::summarize_frame(capture[next].data);
@@ -272,7 +276,7 @@ TEST(GatewayBackpressure, GracefulShutdownUnderLoadKeepsTheSnapshotExact) {
         if (status.value() == SourceStatus::kEnd) break;
         gateway.drain(4);
     }
-    source.finalize(gateway);
+    ASSERT_TRUE(source.finalize(gateway).ok());
     gateway.drain_all();
     ASSERT_TRUE(gateway.conservation_ok());
     const std::uint64_t analyzed = gateway.drained();
@@ -350,7 +354,7 @@ TEST(GatewaySource, CleanTvcrFinishHasNoTruncationAndSignalsEnd) {
     }
     // The index magic, not feed EOF, is what ends a .tvcr stream.
     EXPECT_EQ(last, SourceStatus::kEnd);
-    source.finalize(gateway);
+    ASSERT_TRUE(source.finalize(gateway).ok());
     EXPECT_EQ(gateway.dropped_truncated(), 0U);
     EXPECT_EQ(gateway.offered(), capture.size());
 }
@@ -362,6 +366,205 @@ TEST(GatewaySource, GarbageMagicIsAStructuralError) {
     StreamSource source(std::make_unique<MemoryFeed>(Bytes{0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x01}));
     const auto status = source.poll(gateway, 4096);
     EXPECT_FALSE(status.ok());
+}
+
+// ------------------------------------------- batch and gateway agreement
+
+std::string write_temp(const std::string& name, const Bytes& bytes) {
+    const std::string path = ::testing::TempDir() + name;
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    return path;
+}
+
+/// One reader's verdict on a capture: the records it accepted and the
+/// canonical report over them, or its error message.
+struct Outcome {
+    std::string error;
+    std::uint64_t records = 0;
+    std::string report;
+    bool operator==(const Outcome&) const = default;
+};
+
+void PrintTo(const Outcome& outcome, std::ostream* out) {
+    if (!outcome.error.empty()) {
+        *out << "error \"" << outcome.error << "\"";
+    } else {
+        *out << outcome.records << " records";
+    }
+}
+
+Outcome failed(const std::string& message) { return Outcome{message, 0, ""}; }
+
+Outcome accepted(const std::vector<net::Packet>& packets) {
+    return Outcome{"", packets.size(), batch_report(packets)};
+}
+
+Outcome from_bytes_outcome(const Bytes& wire) {
+    auto packets = net::from_pcap_bytes(wire);
+    if (!packets.ok()) return failed(packets.error().message);
+    return accepted(packets.value());
+}
+
+Outcome reader_outcome(const std::string& path, net::PcapBackend backend) {
+    auto reader = net::PcapReader::open(path, backend);
+    if (!reader.ok()) return failed(reader.error().message);
+    std::vector<net::Packet> packets;
+    while (true) {
+        auto record = reader.value().next();
+        if (!record.ok()) return failed(record.error().message);
+        if (!record.value().has_value()) break;
+        const BytesView frame = record.value()->frame;
+        packets.push_back(
+            net::Packet{record.value()->timestamp, Bytes(frame.begin(), frame.end())});
+    }
+    return accepted(packets);
+}
+
+/// Streams `wire` through a fresh gateway in `chunk`-byte feeds; reports
+/// the truncated drops through `truncated`.
+Outcome gateway_outcome(const Bytes& wire, std::size_t chunk, std::uint64_t& truncated) {
+    GatewayOptions options;
+    options.device_ip = kDevice;
+    Gateway gateway(options);
+    StreamSource source(std::make_unique<MemoryFeed>(wire));
+    while (true) {
+        const auto status = source.poll(gateway, chunk);
+        if (!status.ok()) return failed(status.error().message);
+        if (status.value() == SourceStatus::kEnd) break;
+    }
+    if (auto finalized = source.finalize(gateway); !finalized.ok()) {
+        return failed(finalized.error().message);
+    }
+    gateway.drain_all();
+    truncated = gateway.dropped_truncated();
+    return Outcome{"", gateway.accepted(), replay::canonical_report(gateway.snapshot())};
+}
+
+void poke_u16le(Bytes& bytes, std::size_t at, std::uint16_t value) {
+    bytes[at] = static_cast<std::uint8_t>(value & 0xFF);
+    bytes[at + 1] = static_cast<std::uint8_t>(value >> 8);
+}
+
+void poke_u32le(Bytes& bytes, std::size_t at, std::uint32_t value) {
+    poke_u16le(bytes, at, static_cast<std::uint16_t>(value & 0xFFFF));
+    poke_u16le(bytes, at + 2, static_cast<std::uint16_t>(value >> 16));
+}
+
+/// The same capture as written on a big-endian machine: every header field
+/// byte-swapped, frames untouched.
+Bytes swap_byte_order(Bytes wire) {
+    const auto swap = [&wire](std::size_t at, std::size_t width) {
+        std::reverse(wire.begin() + static_cast<std::ptrdiff_t>(at),
+                     wire.begin() + static_cast<std::ptrdiff_t>(at + width));
+    };
+    for (const std::size_t at : {0, 8, 12, 16, 20}) swap(at, 4);
+    swap(4, 2);
+    swap(6, 2);
+    std::size_t at = net::kPcapGlobalHeaderLen;
+    while (at + net::kPcapRecordHeaderLen <= wire.size()) {
+        const std::uint32_t incl_len = bytes::load_u32le(wire.data() + at + 8);
+        for (std::size_t field = 0; field < 4; ++field) swap(at + 4 * field, 4);
+        at += net::kPcapRecordHeaderLen + incl_len;
+    }
+    return wire;
+}
+
+TEST(DecoderAgreement, EveryPcapReaderGivesTheSameOutcomeOnDamagedInput) {
+    auto capture = gateway_capture();
+    capture.resize(40);  // keeps the byte-at-a-time runs short
+    const Bytes clean = net::to_pcap_bytes(capture);
+    const std::size_t last_record = net::kPcapRecordHeaderLen + capture.back().data.size();
+
+    struct Damage {
+        std::string name;
+        Bytes wire;
+        bool torn_tail = false;  // bytes left after the last complete record
+    };
+    std::vector<Damage> damages;
+    damages.push_back({"clean", clean});
+    damages.push_back({"swapped byte order", swap_byte_order(clean)});
+    damages.push_back({"torn record header", clean, true});
+    damages.back().wire.resize(clean.size() - last_record + 7);
+    damages.push_back({"torn body", clean, true});
+    damages.back().wire.resize(clean.size() - 7);
+    damages.push_back({"incl_len above declared snaplen", clean});
+    poke_u32le(damages.back().wire, 16, 64);
+    damages.push_back({"snaplen 0", clean});
+    poke_u32le(damages.back().wire, 16, 0);
+    damages.push_back({"bad major version", clean});
+    poke_u16le(damages.back().wire, 4, 3);
+    damages.push_back({"bad link type", clean});
+    poke_u32le(damages.back().wire, 20, 101);
+    damages.push_back({"garbage magic", clean});
+    damages.back().wire[0] ^= 0xFF;
+
+    for (const Damage& damage : damages) {
+        SCOPED_TRACE(damage.name);
+        const Outcome expected = from_bytes_outcome(damage.wire);
+        const std::string path = write_temp("tvacr_damage.pcap", damage.wire);
+        EXPECT_EQ(reader_outcome(path, net::PcapBackend::kAuto), expected);
+        EXPECT_EQ(reader_outcome(path, net::PcapBackend::kBuffered), expected);
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+            SCOPED_TRACE(chunk);
+            std::uint64_t truncated = 0;
+            EXPECT_EQ(gateway_outcome(damage.wire, chunk, truncated), expected);
+            if (expected.error.empty()) {
+                EXPECT_EQ(truncated, damage.torn_tail ? 1U : 0U);
+            }
+        }
+    }
+
+    // The table covers what it says: undamaged byte orders and the clamped
+    // snaplen read every record, tears lose exactly the last one, and the
+    // structural damages are errors.
+    EXPECT_EQ(from_bytes_outcome(damages[0].wire), accepted(capture));
+    EXPECT_EQ(from_bytes_outcome(damages[1].wire), accepted(capture));
+    EXPECT_EQ(from_bytes_outcome(damages[5].wire), accepted(capture));
+    const std::vector<net::Packet> prefix(capture.begin(), capture.end() - 1);
+    EXPECT_EQ(from_bytes_outcome(damages[2].wire), accepted(prefix));
+    EXPECT_EQ(from_bytes_outcome(damages[3].wire), accepted(prefix));
+    for (const std::size_t i : {4, 6, 7, 8}) {
+        EXPECT_FALSE(from_bytes_outcome(damages[i].wire).error.empty()) << damages[i].name;
+    }
+}
+
+/// What a batch tool reports for `bytes`: the format is sniffed, and
+/// anything not .tvcr is read as pcap.
+std::string batch_error(const Bytes& bytes) {
+    if (replay::sniff_capture_format(bytes) == replay::CaptureFormat::kTvcr) {
+        auto reader = replay::TvcrReader::from_bytes(bytes);
+        return reader.ok() ? "" : reader.error().message;
+    }
+    auto reader = net::PcapReader::open(write_temp("tvacr_torn_header.pcap", bytes));
+    return reader.ok() ? "" : reader.error().message;
+}
+
+TEST(GatewaySource, TornFileHeaderFailsLikeTheBatchReader) {
+    // No bytes at all is a clean, empty capture, not a torn one: a daemon
+    // may start before its writer.
+    std::uint64_t none = 0;
+    EXPECT_EQ(gateway_outcome(Bytes{}, 4096, none), accepted({}));
+    EXPECT_EQ(none, 0U);
+
+    const auto capture = gateway_capture();
+    const Bytes pcap = net::to_pcap_bytes(capture);
+    const Bytes tvcr = replay::to_tvcr_bytes(capture);
+    const std::vector<std::pair<const Bytes*, std::size_t>> formats = {
+        {&pcap, net::kPcapGlobalHeaderLen}, {&tvcr, replay::kTvcrHeaderLen}};
+    for (const auto& [wire, header_len] : formats) {
+        for (std::size_t len = 1; len < header_len; ++len) {
+            SCOPED_TRACE(len);
+            const Bytes prefix(wire->begin(), wire->begin() + static_cast<std::ptrdiff_t>(len));
+            const std::string expected = batch_error(prefix);
+            EXPECT_NE(expected.find("truncated file header"), std::string::npos) << expected;
+            for (const std::size_t chunk : {std::size_t{1}, std::size_t{4096}}) {
+                std::uint64_t truncated = 0;
+                EXPECT_EQ(gateway_outcome(prefix, chunk, truncated), failed(expected));
+            }
+        }
+    }
 }
 
 // ------------------------------------------------------- control protocol
@@ -378,7 +581,7 @@ TEST(GatewayControl, VerbsRoundTrip) {
         ASSERT_TRUE(status.ok());
         if (status.value() == SourceStatus::kEnd) break;
     }
-    source.finalize(gateway);
+    ASSERT_TRUE(source.finalize(gateway).ok());
 
     // STATS before any drain: everything accepted is still in the ring.
     const auto stats = handle_control_line(gateway, "STATS");
@@ -432,7 +635,7 @@ TEST(GatewayControl, SnapshotIsIncrementalAndRepeatable) {
         }
         if (status.value() == SourceStatus::kEnd) break;
     }
-    source.finalize(gateway);
+    ASSERT_TRUE(source.finalize(gateway).ok());
     gateway.drain_all();
     EXPECT_FALSE(mid.empty());
     const std::string final_report = replay::canonical_report(gateway.snapshot());

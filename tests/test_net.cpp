@@ -715,21 +715,11 @@ TEST(PcapngTest, RejectsGarbage) {
     EXPECT_FALSE(from_pcapng_bytes(file).ok());
 }
 
-TEST(PcapngTest, ReadAnyCaptureDispatches) {
-    const auto packets = sample_packets();
-    const auto via_pcap = read_any_capture(to_pcap_bytes(packets));
-    const auto via_pcapng = read_any_capture(to_pcapng_bytes(packets));
-    ASSERT_TRUE(via_pcap.ok());
-    ASSERT_TRUE(via_pcapng.ok());
-    EXPECT_EQ(via_pcap.value().size(), packets.size());
-    EXPECT_EQ(via_pcapng.value().size(), packets.size());
-}
-
 TEST(PcapngTest, FileRoundTrip) {
     const auto packets = sample_packets();
     const std::string path = ::testing::TempDir() + "tvacr_pcapng_test.pcapng";
     ASSERT_TRUE(write_pcapng_file(path, packets).ok());
-    const auto restored = read_any_capture_file(path);
+    const auto restored = read_pcapng_file(path);
     ASSERT_TRUE(restored.ok());
     EXPECT_EQ(restored.value().size(), packets.size());
 }

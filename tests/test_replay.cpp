@@ -20,6 +20,7 @@
 #include "dns/message.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
+#include "net/pcapng.hpp"
 #include "replay/codec.hpp"
 #include "replay/replay.hpp"
 #include "replay/tvcr.hpp"
@@ -286,6 +287,25 @@ TEST(TvcrFormatTest, OrigLenSurvivesSnaplenTruncation) {
     ASSERT_EQ(records.value().size(), 1U);
     EXPECT_EQ(records.value()[0].frame_bytes, packet.data.size());
     EXPECT_EQ(records.value()[0].orig_len, packet.data.size() + 500);
+}
+
+TEST(CaptureSniffTest, NamesEveryFormatByItsMagic) {
+    const auto capture = replay_capture();
+    const Bytes pcap = net::to_pcap_bytes(capture);
+    EXPECT_EQ(sniff_capture_format(pcap), CaptureFormat::kPcap);
+    const Bytes swapped = {0xA1, 0xB2, 0xC3, 0xD4};  // big-endian pcap magic
+    EXPECT_EQ(sniff_capture_format(swapped), CaptureFormat::kPcap);
+    EXPECT_EQ(sniff_capture_format(net::to_pcapng_bytes(capture)), CaptureFormat::kPcapng);
+    EXPECT_EQ(sniff_capture_format(to_tvcr_bytes(capture)), CaptureFormat::kTvcr);
+    EXPECT_EQ(sniff_capture_format(Bytes{0xDE, 0xAD, 0xBE, 0xEF}), CaptureFormat::kUnknown);
+    // Fewer than four bytes name nothing, however promising they look.
+    EXPECT_EQ(sniff_capture_format(BytesView(pcap.data(), 3)), CaptureFormat::kUnknown);
+
+    // The file form reads the same four bytes; an unreadable path is kUnknown.
+    const std::string path = ::testing::TempDir() + "tvacr_sniff.tvcr";
+    ASSERT_TRUE(write_tvcr_file(path, capture).ok());
+    EXPECT_EQ(sniff_capture_file(path), CaptureFormat::kTvcr);
+    EXPECT_EQ(sniff_capture_file(path + ".missing"), CaptureFormat::kUnknown);
 }
 
 TEST(TvcrFormatTest, FinishTwiceIsAnError) {

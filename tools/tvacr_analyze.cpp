@@ -1,14 +1,16 @@
 // tvacr_analyze — ACR traffic analysis for a capture file.
 //
 //   tvacr_analyze <capture.{pcap,pcapng,tvcr}> <device-ip>
-//                 [--minutes N] [--jobs N] [--format pcap|pcapng|tvcr]
+//                 [--minutes N] [--jobs N]
 //                 [--resume-from BLOCK] [--since SECONDS] [--report out.txt]
 //
 // Runs the paper's analysis pipeline on an arbitrary capture: per-domain
 // traffic accounting (via harvested DNS), burst cadence and period
 // inference, and the ACR-domain identification heuristic. Works on captures
 // produced by this toolkit or by a real Mon(IoT)r-style tap, as long as the
-// trace includes the device's DNS traffic.
+// trace includes the device's DNS traffic. The input format is read from
+// the file's magic number (replay::sniff_capture_format); an unrecognized
+// magic is read as pcap and fails with the pcap reader's error.
 //
 // Plain pcap input is streamed: the capture is read incrementally through
 // net::PcapReader and analyzed by the flow-sharded engine, so peak memory
@@ -17,13 +19,14 @@
 // the output is byte-identical for every jobs value. pcapng input falls
 // back to the in-memory decoder (its block structure needs the whole file).
 //
-// .tvcr input (sniffed by magic, or forced with --format tvcr) replays the
-// indexed event stream instead of re-parsing frames, and unlocks resumable
-// analysis: --resume-from k restarts at block boundary k, --since S skips
-// ahead via the footer's time index. Either way the produced report is
-// byte-identical to a batch run over the corresponding packet range.
-// --report writes the canonical (filename-free) report used by the CI
-// replay-determinism gate.
+// .tvcr input replays the indexed event stream instead of re-parsing
+// frames, and unlocks resumable analysis: --resume-from k restarts at block
+// boundary k, --since S skips ahead via the footer's time index. Either way
+// the produced report is byte-identical to a batch run over the
+// corresponding packet range. --report writes the canonical (filename-free)
+// report used by the CI replay-determinism gate.
+//
+// Unknown flags and flags missing their value exit 2 with usage.
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -46,37 +49,18 @@ using namespace tvacr;
 
 namespace {
 
-enum class CaptureFormat { kAuto, kPcap, kPcapng, kTvcr };
-
-CaptureFormat sniff_format(const char* path) {
-    std::ifstream file(path, std::ios::binary);
-    unsigned char head[4] = {0, 0, 0, 0};
-    file.read(reinterpret_cast<char*>(head), sizeof(head));
-    if (!file) return CaptureFormat::kPcap;
-    const std::uint32_t le = static_cast<std::uint32_t>(head[0]) |
-                             (static_cast<std::uint32_t>(head[1]) << 8) |
-                             (static_cast<std::uint32_t>(head[2]) << 16) |
-                             (static_cast<std::uint32_t>(head[3]) << 24);
-    if (le == net::kPcapngSectionBlock) return CaptureFormat::kPcapng;
-    const std::uint32_t be = (static_cast<std::uint32_t>(head[0]) << 24) |
-                             (static_cast<std::uint32_t>(head[1]) << 16) |
-                             (static_cast<std::uint32_t>(head[2]) << 8) |
-                             static_cast<std::uint32_t>(head[3]);
-    if (be == replay::kTvcrMagic) return CaptureFormat::kTvcr;
-    return CaptureFormat::kPcap;
+int usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N] [--jobs N]\n"
+                 "          [--resume-from BLOCK] [--since SECONDS] [--report out.txt]\n",
+                 argv0);
+    return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 3) {
-        std::fprintf(stderr,
-                     "usage: %s <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N] [--jobs N]\n"
-                     "          [--format pcap|pcapng|tvcr] [--resume-from BLOCK]\n"
-                     "          [--since SECONDS] [--report out.txt]\n",
-                     argv[0]);
-        return 2;
-    }
+    if (argc < 3) return usage(argv[0]);
     const auto device_ip = net::Ipv4Address::parse(argv[2]);
     if (!device_ip.ok()) {
         std::fprintf(stderr, "bad device ip: %s\n", argv[2]);
@@ -84,38 +68,33 @@ int main(int argc, char** argv) {
     }
     SimTime capture_length = SimTime::hours(1);
     long jobs = 1;
-    CaptureFormat format = CaptureFormat::kAuto;
     std::size_t resume_from = 0;
     bool has_resume = false;
     std::optional<SimTime> since;
     std::string report_path;
-    for (int i = 3; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--minutes") == 0) {
+    for (int i = 3; i < argc; ++i) {
+        const char* flag = argv[i];
+        if (i + 1 >= argc) return usage(argv[0]);  // every flag takes a value
+        const char* value = argv[++i];
+        if (std::strcmp(flag, "--minutes") == 0) {
             capture_length =
-                SimTime::minutes(common::parse_flag_int("--minutes", argv[i + 1], 1, 1 << 24));
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = common::parse_flag_int("--jobs", argv[i + 1], 1, 1024);
-        } else if (std::strcmp(argv[i], "--format") == 0) {
-            const std::string value = argv[i + 1];
-            if (value == "pcap") format = CaptureFormat::kPcap;
-            else if (value == "pcapng") format = CaptureFormat::kPcapng;
-            else if (value == "tvcr") format = CaptureFormat::kTvcr;
-            else {
-                std::fprintf(stderr, "bad --format: %s\n", argv[i + 1]);
-                return 2;
-            }
-        } else if (std::strcmp(argv[i], "--resume-from") == 0) {
+                SimTime::minutes(common::parse_flag_int("--minutes", value, 1, 1 << 24));
+        } else if (std::strcmp(flag, "--jobs") == 0) {
+            jobs = common::parse_flag_int("--jobs", value, 1, 1024);
+        } else if (std::strcmp(flag, "--resume-from") == 0) {
             resume_from = static_cast<std::size_t>(
-                common::parse_flag_int("--resume-from", argv[i + 1], 0, 1LL << 40));
+                common::parse_flag_int("--resume-from", value, 0, 1LL << 40));
             has_resume = true;
-        } else if (std::strcmp(argv[i], "--since") == 0) {
-            since = SimTime::seconds(common::parse_flag_int("--since", argv[i + 1], 0, 1LL << 40));
-        } else if (std::strcmp(argv[i], "--report") == 0) {
-            report_path = argv[i + 1];
+        } else if (std::strcmp(flag, "--since") == 0) {
+            since = SimTime::seconds(common::parse_flag_int("--since", value, 0, 1LL << 40));
+        } else if (std::strcmp(flag, "--report") == 0) {
+            report_path = value;
+        } else {
+            return usage(argv[0]);
         }
     }
-    if (format == CaptureFormat::kAuto) format = sniff_format(argv[1]);
-    if ((has_resume || since.has_value()) && format != CaptureFormat::kTvcr) {
+    const replay::CaptureFormat format = replay::sniff_capture_file(argv[1]);
+    if ((has_resume || since.has_value()) && format != replay::CaptureFormat::kTvcr) {
         std::fprintf(stderr, "--resume-from/--since need an indexed .tvcr capture\n");
         return 2;
     }
@@ -129,7 +108,7 @@ int main(int argc, char** argv) {
     options.shards = static_cast<std::size_t>(jobs) * 2;
 
     Result<analysis::CaptureAnalyzer> analyzed = make_error("unreachable");
-    if (format == CaptureFormat::kTvcr) {
+    if (format == replay::CaptureFormat::kTvcr) {
         auto engine = replay::ReplayEngine::open(argv[1]);
         if (!engine.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", argv[1],
@@ -150,9 +129,9 @@ int main(int argc, char** argv) {
         std::printf("Replayed %llu records (%zu blocks read, %zu skipped) from %s\n",
                     static_cast<unsigned long long>(stats.records_replayed), stats.blocks_read,
                     stats.blocks_skipped, argv[1]);
-    } else if (format == CaptureFormat::kPcapng) {
+    } else if (format == replay::CaptureFormat::kPcapng) {
         // pcapng: materialize, then run the same sharded engine.
-        const auto packets = net::read_any_capture_file(argv[1]);
+        const auto packets = net::read_pcapng_file(argv[1]);
         if (!packets.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", argv[1],
                          packets.error().message.c_str());

@@ -19,6 +19,9 @@
 //   printf 'STATS\nSHUTDOWN\n' |
 //       tvacr_gatewayd run.pcap 192.168.4.23 --control --snapshot-out live.report
 //
+// A capture that ends inside its file header exits 1 with the batch
+// reader's "truncated file header" error; an empty one is an empty capture.
+//
 // Shutdown is always graceful: SIGINT/SIGTERM (or the SHUTDOWN verb) stops
 // ingest, drains the ring, takes the final snapshot, and finalizes every
 // output file via tmp+rename — the snapshot a dying daemon leaves behind is
@@ -258,7 +261,10 @@ int main(int argc, char** argv) {
     // Graceful shutdown: account the torn tail, drain everything accepted,
     // snapshot, finalize outputs. Runs identically for clean EOF, SHUTDOWN,
     // and SIGINT/SIGTERM.
-    source.value().finalize(gw);
+    if (auto finalized = source.value().finalize(gw); !finalized.ok()) {
+        std::fprintf(stderr, "source error: %s\n", finalized.error().message.c_str());
+        return 1;
+    }
     gw.drain_all();
     const analysis::CaptureAnalyzer analyzer = gw.snapshot();
     const std::string report = replay::canonical_report(analyzer);

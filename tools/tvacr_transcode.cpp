@@ -4,10 +4,11 @@
 //   tvacr_transcode <in.pcap> <out.tvcr> [--frames] [--block-records N]
 //   tvacr_transcode <in.tvcr> <out.pcap> [--from-block K]
 //
-// pcap -> tvcr streams the capture through net::PcapReader (never
-// materialized) into a TvcrWriter. --frames keeps raw frame bytes so the
-// file can be exported back to pcap losslessly; without it only the decoded
-// event stream is stored (much smaller, still replays byte-identically).
+// The direction is read from the input's magic number. pcap -> tvcr streams
+// the capture through net::PcapReader (never materialized) into a
+// TvcrWriter. --frames keeps raw frame bytes so the file can be exported
+// back to pcap losslessly; without it only the decoded event stream is
+// stored (much smaller, still replays byte-identically).
 // tvcr -> pcap requires a frames-mode file; --from-block K exports only the
 // record suffix starting at block boundary K — the CI replay-determinism
 // job uses that to build the reference capture a resumed analysis must
@@ -34,18 +35,6 @@ int usage(const char* argv0) {
     return 2;
 }
 
-bool is_tvcr_file(const char* path) {
-    std::ifstream file(path, std::ios::binary);
-    unsigned char head[4] = {0, 0, 0, 0};
-    file.read(reinterpret_cast<char*>(head), sizeof(head));
-    if (!file) return false;
-    const std::uint32_t be = (static_cast<std::uint32_t>(head[0]) << 24) |
-                             (static_cast<std::uint32_t>(head[1]) << 16) |
-                             (static_cast<std::uint32_t>(head[2]) << 8) |
-                             static_cast<std::uint32_t>(head[3]);
-    return be == replay::kTvcrMagic;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -69,7 +58,7 @@ int main(int argc, char** argv) {
         }
     }
 
-    if (is_tvcr_file(argv[1])) {
+    if (replay::sniff_capture_file(in_path) == replay::CaptureFormat::kTvcr) {
         auto reader = replay::TvcrReader::open(in_path);
         if (!reader.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", in_path.c_str(),
