@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: frame synthesis,
-// perceptual hashing, batch codecs, the match server, DNS and pcap codecs,
-// and raw simulator event throughput.
+// perceptual hashing, capture fingerprints, the audio filter bank, batch
+// codecs, the match server, DNS and pcap codecs, and raw simulator event
+// throughput.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
 #include "dns/message.hpp"
+#include "fp/audio.hpp"
 #include "fp/batch.hpp"
 #include "fp/library.hpp"
 #include "fp/matcher.hpp"
@@ -47,6 +49,27 @@ void BM_CaptureStep(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_CaptureStep);
+
+void BM_FingerprintAt(benchmark::State& state) {
+    // The client's capture cost: the same fingerprints as BM_CaptureStep,
+    // patched from the scene's cached sums and hash state.
+    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    std::int64_t t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stream.fingerprint_at(SimTime::millis(t)));
+        t += 10;
+    }
+}
+BENCHMARK(BM_FingerprintAt);
+
+void BM_AnalyzeWindow(benchmark::State& state) {
+    // One 100 ms window through the 8-band Goertzel bank.
+    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::PcmChunk pcm =
+        fp::synthesize_audio(stream, SimTime::seconds(1), SimTime::millis(100));
+    for (auto _ : state) benchmark::DoNotOptimize(fp::analyze_window(pcm.samples));
+}
+BENCHMARK(BM_AnalyzeWindow);
 
 fp::FingerprintBatch bench_batch(int records) {
     fp::FingerprintBatch batch;

@@ -96,16 +96,36 @@ double goertzel(std::span<const float> samples, double hz, int sample_rate) {
 }
 
 AudioWindow analyze_window(std::span<const float> samples) {
-    AudioWindow window;
+    // goertzel() for all bands in one pass over the window. Each band runs
+    // the same operations in the same order as the single-band reference,
+    // and the build contracts no multiply-adds, so energies are bit-equal.
+    constexpr int kBands = AudioWindow::kBands;
     const auto& bands = band_frequencies();
+    double coefficient[kBands];
+    double s_prev[kBands] = {};
+    double s_prev2[kBands] = {};
+    for (int band = 0; band < kBands; ++band) {
+        const double omega =
+            kTwoPi * bands[static_cast<std::size_t>(band)] / PcmChunk::kSampleRate;
+        coefficient[band] = 2.0 * std::cos(omega);
+    }
+    for (const float sample : samples) {
+        for (int band = 0; band < kBands; ++band) {
+            const double s = sample + coefficient[band] * s_prev[band] - s_prev2[band];
+            s_prev2[band] = s_prev[band];
+            s_prev[band] = s;
+        }
+    }
     double peak = 1e-12;
-    double energies[AudioWindow::kBands];
-    for (int band = 0; band < AudioWindow::kBands; ++band) {
-        energies[band] = goertzel(samples, bands[static_cast<std::size_t>(band)],
-                                  PcmChunk::kSampleRate);
+    double energies[kBands];
+    for (int band = 0; band < kBands; ++band) {
+        const double power = s_prev[band] * s_prev[band] + s_prev2[band] * s_prev2[band] -
+                             coefficient[band] * s_prev[band] * s_prev2[band];
+        energies[band] = std::max(0.0, power) / std::max<std::size_t>(samples.size(), 1);
         peak = std::max(peak, energies[band]);
     }
-    for (int band = 0; band < AudioWindow::kBands; ++band) {
+    AudioWindow window;
+    for (int band = 0; band < kBands; ++band) {
         window.band_energy[band] = static_cast<float>(energies[band] / peak);
     }
     return window;

@@ -44,10 +44,12 @@ struct PcmChunk {
 [[nodiscard]] PcmChunk synthesize_audio(const ContentStream& stream, SimTime t,
                                         SimTime duration);
 
-/// Goertzel energy of `samples` at frequency `hz`.
+/// Goertzel energy of `samples` at frequency `hz`: the single-band
+/// reference that analyze_window's one-pass bank matches bit for bit.
 [[nodiscard]] double goertzel(std::span<const float> samples, double hz, int sample_rate);
 
-/// Runs the filter bank over one analysis window of PCM.
+/// Runs the filter bank over one analysis window of PCM, all bands in one
+/// pass.
 [[nodiscard]] AudioWindow analyze_window(std::span<const float> samples);
 
 /// Per-window dominant bands over a stretch of audio.

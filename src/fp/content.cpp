@@ -3,9 +3,21 @@
 #include "fp/audio.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace tvacr::fp {
+
+namespace {
+
+// frame_detail's FNV-1a, one pixel at a time.
+constexpr std::uint32_t kFnvOffset = 2166136261U;
+
+std::uint32_t fnv1a(std::uint32_t h, std::uint8_t pixel) { return (h ^ pixel) * 16777619U; }
+
+std::uint16_t fold_detail(std::uint32_t h) { return static_cast<std::uint16_t>(h ^ (h >> 16)); }
+
+}  // namespace
 
 std::string to_string(ContentKind kind) {
     switch (kind) {
@@ -68,7 +80,16 @@ ContentStream::ContentStream(std::uint64_t seed, ContentDynamics dynamics, int w
       dynamics_(dynamics),
       width_(width),
       height_(height),
-      schedule_rng_(derive_seed(seed, /*label=*/0x5CEDu)) {}
+      schedule_rng_(derive_seed(seed, /*label=*/0x5CEDu)) {
+    // Cell bounds exactly as downsample(frame, kGridW, kGridH) draws them.
+    const auto bounds = [](std::size_t cell, std::size_t cells, int size) {
+        const int lo = static_cast<int>(cell) * size / static_cast<int>(cells);
+        const int hi = static_cast<int>(cell + 1) * size / static_cast<int>(cells);
+        return Span{lo, std::max(hi, lo + 1)};
+    };
+    for (std::size_t gx = 0; gx < kGridW; ++gx) cell_x_[gx] = bounds(gx, kGridW, width);
+    for (std::size_t gy = 0; gy < kGridH; ++gy) cell_y_[gy] = bounds(gy, kGridH, height);
+}
 
 void ContentStream::ensure_schedule(SimTime t) const {
     while (scene_ends_.empty() || scene_ends_.back() <= t) {
@@ -92,9 +113,23 @@ bool ContentStream::scene_is_static(std::size_t scene_index) const {
     return (static_cast<double>(h >> 11) * 0x1.0p-53) < dynamics_.static_scene_fraction;
 }
 
-Frame ContentStream::frame_at(SimTime t) const {
+bool ContentStream::dhash_bit(const CellSums& sum, int bit) const {
+    // downsample's cell mean, compared as dhash compares it.
+    const auto mean = [&](std::size_t gx, std::size_t gy) {
+        return sum[gy * kGridW + gx] / (cell_x_[gx].size() * cell_y_[gy].size());
+    };
+    const auto gx = static_cast<std::size_t>(bit) % (kGridW - 1);
+    const auto gy = static_cast<std::size_t>(bit) / (kGridW - 1);
+    return mean(gx, gy) < mean(gx + 1, gy);
+}
+
+const ContentStream::Basis& ContentStream::basis_at(SimTime t) const {
     const std::size_t scene = scene_index_at(t);
-    const std::uint64_t scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
+    if (basis_.scene == scene) return basis_;
+    Basis& basis = basis_;
+    basis.scene = scene;
+    basis.scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
+    basis.is_static = scene_is_static(scene);
 
     Frame frame = make_frame(width_, height_);
     for (int y = 0; y < height_; ++y) {
@@ -102,39 +137,124 @@ Frame ContentStream::frame_at(SimTime t) const {
             // Coarse blocks give the frame spatial structure a perceptual
             // hash keys on; the fine term adds texture.
             const std::uint64_t block =
-                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
+                splitmix64(basis.scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
                            static_cast<std::uint64_t>(y / 4));
             const std::uint64_t fine =
-                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                splitmix64(basis.scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
                            (static_cast<std::uint64_t>(y) << 8) ^ 1);
             frame.at(x, y) =
                 static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
         }
     }
+    for (std::size_t gy = 0; gy < kGridH; ++gy) {
+        for (std::size_t gx = 0; gx < kGridW; ++gx) {
+            int sum = 0;
+            for (int y = cell_y_[gy].begin; y < cell_y_[gy].end; ++y) {
+                for (int x = cell_x_[gx].begin; x < cell_x_[gx].end; ++x) sum += frame.at(x, y);
+            }
+            basis.cell_sum[gy * kGridW + gx] = sum;
+        }
+    }
+    basis.video = 0;
+    for (int bit = 0; bit < 64; ++bit) {
+        if (dhash_bit(basis.cell_sum, bit)) basis.video |= 1ULL << bit;
+    }
+    basis.luma = std::move(frame.luma);
+    basis.fnv.resize(basis.luma.size() + 1);
+    basis.fnv[0] = kFnvOffset;
+    for (std::size_t i = 0; i < basis.luma.size(); ++i) {
+        basis.fnv[i + 1] = fnv1a(basis.fnv[i], basis.luma[i]);
+    }
+    return basis;
+}
 
+ContentStream::Motion ContentStream::motion_at(const Basis& basis, SimTime t) const {
     // Motion: within non-static scenes, most frames get a handful of
     // deterministic pixel perturbations, so consecutive hashes differ
     // slightly (as real video does) while staying within matching distance
     // of the scene's reference hash.
-    if (!scene_is_static(scene)) {
-        const std::uint64_t frame_index = static_cast<std::uint64_t>(t.as_millis() / 10);
-        const std::uint64_t motion_seed = splitmix64(scene_seed ^ frame_index ^ 0x4070104Eu);
-        const double gate = static_cast<double>(splitmix64(motion_seed) >> 11) * 0x1.0p-53;
-        if (gate < dynamics_.motion_rate) {
-            // Perceptually small perturbation: two pixels shift slightly, so
-            // the perceptual hash moves by at most a couple of bits (real
-            // ACR hashes are similarly robust to inter-frame motion) while
-            // the fine-grained frame digest always changes.
-            std::uint64_t h = motion_seed;
-            for (int k = 0; k < 2; ++k) {
-                h = splitmix64(h);
-                const int x = static_cast<int>(h % static_cast<std::uint64_t>(width_));
-                const int y = static_cast<int>((h >> 16) % static_cast<std::uint64_t>(height_));
-                frame.at(x, y) = static_cast<std::uint8_t>(frame.at(x, y) + 25);
+    Motion motion;
+    if (basis.is_static) return motion;
+    const std::uint64_t frame_index = static_cast<std::uint64_t>(t.as_millis() / 10);
+    const std::uint64_t motion_seed = splitmix64(basis.scene_seed ^ frame_index ^ 0x4070104Eu);
+    const double gate = static_cast<double>(splitmix64(motion_seed) >> 11) * 0x1.0p-53;
+    if (gate < dynamics_.motion_rate) {
+        // Perceptually small perturbation: two pixels shift slightly, so
+        // the perceptual hash moves by at most a couple of bits (real
+        // ACR hashes are similarly robust to inter-frame motion) while
+        // the fine-grained frame digest always changes.
+        std::uint64_t h = motion_seed;
+        for (int k = 0; k < 2; ++k) {
+            h = splitmix64(h);
+            const int x = static_cast<int>(h % static_cast<std::uint64_t>(width_));
+            const int y = static_cast<int>((h >> 16) % static_cast<std::uint64_t>(height_));
+            const std::size_t index =
+                static_cast<std::size_t>(y) * static_cast<std::size_t>(width_) +
+                static_cast<std::size_t>(x);
+            const std::uint8_t before = motion.count == 1 && motion.edits[0].index == index
+                                            ? motion.edits[0].after
+                                            : basis.luma[index];
+            motion.edits[motion.count++] =
+                PixelEdit{x, y, index, before, static_cast<std::uint8_t>(before + 25)};
+        }
+    }
+    return motion;
+}
+
+Frame ContentStream::frame_at(SimTime t) const {
+    const Basis& basis = basis_at(t);
+    Frame frame{width_, height_, basis.luma};
+    const Motion motion = motion_at(basis, t);
+    for (std::size_t k = 0; k < motion.count; ++k) {
+        frame.luma[motion.edits[k].index] = motion.edits[k].after;
+    }
+    return frame;
+}
+
+FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
+    const Basis& basis = basis_at(t);
+    const Motion motion = motion_at(basis, t);
+    if (motion.count == 0) return {basis.video, fold_detail(basis.fnv.back())};
+
+    // dhash: move the sums of the cells that contain each edited pixel
+    // (several, on frames narrower than the grid), then redo the
+    // comparison bits that read those cells.
+    CellSums sum = basis.cell_sum;
+    std::uint64_t dirty = 0;
+    for (std::size_t k = 0; k < motion.count; ++k) {
+        const PixelEdit& edit = motion.edits[k];
+        for (std::size_t gy = 0; gy < kGridH; ++gy) {
+            if (!cell_y_[gy].contains(edit.y)) continue;
+            for (std::size_t gx = 0; gx < kGridW; ++gx) {
+                if (!cell_x_[gx].contains(edit.x)) continue;
+                sum[gy * kGridW + gx] += int{edit.after} - int{edit.before};
+                const std::size_t bit = gy * (kGridW - 1) + gx;
+                if (gx > 0) dirty |= 1ULL << (bit - 1);
+                if (gx < kGridW - 1) dirty |= 1ULL << bit;
             }
         }
     }
-    return frame;
+    VideoHash video = basis.video;
+    for (; dirty != 0; dirty &= dirty - 1) {
+        const int bit = std::countr_zero(dirty);
+        video = (video & ~(1ULL << bit)) | (VideoHash{dhash_bit(sum, bit)} << bit);
+    }
+
+    // frame_detail: resume FNV-1a from the first edited pixel. When both
+    // edits hit one pixel, the later edit holds its final value.
+    auto order = motion.edits;
+    if (motion.count == 2 && order[1].index < order[0].index) std::swap(order[0], order[1]);
+    const std::vector<std::uint8_t>& luma = basis.luma;
+    std::uint32_t h = basis.fnv[order[0].index];
+    std::size_t next = order[0].index;
+    for (std::size_t k = 0; k < motion.count; ++k) {
+        if (k + 1 < motion.count && order[k + 1].index == order[k].index) continue;
+        for (; next < order[k].index; ++next) h = fnv1a(h, luma[next]);
+        h = fnv1a(h, order[k].after);
+        next = order[k].index + 1;
+    }
+    for (; next < luma.size(); ++next) h = fnv1a(h, luma[next]);
+    return {video, fold_detail(h)};
 }
 
 SimTime ContentStream::scene_start(std::size_t scene_index) const {

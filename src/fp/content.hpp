@@ -9,6 +9,7 @@
 // server-side content library, so matching genuinely works end-to-end.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "common/rng.hpp"
 #include "common/time.hpp"
 #include "fp/frame.hpp"
+#include "fp/video_fp.hpp"
 
 namespace tvacr::fp {
 
@@ -48,14 +50,30 @@ struct ContentDynamics {
     [[nodiscard]] static ContentDynamics for_kind(ContentKind kind);
 };
 
+/// The two video fingerprints of one capture.
+struct FrameFingerprint {
+    VideoHash video = 0;       // dhash of the frame
+    std::uint16_t detail = 0;  // frame_detail of the frame
+};
+
 /// A deterministic A/V stream: frame and audio content depend only on
 /// (seed, time), so the client and the reference library agree bit-for-bit.
+///
+/// A frame is its scene's base plane plus at most two motion edits. The
+/// stream caches the current scene's plane with its dhash cell sums and
+/// FNV-1a prefix states, so synthesis runs once per scene and each frame
+/// costs only its edits. Any read order is correct; reading in time order
+/// (as the ACR client and the library do) is what makes the cache hit. A
+/// stream is not safe to share across threads.
 class ContentStream {
   public:
     ContentStream(std::uint64_t seed, ContentDynamics dynamics, int width = 36, int height = 16);
 
     [[nodiscard]] Frame frame_at(SimTime t) const;
     [[nodiscard]] AudioWindow audio_at(SimTime t) const;
+    /// Equals {dhash(frame_at(t)), frame_detail(frame_at(t))}, computed by
+    /// patching the scene's cached sums and hash state with the edits.
+    [[nodiscard]] FrameFingerprint fingerprint_at(SimTime t) const;
 
     /// Index of the scene containing `t` (scene boundaries are part of the
     /// deterministic schedule).
@@ -70,8 +88,51 @@ class ContentStream {
     [[nodiscard]] int height() const noexcept { return height_; }
 
   private:
+    static constexpr std::size_t kGridW = 9;  // dhash downsample grid
+    static constexpr std::size_t kGridH = 8;
+    using CellSums = std::array<int, kGridW * kGridH>;
+    /// A downsample cell's pixel range along one axis: [begin, end).
+    struct Span {
+        int begin;
+        int end;
+        [[nodiscard]] bool contains(int i) const { return begin <= i && i < end; }
+        [[nodiscard]] int size() const { return end - begin; }
+    };
+
+    /// Everything about a scene that does not depend on the frame index.
+    struct Basis {
+        std::size_t scene = static_cast<std::size_t>(-1);
+        std::uint64_t scene_seed = 0;
+        bool is_static = false;
+        /// The scene's frame before motion, row-major.
+        std::vector<std::uint8_t> luma;
+        /// Pixel sums of dhash's downsample cells over `luma`, and the hash.
+        CellSums cell_sum{};
+        VideoHash video = 0;
+        /// fnv[i]: frame_detail's FNV-1a state before pixel i.
+        std::vector<std::uint32_t> fnv;
+    };
+    /// One motion perturbation; a second edit of the same pixel starts
+    /// from the first edit's value.
+    struct PixelEdit {
+        int x;
+        int y;
+        std::size_t index;  // y * width + x
+        std::uint8_t before;
+        std::uint8_t after;
+    };
+    struct Motion {
+        std::size_t count = 0;
+        std::array<PixelEdit, 2> edits{};
+    };
+
     /// Extends the cached scene schedule to cover `t`.
     void ensure_schedule(SimTime t) const;
+    /// The basis of the scene containing `t`, rebuilt on a scene change.
+    const Basis& basis_at(SimTime t) const;
+    [[nodiscard]] Motion motion_at(const Basis& basis, SimTime t) const;
+    /// dhash bit `bit` (left cell < right cell) computed from cell sums.
+    [[nodiscard]] bool dhash_bit(const CellSums& sum, int bit) const;
 
     std::uint64_t seed_;
     ContentDynamics dynamics_;
@@ -82,6 +143,10 @@ class ContentStream {
     mutable Rng schedule_rng_;
     // Onset-aligned audio windows are scene-constant: cache the analysis.
     mutable std::vector<std::pair<std::size_t, AudioWindow>> audio_cache_;
+    // Downsample cell bounds for this frame size.
+    std::array<Span, kGridW> cell_x_{};
+    std::array<Span, kGridH> cell_y_{};
+    mutable Basis basis_;
 };
 
 /// Catalog entry for the ACR backend's reference library.

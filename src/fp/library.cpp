@@ -1,7 +1,5 @@
 #include "fp/library.hpp"
 
-#include "fp/video_fp.hpp"
-
 namespace tvacr::fp {
 
 void ContentLibrary::add(const ContentInfo& info) {
@@ -12,7 +10,7 @@ void ContentLibrary::add(const ContentInfo& info) {
     entry.hashes.reserve(static_cast<std::size_t>(steps));
     entry.audio.reserve(static_cast<std::size_t>(steps));
     for (std::int64_t step = 0; step < steps; ++step) {
-        entry.hashes.push_back(dhash(stream.frame_at(kReferencePeriod * step)));
+        entry.hashes.push_back(stream.fingerprint_at(kReferencePeriod * step).video);
         entry.audio.push_back(audio_hash(stream.audio_at(kReferencePeriod * step)));
     }
     entries_[info.id] = std::move(entry);

@@ -191,8 +191,8 @@ void AcrClient::schedule_capture(Channel& channel) {
                     fp::CaptureRecord record;
                     record.offset_ms = static_cast<std::uint32_t>(
                         (wiring_.simulator.now() - batch_start_).as_millis());
-                    record.video = fp::dhash(sample->frame);
-                    record.detail = fp::frame_detail(sample->frame);
+                    record.video = sample->video;
+                    record.detail = sample->detail;
                     record.audio =
                         schedule_.has_audio ? fp::audio_hash(sample->audio) : 0;
                     pending_records_.push_back(record);

@@ -26,10 +26,14 @@
 
 namespace tvacr::tv {
 
-/// What the ACR client sees when it grabs the panel output.
+/// What the ACR client sees when it grabs the panel output. `video` and
+/// `detail` are the frame's dhash and frame_detail, computed by the content
+/// stream when it renders the frame.
 struct ScreenSample {
     fp::Frame frame;
     fp::AudioWindow audio;
+    fp::VideoHash video = 0;
+    std::uint16_t detail = 0;
 };
 
 class AcrClient {

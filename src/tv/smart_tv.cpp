@@ -187,7 +187,9 @@ std::optional<ScreenSample> SmartTv::screen_at(SimTime t) const {
     if (!powered_) return std::nullopt;
     const auto sample_from = [&](const fp::ContentStream& stream,
                                  SimTime offset) -> ScreenSample {
-        return ScreenSample{stream.frame_at(offset), stream.audio_at(offset)};
+        const fp::FrameFingerprint fingerprint = stream.fingerprint_at(offset);
+        return ScreenSample{stream.frame_at(offset), stream.audio_at(offset), fingerprint.video,
+                            fingerprint.detail};
     };
     switch (scenario_) {
         case Scenario::kIdle:

@@ -2,7 +2,12 @@
 // filter bank, landmark hashing, and audio-only content identification.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include "fp/audio.hpp"
 #include "fp/library.hpp"
@@ -95,6 +100,69 @@ TEST(AnalyzeWindowTest, StableWithinScene) {
         for (int band = 0; band < AudioWindow::kBands; ++band) {
             EXPECT_FLOAT_EQ(a.band_energy[band], b.band_energy[band]);
         }
+    }
+}
+
+/// The filter bank one band at a time through goertzel(): the oracle for
+/// analyze_window's one-pass bank.
+AudioWindow reference_window(std::span<const float> samples) {
+    const auto& bands = band_frequencies();
+    double energies[AudioWindow::kBands];
+    double peak = 1e-12;
+    for (int band = 0; band < AudioWindow::kBands; ++band) {
+        energies[band] = goertzel(samples, bands[static_cast<std::size_t>(band)],
+                                  PcmChunk::kSampleRate);
+        peak = std::max(peak, energies[band]);
+    }
+    AudioWindow window;
+    for (int band = 0; band < AudioWindow::kBands; ++band) {
+        window.band_energy[band] = static_cast<float>(energies[band] / peak);
+    }
+    return window;
+}
+
+void expect_bit_equal_to_reference(std::span<const float> samples, const char* what) {
+    const AudioWindow got = analyze_window(samples);
+    const AudioWindow want = reference_window(samples);
+    for (int band = 0; band < AudioWindow::kBands; ++band) {
+        EXPECT_EQ(std::bit_cast<std::uint32_t>(got.band_energy[band]),
+                  std::bit_cast<std::uint32_t>(want.band_energy[band]))
+            << what << " band " << band;
+    }
+}
+
+TEST(AnalyzeWindowTest, OnePassBankIsBitEqualToPerBandGoertzel) {
+    for (const ContentKind kind : {ContentKind::kLiveBroadcast, ContentKind::kHdmiDesktop,
+                                   ContentKind::kAdvertisement}) {
+        for (const std::uint64_t seed : {1ULL, 42ULL, 2024ULL}) {
+            const ContentStream stream(seed, ContentDynamics::for_kind(kind));
+            for (std::size_t scene = 0; scene < 40; ++scene) {
+                // The client's onset-aligned window, then one straddling
+                // the next scene boundary.
+                const SimTime start = stream.scene_start(scene);
+                const PcmChunk onset = synthesize_audio(stream, start, SimTime::millis(100));
+                expect_bit_equal_to_reference(onset.samples, "onset window");
+                const PcmChunk straddle = synthesize_audio(
+                    stream, stream.scene_start(scene + 1) - SimTime::millis(50),
+                    SimTime::millis(100));
+                expect_bit_equal_to_reference(straddle.samples, "straddling window");
+            }
+        }
+    }
+}
+
+TEST(AnalyzeWindowTest, OnePassBankIsBitEqualOnSilenceAndTones) {
+    const std::vector<float> silence(1600, 0.0F);
+    expect_bit_equal_to_reference(silence, "silence");
+    expect_bit_equal_to_reference({}, "empty window");
+    for (const double hz : {200.0, 990.0, 3000.0, 7000.0}) {
+        std::vector<float> tone(1601);
+        for (std::size_t i = 0; i < tone.size(); ++i) {
+            tone[i] = static_cast<float>(
+                0.8 * std::sin(2.0 * 3.14159265358979323846 * hz * static_cast<double>(i) /
+                               PcmChunk::kSampleRate));
+        }
+        expect_bit_equal_to_reference(tone, "pure tone");
     }
 }
 

@@ -2,8 +2,13 @@
 // hashing, batch encoding, the match server and audience profiling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "fp/batch.hpp"
@@ -70,6 +75,200 @@ TEST(ContentDynamicsTest, KindsDifferInTheRightDirection) {
     EXPECT_LT(live.static_scene_fraction, hdmi.static_scene_fraction);
     EXPECT_LT(hdmi.static_scene_fraction, home.static_scene_fraction);
     EXPECT_LT(live.mean_scene_length, hdmi.mean_scene_length);
+}
+
+// -------------------------------------------- frames and fingerprint_at
+
+constexpr ContentKind kAllKinds[] = {
+    ContentKind::kLiveBroadcast, ContentKind::kFastChannel, ContentKind::kOttStream,
+    ContentKind::kHdmiDesktop,   ContentKind::kHdmiConsole, ContentKind::kScreenCast,
+    ContentKind::kHomeScreen,    ContentKind::kAdvertisement,
+};
+constexpr std::uint64_t kSweepSeeds[] = {1, 77, 2024};
+
+/// The frame synthesized pixel by pixel, with no per-scene cache: the
+/// oracle frame_at must reproduce.
+Frame reference_frame(const ContentStream& stream, SimTime t) {
+    const std::size_t scene = stream.scene_index_at(t);
+    const std::uint64_t scene_seed = splitmix64(stream.seed() ^ (scene * 0xD1B54A32D192ED03ULL));
+    Frame frame = make_frame(stream.width(), stream.height());
+    for (int y = 0; y < frame.height; ++y) {
+        for (int x = 0; x < frame.width; ++x) {
+            const std::uint64_t block =
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
+                           static_cast<std::uint64_t>(y / 4));
+            const std::uint64_t fine =
+                splitmix64(scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                           (static_cast<std::uint64_t>(y) << 8) ^ 1);
+            frame.at(x, y) =
+                static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+        }
+    }
+    if (stream.scene_is_static(scene)) return frame;
+    const std::uint64_t frame_index = static_cast<std::uint64_t>(t.as_millis() / 10);
+    const std::uint64_t motion_seed = splitmix64(scene_seed ^ frame_index ^ 0x4070104Eu);
+    const double gate = static_cast<double>(splitmix64(motion_seed) >> 11) * 0x1.0p-53;
+    if (gate < stream.dynamics().motion_rate) {
+        std::uint64_t h = motion_seed;
+        for (int k = 0; k < 2; ++k) {
+            h = splitmix64(h);
+            const int x = static_cast<int>(h % static_cast<std::uint64_t>(frame.width));
+            const int y = static_cast<int>((h >> 16) % static_cast<std::uint64_t>(frame.height));
+            frame.at(x, y) = static_cast<std::uint8_t>(frame.at(x, y) + 25);
+        }
+    }
+    return frame;
+}
+
+/// Walks `span` at the 10 ms capture cadence and checks fingerprint_at
+/// against dhash/frame_detail of frame_at, each read from its own stream.
+void expect_fingerprints_match(ContentKind kind, std::uint64_t seed, int width, int height,
+                               SimTime span) {
+    const auto dynamics = ContentDynamics::for_kind(kind);
+    const ContentStream fast(seed, dynamics, width, height);
+    const ContentStream frames(seed, dynamics, width, height);
+    for (SimTime t; t < span; t += SimTime::millis(10)) {
+        const FrameFingerprint got = fast.fingerprint_at(t);
+        const Frame frame = frames.frame_at(t);
+        ASSERT_EQ(got.video, dhash(frame)) << to_string(kind) << " seed " << seed << " " << width
+                                           << "x" << height << " t=" << t.as_millis() << "ms";
+        ASSERT_EQ(got.detail, frame_detail(frame))
+            << to_string(kind) << " seed " << seed << " " << width << "x" << height
+            << " t=" << t.as_millis() << "ms";
+    }
+}
+
+class FingerprintSweep : public ::testing::TestWithParam<ContentKind> {};
+
+TEST_P(FingerprintSweep, MatchesReferenceOverAnHour) {
+    for (const std::uint64_t seed : kSweepSeeds) {
+        expect_fingerprints_match(GetParam(), seed, 36, 16, SimTime::minutes(60));
+    }
+}
+
+TEST_P(FingerprintSweep, MatchesReferenceOnUnevenCells) {
+    // 37x17: downsample cells of unequal width and height.
+    for (const std::uint64_t seed : kSweepSeeds) {
+        expect_fingerprints_match(GetParam(), seed, 37, 17, SimTime::minutes(10));
+    }
+}
+
+TEST_P(FingerprintSweep, MatchesReferenceOnOverlappingCells) {
+    // 8x4 is narrower and shorter than the 9x8 grid, so one pixel feeds
+    // several downsample cells.
+    for (const std::uint64_t seed : kSweepSeeds) {
+        expect_fingerprints_match(GetParam(), seed, 8, 4, SimTime::minutes(10));
+    }
+}
+
+TEST_P(FingerprintSweep, FrameAtMatchesPerPixelSynthesis) {
+    const ContentStream stream(kSweepSeeds[0], ContentDynamics::for_kind(GetParam()));
+    for (SimTime t; t < SimTime::minutes(3); t += SimTime::millis(10)) {
+        ASSERT_EQ(stream.frame_at(t).luma, reference_frame(stream, t).luma)
+            << "t=" << t.as_millis() << "ms";
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, FingerprintSweep, ::testing::ValuesIn(kAllKinds),
+                         [](const ::testing::TestParamInfo<ContentKind>& info) {
+                             std::string name = to_string(info.param);
+                             for (char& c : name) {
+                                 if (c == '-') c = '_';
+                             }
+                             return name;
+                         });
+
+TEST(FingerprintAtTest, RandomAccessMatchesReference) {
+    // The scene cache is keyed on the scene, not on reading in time order.
+    const auto dynamics = ContentDynamics::for_kind(ContentKind::kLiveBroadcast);
+    const ContentStream stream(5, dynamics);
+    Rng rng(99);
+    for (int i = 0; i < 5000; ++i) {
+        const SimTime t = SimTime::millis(10 * rng.uniform(0, 360'000));
+        const Frame frame = reference_frame(stream, t);
+        EXPECT_EQ(stream.frame_at(t).luma, frame.luma);
+        const FrameFingerprint got = stream.fingerprint_at(t);
+        EXPECT_EQ(got.video, dhash(frame));
+        EXPECT_EQ(got.detail, frame_detail(frame));
+    }
+}
+
+/// Frames in the first `span` of a stream whose motion edits, compared with
+/// the scene's base plane, satisfy `pick(base, frame)`. The base plane is
+/// each pixel's most common value across the scene: motion edits touch at
+/// most two pixels of a frame.
+template <typename Pick>
+std::vector<SimTime> frames_where(const ContentStream& stream, SimTime span, Pick pick) {
+    std::vector<SimTime> picked;
+    SimTime t;
+    while (t < span) {
+        const std::size_t scene = stream.scene_index_at(t);
+        std::vector<std::pair<SimTime, Frame>> frames;
+        for (; t < span && stream.scene_index_at(t) == scene; t += SimTime::millis(10)) {
+            frames.emplace_back(t, stream.frame_at(t));
+        }
+        if (frames.size() < 40) continue;
+        std::vector<std::uint8_t> base(frames.front().second.luma.size());
+        for (std::size_t p = 0; p < base.size(); ++p) {
+            std::array<int, 256> counts{};
+            for (const auto& [when, frame] : frames) ++counts[frame.luma[p]];
+            base[p] = static_cast<std::uint8_t>(
+                std::max_element(counts.begin(), counts.end()) - counts.begin());
+        }
+        for (const auto& [when, frame] : frames) {
+            if (pick(base, frame.luma)) picked.push_back(when);
+        }
+    }
+    return picked;
+}
+
+void expect_fingerprints_at(const ContentStream& stream, const std::vector<SimTime>& times) {
+    const ContentStream fast(stream.seed(), stream.dynamics(), stream.width(), stream.height());
+    for (const SimTime t : times) {
+        const Frame frame = reference_frame(stream, t);
+        const FrameFingerprint got = fast.fingerprint_at(t);
+        EXPECT_EQ(got.video, dhash(frame)) << "t=" << t.as_millis() << "ms";
+        EXPECT_EQ(got.detail, frame_detail(frame)) << "t=" << t.as_millis() << "ms";
+    }
+}
+
+TEST(FingerprintAtTest, BothEditsOnOnePixel) {
+    // One pixel moved by 2 x 25 and nothing else: both edits hit it.
+    const auto both_on_one = [](const std::vector<std::uint8_t>& base,
+                                const std::vector<std::uint8_t>& luma) {
+        int changed = 0;
+        bool doubled = false;
+        for (std::size_t p = 0; p < base.size(); ++p) {
+            if (luma[p] == base[p]) continue;
+            ++changed;
+            doubled = luma[p] == static_cast<std::uint8_t>(base[p] + 50);
+        }
+        return changed == 1 && doubled;
+    };
+    for (const auto& [width, height] : {std::pair{36, 16}, std::pair{8, 4}}) {
+        const ContentStream stream(3, ContentDynamics::for_kind(ContentKind::kLiveBroadcast),
+                                   width, height);
+        const auto times = frames_where(stream, SimTime::minutes(5), both_on_one);
+        EXPECT_FALSE(times.empty()) << width << "x" << height;
+        expect_fingerprints_at(stream, times);
+    }
+}
+
+TEST(FingerprintAtTest, EditWrapsPast255) {
+    const auto wrapped = [](const std::vector<std::uint8_t>& base,
+                            const std::vector<std::uint8_t>& luma) {
+        for (std::size_t p = 0; p < base.size(); ++p) {
+            if (luma[p] < base[p]) return true;
+        }
+        return false;
+    };
+    for (const auto& [width, height] : {std::pair{36, 16}, std::pair{8, 4}}) {
+        const ContentStream stream(3, ContentDynamics::for_kind(ContentKind::kLiveBroadcast),
+                                   width, height);
+        const auto times = frames_where(stream, SimTime::minutes(5), wrapped);
+        EXPECT_FALSE(times.empty()) << width << "x" << height;
+        expect_fingerprints_at(stream, times);
+    }
 }
 
 // ----------------------------------------------------------------- hashing

@@ -18,6 +18,9 @@
 // either output to CSV). --faults runs the experiment over an impaired
 // link ("canonical" is the reference scenario; an inline spec looks like
 // "loss=0.05,outage=60s+15s" — see fault/spec.hpp).
+//
+// Unknown flags (--help among them) and flags missing their value exit 2
+// with usage and write nothing.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -58,9 +61,10 @@ int main(int argc, char** argv) {
     enum class OutFormat { kPcap, kPcapng, kTvcr, kTvcrFrames };
     OutFormat out_format = OutFormat::kPcap;
 
-    for (int i = 1; i + 1 < argc; i += 2) {
+    for (int i = 1; i < argc; ++i) {
         const std::string key = argv[i];
-        const std::string value = argv[i + 1];
+        if (i + 1 >= argc) return usage(argv[0]);  // every flag takes a value
+        const std::string value = argv[++i];
         if (key == "--brand") {
             if (value == "samsung") {
                 spec.brand = tv::Brand::kSamsung;
