@@ -14,12 +14,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/json.hpp"
+#include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/runner.hpp"
@@ -41,13 +41,22 @@ struct RunResult {
     std::uint64_t bytes = 0;
 };
 
+int usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [--out BENCH_fleet.json]\n", argv0);
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     std::string out_path = "BENCH_fleet.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--out", out_path},
+        },
+        usage);
+    if (!positionals.empty()) return usage(argv[0]);
     const std::uint64_t households = static_cast<std::uint64_t>(
         common::parse_env_int("TVACR_BENCH_HOUSEHOLDS", 100000, 1, 1LL << 40));
 

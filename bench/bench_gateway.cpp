@@ -20,7 +20,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -28,6 +27,7 @@
 
 #include "analysis/json.hpp"
 #include "analysis/traffic.hpp"
+#include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -127,17 +127,24 @@ struct RunResult {
     std::uint64_t records = 0;
 };
 
+int usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [--jobs N] [--out BENCH_gateway.json]\n", argv0);
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     long jobs = 4;
     std::string out_path = "BENCH_gateway.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = common::parse_flag_int("--jobs", argv[i + 1], 1, 1024);
-        }
-        if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--jobs", jobs, 1, 1024},
+            {"--out", out_path},
+        },
+        usage);
+    if (!positionals.empty()) return usage(argv[0]);
     const std::uint64_t packets = static_cast<std::uint64_t>(
         common::parse_env_int("TVACR_BENCH_PACKETS", 200000, 1, 1LL << 40));
     const std::size_t kDomains = 48;

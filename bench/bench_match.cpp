@@ -18,13 +18,13 @@
 // state — hence the lint allowance.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "analysis/json.hpp"
+#include "common/flags.hpp"
 #include "common/rng.hpp"
 #include "fp/batch.hpp"
 #include "fp/content.hpp"
@@ -76,13 +76,22 @@ fp::FingerprintBatch noisy_batch(std::span<const fp::VideoHash> track, std::size
     return batch;
 }
 
+int usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [--out BENCH_match.json]\n", argv0);
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     std::string out_path = "BENCH_match.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--out", out_path},
+        },
+        usage);
+    if (!positionals.empty()) return usage(argv[0]);
 
     fp::ContentLibrary library;
     const auto catalog = fp::builtin_catalog(/*seed=*/555);

@@ -24,13 +24,13 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "analysis/json.hpp"
 #include "analysis/stream.hpp"
+#include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -135,17 +135,24 @@ void write_stage(analysis::JsonWriter& json, const char* name, const StageStats&
     json.end_object();
 }
 
+int usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [--jobs N] [--out BENCH_replay.json]\n", argv0);
+    return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
     long jobs = 4;
     std::string out_path = "BENCH_replay.json";
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = common::parse_flag_int("--jobs", argv[i + 1], 1, 1024);
-        }
-        if (std::strcmp(argv[i], "--out") == 0) out_path = argv[i + 1];
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--jobs", jobs, 1, 1024},
+            {"--out", out_path},
+        },
+        usage);
+    if (!positionals.empty()) return usage(argv[0]);
     const std::uint64_t packets = static_cast<std::uint64_t>(
         common::parse_env_int("TVACR_BENCH_PACKETS", 200000, 1, 1LL << 40));
     const std::size_t kDomains = 48;

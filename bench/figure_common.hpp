@@ -84,13 +84,6 @@ inline int run_traffic_figure_bench(const char* figure_name, tv::Country country
     return 0;
 }
 
-inline int run_traffic_figure_bench(const char* figure_name, tv::Country country,
-                                    int jobs = core::default_jobs()) {
-    ObsOptions options;
-    options.jobs = jobs;
-    return run_traffic_figure_bench(figure_name, country, options);
-}
-
 /// Figure 5/7-style bench: cumulative bytes to ACR domains over time for the
 /// two opted-in phases, per brand+scenario; prints the KS-style gap between
 /// logged-in and logged-out curves (the paper: login status has no material
@@ -145,13 +138,6 @@ inline int run_cdf_figure_bench(const char* figure_name, tv::Country country,
     std::cout << "\n";
     emit_obs(obs_options, all_traces, profile);
     return 0;
-}
-
-inline int run_cdf_figure_bench(const char* figure_name, tv::Country country,
-                                int jobs = core::default_jobs()) {
-    ObsOptions options;
-    options.jobs = jobs;
-    return run_cdf_figure_bench(figure_name, country, options);
 }
 
 }  // namespace tvacr::bench

@@ -15,9 +15,10 @@
 #include <vector>
 
 #include "analysis/compare.hpp"
+#include "common/flags.hpp"
+#include "common/parse.hpp"
 #include "common/stats.hpp"
 #include "common/strings.hpp"
-#include "common/parse.hpp"
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/matrix_runner.hpp"
@@ -27,22 +28,12 @@
 
 namespace tvacr::bench {
 
-/// Parallel-jobs knob for the bench binaries: `--jobs N` on the command
-/// line wins, else TVACR_JOBS / hardware concurrency (core::default_jobs).
-/// Results are identical for any value; only wall-clock changes.
-[[nodiscard]] inline int parse_jobs(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::string(argv[i]) == "--jobs") {
-            return static_cast<int>(common::parse_flag_int("--jobs", argv[i + 1], 1, 1024));
-        }
-    }
-    return core::default_jobs();
-}
-
-/// Observability knobs shared by the bench binaries: --jobs N plus
-/// --metrics <file> (merged deterministic metrics, byte-identical for any
-/// jobs value) and --trace <file> (sim-time spans + wall-clock runner
-/// profiling as a Chrome trace_event file; ".csv" switches either to CSV).
+/// Observability knobs shared by the table/figure benches: --jobs N (else
+/// TVACR_JOBS / hardware concurrency, core::default_jobs; results are
+/// identical for any value), --metrics <file> (merged deterministic metrics,
+/// byte-identical for any jobs value) and --trace <file> (sim-time spans +
+/// wall-clock runner profiling as a Chrome trace_event file; ".csv" switches
+/// either to CSV).
 struct ObsOptions {
     int jobs = 1;
     std::string metrics_path;
@@ -51,14 +42,24 @@ struct ObsOptions {
     [[nodiscard]] bool trace_enabled() const noexcept { return !trace_path.empty(); }
 };
 
+inline int obs_usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [--jobs N] [--metrics m.json] [--trace t.json]\n", argv0);
+    return 2;
+}
+
 [[nodiscard]] inline ObsOptions parse_obs(int argc, char** argv) {
     ObsOptions options;
-    options.jobs = parse_jobs(argc, argv);
-    for (int i = 1; i + 1 < argc; ++i) {
-        const std::string key = argv[i];
-        if (key == "--metrics") options.metrics_path = argv[i + 1];
-        if (key == "--trace") options.trace_path = argv[i + 1];
-    }
+    int jobs = 0;  // 0: not given, so TVACR_JOBS is read only then
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--jobs", jobs, 1, 1024},
+            {"--metrics", options.metrics_path},
+            {"--trace", options.trace_path},
+        },
+        obs_usage);
+    if (!positionals.empty()) std::exit(obs_usage(argv[0]));
+    options.jobs = jobs > 0 ? jobs : core::default_jobs();
     return options;
 }
 
@@ -216,13 +217,6 @@ inline int run_table_bench(tv::Country country, tv::Phase phase, const char* tab
     write_artifact(slug + ".json", core::sweep_to_json(traces, country, phase));
     emit_obs(obs_options, traces, profile);
     return validation_failures == 0 ? 0 : 1;
-}
-
-inline int run_table_bench(tv::Country country, tv::Phase phase, const char* table_name,
-                           int jobs = core::default_jobs()) {
-    ObsOptions options;
-    options.jobs = jobs;
-    return run_table_bench(country, phase, table_name, options);
 }
 
 }  // namespace tvacr::bench

@@ -7,6 +7,18 @@ namespace tvacr::tv {
 std::string to_string(Brand brand) { return brand == Brand::kSamsung ? "Samsung" : "LG"; }
 std::string to_string(Country country) { return country == Country::kUk ? "UK" : "US"; }
 
+std::optional<Brand> parse_brand(std::string_view text) {
+    if (text == "samsung") return Brand::kSamsung;
+    if (text == "lg") return Brand::kLg;
+    return std::nullopt;
+}
+
+std::optional<Country> parse_country(std::string_view text) {
+    if (text == "uk") return Country::kUk;
+    if (text == "us") return Country::kUs;
+    return std::nullopt;
+}
+
 PrivacySettings PrivacySettings::defaults(Brand brand) {
     PrivacySettings settings;
     const auto add = [&](std::string name, bool tracking_when, bool gates_acr = false) {

@@ -6,7 +6,9 @@
 // unusable — paper §3.2), so they are not represented as toggles here.
 #pragma once
 
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tvacr::tv {
@@ -16,6 +18,9 @@ enum class Country { kUk, kUs };
 
 [[nodiscard]] std::string to_string(Brand brand);
 [[nodiscard]] std::string to_string(Country country);
+/// The command-line spellings: samsung|lg and uk|us; nullopt otherwise.
+[[nodiscard]] std::optional<Brand> parse_brand(std::string_view text);
+[[nodiscard]] std::optional<Country> parse_country(std::string_view text);
 
 /// One user-visible setting and its state. `enables_tracking` is the state
 /// meaning "tracking allowed" — for most toggles that is `true`, but e.g.

@@ -29,4 +29,20 @@ std::string to_string(Phase phase) {
     return "?";
 }
 
+std::optional<Scenario> parse_scenario(std::string_view text) {
+    constexpr std::string_view kSpellings[] = {"idle", "linear", "fast", "ott", "hdmi", "cast"};
+    for (std::size_t i = 0; i < kAllScenarios.size(); ++i) {
+        if (text == kSpellings[i]) return kAllScenarios[i];
+    }
+    return std::nullopt;
+}
+
+std::optional<Phase> parse_phase(std::string_view text) {
+    constexpr std::string_view kSpellings[] = {"lin-oin", "lout-oin", "lin-oout", "lout-oout"};
+    for (std::size_t i = 0; i < kAllPhases.size(); ++i) {
+        if (text == kSpellings[i]) return kAllPhases[i];
+    }
+    return std::nullopt;
+}
+
 }  // namespace tvacr::tv

@@ -2,7 +2,9 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 
 namespace tvacr::tv {
 
@@ -22,6 +24,10 @@ inline constexpr std::array<Phase, 4> kAllPhases = {
 
 [[nodiscard]] std::string to_string(Scenario scenario);
 [[nodiscard]] std::string to_string(Phase phase);
+/// The command-line spellings: idle|linear|fast|ott|hdmi|cast and
+/// lin-oin|lout-oin|lin-oout|lout-oout; nullopt otherwise.
+[[nodiscard]] std::optional<Scenario> parse_scenario(std::string_view text);
+[[nodiscard]] std::optional<Phase> parse_phase(std::string_view text);
 /// The column header the paper uses for the scenario ("Antenna" for Linear).
 [[nodiscard]] std::string table_label(Scenario scenario);
 

@@ -4,9 +4,14 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "common/arena.hpp"
 #include "common/bytes.hpp"
+#include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -485,6 +490,89 @@ TEST(ParseEnvInt, UnsetReturnsFallback) {
     // (Malformed-value exit-2 behavior is pinned by the CLI regression
     // tests in tools/CMakeLists.txt — it exits, so it can't run in-process.)
     EXPECT_EQ(common::parse_env_int("TVACR_TEST_UNSET_VARIABLE", 7, 1, 1024), 7);
+}
+
+// ---------------------------------------------------------------- parse_flags
+
+int test_usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [--jobs N] [--count N] [--out F] [--pick ok] [--seed S]\n",
+                 argv0);
+    return 2;
+}
+
+struct FlagRun {
+    long long jobs = 0;
+    std::uint64_t count = 0;
+    std::string out;
+    bool follow = false;
+    std::string seed_text;
+    std::vector<std::string> positionals;
+};
+
+FlagRun run_flags(std::vector<std::string> args) {
+    args.insert(args.begin(), "tool");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    FlagRun run;
+    run.positionals = common::parse_flags(
+        static_cast<int>(argv.size()), argv.data(),
+        {
+            {"--jobs", run.jobs, 1, 1024},
+            {"--count", run.count},
+            {"--out", run.out},
+            {"--follow", run.follow},
+            {"--pick", [](std::string_view v) { return v == "ok"; }},
+            {"--seed",
+             [&](std::string_view v) {
+                 run.seed_text = v;
+                 return true;
+             }},
+        },
+        test_usage);
+    return run;
+}
+
+TEST(FlagsTest, UnknownFlagExitsWithUsage) {
+    EXPECT_EXIT(run_flags({"--bogus", "1"}), testing::ExitedWithCode(2), "usage");
+    EXPECT_EXIT(run_flags({"-x"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(FlagsTest, HelpIsAnUnknownFlag) {
+    EXPECT_EXIT(run_flags({"--help"}), testing::ExitedWithCode(2), "usage");
+    EXPECT_EXIT(run_flags({"-h"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(FlagsTest, TrailingValueFlagExitsWithUsage) {
+    EXPECT_EXIT(run_flags({"--out", "x", "--jobs"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(FlagsTest, RejectedValueExitsWithUsage) {
+    EXPECT_TRUE(run_flags({"--pick", "ok"}).positionals.empty());
+    EXPECT_EXIT(run_flags({"--pick", "nope"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(FlagsTest, SwitchDoesNotTakeTheNextToken) {
+    const FlagRun run = run_flags({"--follow", "--jobs", "3"});
+    EXPECT_TRUE(run.follow);
+    EXPECT_EQ(run.jobs, 3);
+    EXPECT_EXIT(run_flags({"--follow", "--jobs"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(FlagsTest, PositionalsInterleavedWithFlagsKeepTheirOrder) {
+    const FlagRun run = run_flags({"a", "--jobs", "2", "b", "--follow", "", "c", "--out", "o"});
+    EXPECT_EQ(run.positionals, (std::vector<std::string>{"a", "b", "", "c"}));
+    EXPECT_EQ(run.jobs, 2);
+    EXPECT_EQ(run.out, "o");
+    EXPECT_TRUE(run.follow);
+    EXPECT_EXIT(run_flags({"a", "--bogus", "b"}), testing::ExitedWithCode(2), "usage");
+}
+
+TEST(FlagsTest, ValueStartingWithDashReachesItsHandler) {
+    EXPECT_EQ(run_flags({"--seed", "-1"}).seed_text, "-1");
+    EXPECT_EQ(run_flags({"--out", "--jobs"}).out, "--jobs");
+    // Numeric flags keep parse_flag_int/parse_flag_u64's message naming the flag.
+    EXPECT_EXIT(run_flags({"--count", "-1"}), testing::ExitedWithCode(2), "--count");
+    EXPECT_EXIT(run_flags({"--jobs", "0"}), testing::ExitedWithCode(2), "--jobs");
 }
 
 }  // namespace

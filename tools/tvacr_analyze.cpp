@@ -27,19 +27,18 @@
 // report used by the CI replay-determinism gate.
 //
 // Unknown flags and flags missing their value exit 2 with usage.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "analysis/acr_detect.hpp"
 #include "analysis/report.hpp"
 #include "analysis/stream.hpp"
 #include "analysis/timeseries.hpp"
-#include "common/parse.hpp"
+#include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "common/thread_pool.hpp"
 #include "net/pcapng.hpp"
@@ -60,41 +59,31 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 3) return usage(argv[0]);
-    const auto device_ip = net::Ipv4Address::parse(argv[2]);
+    long long minutes = 60;
+    long jobs = 1;
+    long long resume_from = -1;  // -1: flag not given
+    long long since_s = -1;
+    std::string report_path;
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--minutes", minutes, 1, 1 << 24},
+            {"--jobs", jobs, 1, 1024},
+            {"--resume-from", resume_from, 0, 1LL << 40},
+            {"--since", since_s, 0, 1LL << 40},
+            {"--report", report_path},
+        },
+        usage);
+    if (positionals.size() != 2) return usage(argv[0]);
+    const char* capture_path = positionals[0].c_str();
+    const char* device_arg = positionals[1].c_str();
+    const auto device_ip = net::Ipv4Address::parse(device_arg);
     if (!device_ip.ok()) {
-        std::fprintf(stderr, "bad device ip: %s\n", argv[2]);
+        std::fprintf(stderr, "bad device ip: %s\n", device_arg);
         return 2;
     }
-    SimTime capture_length = SimTime::hours(1);
-    long jobs = 1;
-    std::size_t resume_from = 0;
-    bool has_resume = false;
-    std::optional<SimTime> since;
-    std::string report_path;
-    for (int i = 3; i < argc; ++i) {
-        const char* flag = argv[i];
-        if (i + 1 >= argc) return usage(argv[0]);  // every flag takes a value
-        const char* value = argv[++i];
-        if (std::strcmp(flag, "--minutes") == 0) {
-            capture_length =
-                SimTime::minutes(common::parse_flag_int("--minutes", value, 1, 1 << 24));
-        } else if (std::strcmp(flag, "--jobs") == 0) {
-            jobs = common::parse_flag_int("--jobs", value, 1, 1024);
-        } else if (std::strcmp(flag, "--resume-from") == 0) {
-            resume_from = static_cast<std::size_t>(
-                common::parse_flag_int("--resume-from", value, 0, 1LL << 40));
-            has_resume = true;
-        } else if (std::strcmp(flag, "--since") == 0) {
-            since = SimTime::seconds(common::parse_flag_int("--since", value, 0, 1LL << 40));
-        } else if (std::strcmp(flag, "--report") == 0) {
-            report_path = value;
-        } else {
-            return usage(argv[0]);
-        }
-    }
-    const replay::CaptureFormat format = replay::sniff_capture_file(argv[1]);
-    if ((has_resume || since.has_value()) && format != replay::CaptureFormat::kTvcr) {
+    const replay::CaptureFormat format = replay::sniff_capture_file(capture_path);
+    if ((resume_from >= 0 || since_s >= 0) && format != replay::CaptureFormat::kTvcr) {
         std::fprintf(stderr, "--resume-from/--since need an indexed .tvcr capture\n");
         return 2;
     }
@@ -109,39 +98,39 @@ int main(int argc, char** argv) {
 
     Result<analysis::CaptureAnalyzer> analyzed = make_error("unreachable");
     if (format == replay::CaptureFormat::kTvcr) {
-        auto engine = replay::ReplayEngine::open(argv[1]);
+        auto engine = replay::ReplayEngine::open(capture_path);
         if (!engine.ok()) {
-            std::fprintf(stderr, "cannot read %s: %s\n", argv[1],
+            std::fprintf(stderr, "cannot read %s: %s\n", capture_path,
                          engine.error().message.c_str());
             return 1;
         }
         replay::ReplayOptions replay_options;
-        replay_options.from_block = resume_from;
-        replay_options.since = since;
+        replay_options.from_block = static_cast<std::size_t>(std::max(resume_from, 0LL));
+        if (since_s >= 0) replay_options.since = SimTime::seconds(since_s);
         replay_options.stream = options;
         analyzed = engine.value().run(device_ip.value(), replay_options);
         if (!analyzed.ok()) {
-            std::fprintf(stderr, "cannot replay %s: %s\n", argv[1],
+            std::fprintf(stderr, "cannot replay %s: %s\n", capture_path,
                          analyzed.error().message.c_str());
             return 1;
         }
         const auto& stats = engine.value().last_stats();
         std::printf("Replayed %llu records (%zu blocks read, %zu skipped) from %s\n",
                     static_cast<unsigned long long>(stats.records_replayed), stats.blocks_read,
-                    stats.blocks_skipped, argv[1]);
+                    stats.blocks_skipped, capture_path);
     } else if (format == replay::CaptureFormat::kPcapng) {
         // pcapng: materialize, then run the same sharded engine.
-        const auto packets = net::read_pcapng_file(argv[1]);
+        const auto packets = net::read_pcapng_file(capture_path);
         if (!packets.ok()) {
-            std::fprintf(stderr, "cannot read %s: %s\n", argv[1],
+            std::fprintf(stderr, "cannot read %s: %s\n", capture_path,
                          packets.error().message.c_str());
             return 1;
         }
         analyzed = analysis::analyze_packets(packets.value(), device_ip.value(), options);
     } else {
-        analyzed = analysis::analyze_pcap_stream(argv[1], device_ip.value(), options);
+        analyzed = analysis::analyze_pcap_stream(capture_path, device_ip.value(), options);
         if (!analyzed.ok()) {
-            std::fprintf(stderr, "cannot read %s: %s\n", argv[1],
+            std::fprintf(stderr, "cannot read %s: %s\n", capture_path,
                          analyzed.error().message.c_str());
             return 1;
         }
@@ -156,9 +145,9 @@ int main(int argc, char** argv) {
         }
     }
     std::printf("Analyzed %llu packets from %s\n\n",
-                static_cast<unsigned long long>(analyzer.packets_total()), argv[1]);
+                static_cast<unsigned long long>(analyzer.packets_total()), capture_path);
     if (analyzer.packets_total() == analyzer.unparseable()) {
-        std::fprintf(stderr, "no parseable IPv4 traffic for device %s\n", argv[2]);
+        std::fprintf(stderr, "no parseable IPv4 traffic for device %s\n", device_arg);
         return 1;
     }
 
@@ -181,7 +170,7 @@ int main(int argc, char** argv) {
     std::cout << table.render() << "\n";
 
     const analysis::AcrDomainIdentifier identifier;
-    const auto findings = identifier.identify(analyzer, nullptr, capture_length);
+    const auto findings = identifier.identify(analyzer, nullptr, SimTime::minutes(minutes));
     std::cout << "ACR-domain heuristic (name + blocklist + cadence):\n";
     bool any = false;
     for (const auto& finding : findings) {

@@ -17,11 +17,11 @@
 // for the inline syntax).
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
+#include <string_view>
 
-#include "common/parse.hpp"
+#include "common/flags.hpp"
 #include "core/audit.hpp"
 #include "core/export.hpp"
 #include "core/matrix_runner.hpp"
@@ -48,60 +48,39 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
     core::AuditConfig config;
-    config.duration = SimTime::minutes(30);
+    long long minutes = 30;
     config.jobs = core::default_jobs();
     std::string json_path;
     std::string metrics_path;
     std::string trace_path;
     bool mitm = false;
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string key = argv[i];
-        if (key == "--mitm") {
-            mitm = true;
-            continue;
-        }
-        if (i + 1 >= argc) return usage(argv[0]);
-        const std::string value = argv[++i];
-        if (key == "--brand") {
-            if (value == "samsung") config.brand = tv::Brand::kSamsung;
-            else if (value == "lg") config.brand = tv::Brand::kLg;
-            else return usage(argv[0]);
-        } else if (key == "--country") {
-            if (value == "uk") config.country = tv::Country::kUk;
-            else if (value == "us") config.country = tv::Country::kUs;
-            else return usage(argv[0]);
-        } else if (key == "--scenario") {
-            if (value == "idle") config.scenario = tv::Scenario::kIdle;
-            else if (value == "linear") config.scenario = tv::Scenario::kLinear;
-            else if (value == "fast") config.scenario = tv::Scenario::kFast;
-            else if (value == "ott") config.scenario = tv::Scenario::kOtt;
-            else if (value == "hdmi") config.scenario = tv::Scenario::kHdmi;
-            else if (value == "cast") config.scenario = tv::Scenario::kScreenCast;
-            else return usage(argv[0]);
-        } else if (key == "--minutes") {
-            config.duration = SimTime::minutes(common::parse_flag_int("--minutes", value, 1, 1 << 24));
-        } else if (key == "--seed") {
-            config.seed = common::parse_flag_u64("--seed", value);
-        } else if (key == "--jobs") {
-            config.jobs = static_cast<int>(common::parse_flag_int("--jobs", value, 1, 1024));
-        } else if (key == "--json") {
-            json_path = value;
-        } else if (key == "--metrics") {
-            metrics_path = value;
-        } else if (key == "--trace") {
-            trace_path = value;
-        } else if (key == "--faults") {
-            const auto parsed = fault::parse_fault_spec(value);
-            if (!parsed.spec) {
-                std::fprintf(stderr, "bad --faults spec: %s\n", parsed.error.c_str());
-                return usage(argv[0]);
-            }
-            config.faults = *parsed.spec;
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--brand", config.brand, tv::parse_brand},
+            {"--country", config.country, tv::parse_country},
+            {"--scenario", config.scenario, tv::parse_scenario},
+            {"--minutes", minutes, 1, 1 << 24},
+            {"--seed", config.seed},
+            {"--jobs", config.jobs, 1, 1024},
+            {"--json", json_path},
+            {"--mitm", mitm},
+            {"--metrics", metrics_path},
+            {"--trace", trace_path},
+            {"--faults",
+             [&](std::string_view v) {
+                 const auto parsed = fault::parse_fault_spec(v);
+                 if (!parsed.spec) {
+                     std::fprintf(stderr, "bad --faults spec: %s\n", parsed.error.c_str());
+                 }
+                 config.faults = parsed.spec.value_or(config.faults);
+                 return parsed.spec.has_value();
+             }},
+        },
+        usage);
+    if (!positionals.empty()) return usage(argv[0]);
+    config.duration = SimTime::minutes(minutes);
     config.trace = !trace_path.empty();
 
     std::printf("Auditing %s in %s, scenario %s, %lld min per phase...\n\n",

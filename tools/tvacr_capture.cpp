@@ -22,10 +22,10 @@
 // Unknown flags (--help among them) and flags missing their value exit 2
 // with usage and write nothing.
 #include <cstdio>
-#include <cstring>
 #include <string>
+#include <string_view>
 
-#include "common/parse.hpp"
+#include "common/flags.hpp"
 #include "common/signal.hpp"
 #include "core/experiment.hpp"
 #include "fault/spec.hpp"
@@ -54,74 +54,42 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
     core::ExperimentSpec spec;
-    spec.duration = SimTime::minutes(10);
+    long long minutes = 10;
     std::string out = "capture.pcap";
     std::string metrics_path;
     std::string trace_path;
-    enum class OutFormat { kPcap, kPcapng, kTvcr, kTvcrFrames };
-    OutFormat out_format = OutFormat::kPcap;
+    std::string out_format = "pcap";
 
-    for (int i = 1; i < argc; ++i) {
-        const std::string key = argv[i];
-        if (i + 1 >= argc) return usage(argv[0]);  // every flag takes a value
-        const std::string value = argv[++i];
-        if (key == "--brand") {
-            if (value == "samsung") {
-                spec.brand = tv::Brand::kSamsung;
-            } else if (value == "lg") {
-                spec.brand = tv::Brand::kLg;
-            } else {
-                return usage(argv[0]);
-            }
-        } else if (key == "--country") {
-            if (value == "uk") {
-                spec.country = tv::Country::kUk;
-            } else if (value == "us") {
-                spec.country = tv::Country::kUs;
-            } else {
-                return usage(argv[0]);
-            }
-        } else if (key == "--scenario") {
-            if (value == "idle") spec.scenario = tv::Scenario::kIdle;
-            else if (value == "linear") spec.scenario = tv::Scenario::kLinear;
-            else if (value == "fast") spec.scenario = tv::Scenario::kFast;
-            else if (value == "ott") spec.scenario = tv::Scenario::kOtt;
-            else if (value == "hdmi") spec.scenario = tv::Scenario::kHdmi;
-            else if (value == "cast") spec.scenario = tv::Scenario::kScreenCast;
-            else return usage(argv[0]);
-        } else if (key == "--phase") {
-            if (value == "lin-oin") spec.phase = tv::Phase::kLInOIn;
-            else if (value == "lout-oin") spec.phase = tv::Phase::kLOutOIn;
-            else if (value == "lin-oout") spec.phase = tv::Phase::kLInOOut;
-            else if (value == "lout-oout") spec.phase = tv::Phase::kLOutOOut;
-            else return usage(argv[0]);
-        } else if (key == "--minutes") {
-            spec.duration = SimTime::minutes(common::parse_flag_int("--minutes", value, 1, 1 << 24));
-        } else if (key == "--seed") {
-            spec.seed = common::parse_flag_u64("--seed", value);
-        } else if (key == "--out") {
-            out = value;
-        } else if (key == "--format") {
-            if (value == "pcapng") out_format = OutFormat::kPcapng;
-            else if (value == "tvcr") out_format = OutFormat::kTvcr;
-            else if (value == "tvcr-frames") out_format = OutFormat::kTvcrFrames;
-            else if (value == "pcap") out_format = OutFormat::kPcap;
-            else return usage(argv[0]);
-        } else if (key == "--metrics") {
-            metrics_path = value;
-        } else if (key == "--trace") {
-            trace_path = value;
-        } else if (key == "--faults") {
-            const auto parsed = fault::parse_fault_spec(value);
-            if (!parsed.spec) {
-                std::fprintf(stderr, "bad --faults spec: %s\n", parsed.error.c_str());
-                return usage(argv[0]);
-            }
-            spec.faults = *parsed.spec;
-        } else {
-            return usage(argv[0]);
-        }
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--brand", spec.brand, tv::parse_brand},
+            {"--country", spec.country, tv::parse_country},
+            {"--scenario", spec.scenario, tv::parse_scenario},
+            {"--phase", spec.phase, tv::parse_phase},
+            {"--minutes", minutes, 1, 1 << 24},
+            {"--seed", spec.seed},
+            {"--out", out},
+            {"--format",
+             [&](std::string_view v) {
+                 out_format = v;
+                 return v == "pcap" || v == "pcapng" || v == "tvcr" || v == "tvcr-frames";
+             }},
+            {"--metrics", metrics_path},
+            {"--trace", trace_path},
+            {"--faults",
+             [&](std::string_view v) {
+                 const auto parsed = fault::parse_fault_spec(v);
+                 if (!parsed.spec) {
+                     std::fprintf(stderr, "bad --faults spec: %s\n", parsed.error.c_str());
+                 }
+                 spec.faults = parsed.spec.value_or(spec.faults);
+                 return parsed.spec.has_value();
+             }},
+        },
+        usage);
+    if (!positionals.empty()) return usage(argv[0]);
+    spec.duration = SimTime::minutes(minutes);
     spec.trace = !trace_path.empty();
 
     // SIGINT/SIGTERM: every output below goes through a finalized tmp+rename
@@ -135,13 +103,9 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(spec.seed));
     const auto result = core::ExperimentRunner::run(spec);
     const auto status_of = [&]() {
-        switch (out_format) {
-            case OutFormat::kPcapng: return net::write_pcapng_file(out, result.capture);
-            case OutFormat::kTvcr: return result.record_tvcr(out, /*keep_frames=*/false);
-            case OutFormat::kTvcrFrames: return result.record_tvcr(out, /*keep_frames=*/true);
-            case OutFormat::kPcap: break;
-        }
-        return net::write_pcap_file(out, result.capture);
+        if (out_format == "pcapng") return net::write_pcapng_file(out, result.capture);
+        if (out_format == "pcap") return net::write_pcap_file(out, result.capture);
+        return result.record_tvcr(out, /*keep_frames=*/out_format == "tvcr-frames");
     };
     if (const auto status = status_of(); !status.ok()) {
         std::fprintf(stderr, "write failed: %s\n", status.error().message.c_str());

@@ -16,20 +16,33 @@
 // --sample-pcap/--sample-tvcr to mirror every K-th household (id % K == 0)
 // to "<PREFIX><id>.pcap|.tvcr" for spot-checking with tvacr_analyze.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <ostream>
 #include <string>
+#include <string_view>
 
 #include "common/file_io.hpp"
-#include "common/parse.hpp"
+#include "common/flags.hpp"
 #include "common/signal.hpp"
 #include "common/thread_pool.hpp"
 #include "fleet/runner.hpp"
 #include "obs/io.hpp"
 
 using namespace tvacr;
+
+namespace {
+
+int usage(const char* argv0) {
+    std::fprintf(stderr,
+                 "usage: %s --households N [--jobs N] [--shards N] [--seed S]\n"
+                 "          [--spec POPULATION|canonical] [--faults FAULTSPEC]\n"
+                 "          [--sample-every K] [--sample-pcap PREFIX | --sample-tvcr PREFIX]\n"
+                 "          [--out aggregates.json] [--metrics metrics.json] [--top N]\n",
+                 argv0);
+    return 2;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
     std::uint64_t households = 0;
@@ -40,50 +53,42 @@ int main(int argc, char** argv) {
     std::string out_path;
     std::string metrics_path;
     std::size_t top_n = 10;
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], "--households") == 0) {
-            households = common::parse_flag_u64("--households", argv[i + 1]);
-        } else if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = common::parse_flag_int("--jobs", argv[i + 1], 1, 1024);
-        } else if (std::strcmp(argv[i], "--shards") == 0) {
-            shards = static_cast<std::size_t>(
-                common::parse_flag_int("--shards", argv[i + 1], 0, 1 << 20));
-        } else if (std::strcmp(argv[i], "--seed") == 0) {
-            options.seed = common::parse_flag_u64("--seed", argv[i + 1]);
-        } else if (std::strcmp(argv[i], "--spec") == 0) {
-            spec_text = argv[i + 1];
-        } else if (std::strcmp(argv[i], "--faults") == 0) {
-            const auto parsed = fault::parse_fault_spec(argv[i + 1]);
-            if (!parsed.spec.has_value()) {
-                std::fprintf(stderr, "bad --faults: %s\n", parsed.error.c_str());
-                return 2;
-            }
-            options.faults = *parsed.spec;
-        } else if (std::strcmp(argv[i], "--sample-every") == 0) {
-            options.sample_every = common::parse_flag_u64("--sample-every", argv[i + 1]);
-        } else if (std::strcmp(argv[i], "--sample-pcap") == 0) {
-            options.sample_prefix = argv[i + 1];
-            options.sample_format = fleet::SampleFormat::kPcap;
-        } else if (std::strcmp(argv[i], "--sample-tvcr") == 0) {
-            options.sample_prefix = argv[i + 1];
-            options.sample_format = fleet::SampleFormat::kTvcr;
-        } else if (std::strcmp(argv[i], "--out") == 0) {
-            out_path = argv[i + 1];
-        } else if (std::strcmp(argv[i], "--metrics") == 0) {
-            metrics_path = argv[i + 1];
-        } else if (std::strcmp(argv[i], "--top") == 0) {
-            top_n = static_cast<std::size_t>(common::parse_flag_int("--top", argv[i + 1], 0, 1 << 20));
-        }
-    }
-    if (households == 0) {
-        std::fprintf(stderr,
-                     "usage: %s --households N [--jobs N] [--shards N] [--seed S]\n"
-                     "          [--spec POPULATION|canonical] [--faults FAULTSPEC]\n"
-                     "          [--sample-every K] [--sample-pcap PREFIX | --sample-tvcr PREFIX]\n"
-                     "          [--out aggregates.json] [--metrics metrics.json] [--top N]\n",
-                     argv[0]);
-        return 2;
-    }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--households", households},
+            {"--jobs", jobs, 1, 1024},
+            {"--shards", shards, 0, 1 << 20},
+            {"--seed", options.seed},
+            {"--spec", spec_text},
+            {"--faults",
+             [&](std::string_view v) {
+                 const auto parsed = fault::parse_fault_spec(v);
+                 if (!parsed.spec) {
+                     std::fprintf(stderr, "bad --faults: %s\n", parsed.error.c_str());
+                 }
+                 options.faults = parsed.spec.value_or(options.faults);
+                 return parsed.spec.has_value();
+             }},
+            {"--sample-every", options.sample_every},
+            {"--sample-pcap",
+             [&](std::string_view v) {
+                 options.sample_prefix = v;
+                 options.sample_format = fleet::SampleFormat::kPcap;
+                 return true;
+             }},
+            {"--sample-tvcr",
+             [&](std::string_view v) {
+                 options.sample_prefix = v;
+                 options.sample_format = fleet::SampleFormat::kTvcr;
+                 return true;
+             }},
+            {"--out", out_path},
+            {"--metrics", metrics_path},
+            {"--top", top_n, 0, 1 << 20},
+        },
+        usage);
+    if (households == 0 || !positionals.empty()) return usage(argv[0]);
     if (options.sample_every != 0 && options.sample_prefix.empty()) {
         std::fprintf(stderr, "--sample-every needs --sample-pcap or --sample-tvcr\n");
         return 2;

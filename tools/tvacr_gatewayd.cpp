@@ -32,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <csignal>
-#include <cstring>
 #include <memory>
 #include <ostream>
 #include <string>
@@ -40,6 +39,7 @@
 #include <vector>
 
 #include "common/file_io.hpp"
+#include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "common/signal.hpp"
 #include "common/thread_pool.hpp"
@@ -131,17 +131,8 @@ class ControlChannel {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 3) return usage(argv[0]);
-    const std::string source_arg = argv[1];
-    const auto device_ip = net::Ipv4Address::parse(argv[2]);
-    if (!device_ip.ok()) {
-        std::fprintf(stderr, "bad device ip: %s\n", argv[2]);
-        return 2;
-    }
-
     long long jobs = 1;
     gateway::GatewayOptions options;
-    options.device_ip = device_ip.value();
     std::size_t ingest_bytes = 256 * 1024;
     std::size_t drain_batch = 4096;
     bool follow = false;
@@ -149,39 +140,28 @@ int main(int argc, char** argv) {
     std::string snapshot_out;
     std::string metrics_out;
     std::string ledger_out;
-    for (int i = 3; i < argc; ++i) {
-        const auto need_value = [&](const char* flag) -> const char* {
-            if (i + 1 >= argc) {
-                std::fprintf(stderr, "%s needs a value\n", flag);
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (std::strcmp(argv[i], "--jobs") == 0) {
-            jobs = common::parse_flag_int("--jobs", need_value("--jobs"), 1, 1024);
-        } else if (std::strcmp(argv[i], "--ring") == 0) {
-            options.ring_capacity = static_cast<std::size_t>(
-                common::parse_flag_int("--ring", need_value("--ring"), 1, 1 << 28));
-        } else if (std::strcmp(argv[i], "--ingest-bytes") == 0) {
-            ingest_bytes = static_cast<std::size_t>(common::parse_flag_int(
-                "--ingest-bytes", need_value("--ingest-bytes"), 1, 1 << 30));
-        } else if (std::strcmp(argv[i], "--drain-batch") == 0) {
-            drain_batch = static_cast<std::size_t>(common::parse_flag_int(
-                "--drain-batch", need_value("--drain-batch"), 1, 1 << 28));
-        } else if (std::strcmp(argv[i], "--follow") == 0) {
-            follow = true;
-        } else if (std::strcmp(argv[i], "--control") == 0) {
-            control = true;
-        } else if (std::strcmp(argv[i], "--snapshot-out") == 0) {
-            snapshot_out = need_value("--snapshot-out");
-        } else if (std::strcmp(argv[i], "--metrics-out") == 0) {
-            metrics_out = need_value("--metrics-out");
-        } else if (std::strcmp(argv[i], "--ledger-out") == 0) {
-            ledger_out = need_value("--ledger-out");
-        } else {
-            return usage(argv[0]);
-        }
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--jobs", jobs, 1, 1024},
+            {"--ring", options.ring_capacity, 1, 1 << 28},
+            {"--ingest-bytes", ingest_bytes, 1, 1 << 30},
+            {"--drain-batch", drain_batch, 1, 1 << 28},
+            {"--follow", follow},
+            {"--control", control},
+            {"--snapshot-out", snapshot_out},
+            {"--metrics-out", metrics_out},
+            {"--ledger-out", ledger_out},
+        },
+        usage);
+    if (positionals.size() != 2) return usage(argv[0]);
+    const std::string& source_arg = positionals[0];
+    const auto device_ip = net::Ipv4Address::parse(positionals[1]);
+    if (!device_ip.ok()) {
+        std::fprintf(stderr, "bad device ip: %s\n", positionals[1].c_str());
+        return 2;
     }
+    options.device_ip = device_ip.value();
 
     std::unique_ptr<common::ThreadPool> pool;
     if (jobs > 1) {

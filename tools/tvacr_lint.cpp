@@ -30,8 +30,10 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/flags.hpp"
 #include "lint/baseline.hpp"
 #include "lint/driver.hpp"
 #include "lint/fix.hpp"
@@ -42,10 +44,12 @@ namespace fs = std::filesystem;
 
 namespace {
 
-constexpr const char* kUsage =
-    "usage: tvacr_lint [--format text|json] [--out FILE] [--list-rules] [--jobs N]\n"
-    "                  [--fix] [--baseline FILE] [--write-baseline FILE]\n"
-    "                  [--changed-only FILE] [--include-graph-dot FILE] <paths...>\n";
+int usage(const char* /*argv0*/) {
+    std::cerr << "usage: tvacr_lint [--format text|json] [--out FILE] [--list-rules] [--jobs N]\n"
+                 "                  [--fix] [--baseline FILE] [--write-baseline FILE]\n"
+                 "                  [--changed-only FILE] [--include-graph-dot FILE] <paths...>\n";
+    return 2;
+}
 
 bool lintable_extension(const fs::path& path) {
     const std::string ext = path.extension().string();
@@ -119,65 +123,31 @@ int main(int argc, char** argv) {
     std::size_t jobs = 1;
     bool apply_fixes = false;
     bool list_rules = false;
-    std::vector<std::string> roots;
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--format" && i + 1 < argc) {
-            format = argv[++i];
-        } else if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            const std::string value = argv[++i];
-            std::size_t parsed = 0;
-            for (const char c : value) {
-                if (c < '0' || c > '9') {
-                    std::cerr << "tvacr_lint: --jobs expects a positive integer\n";
-                    return 2;
-                }
-                parsed = parsed * 10 + static_cast<std::size_t>(c - '0');
-            }
-            if (parsed == 0 || parsed > 256) {
-                std::cerr << "tvacr_lint: --jobs must be between 1 and 256\n";
-                return 2;
-            }
-            jobs = parsed;
-        } else if (arg == "--fix") {
-            apply_fixes = true;
-        } else if (arg == "--baseline" && i + 1 < argc) {
-            baseline_path = argv[++i];
-        } else if (arg == "--write-baseline" && i + 1 < argc) {
-            write_baseline_path = argv[++i];
-        } else if (arg == "--changed-only" && i + 1 < argc) {
-            changed_only_path = argv[++i];
-        } else if (arg == "--include-graph-dot" && i + 1 < argc) {
-            dot_path = argv[++i];
-        } else if (arg == "--list-rules") {
-            list_rules = true;
-        } else if (arg == "--help" || arg == "-h") {
-            std::cout << kUsage;
-            return 0;
-        } else if (!arg.empty() && arg[0] == '-') {
-            std::cerr << "tvacr_lint: unknown option '" << arg << "'\n" << kUsage;
-            return 2;
-        } else {
-            roots.push_back(arg);
-        }
-    }
-    if (format != "text" && format != "json") {
-        std::cerr << "tvacr_lint: --format must be text or json\n";
-        return 2;
-    }
+    const std::vector<std::string> roots = tvacr::common::parse_flags(
+        argc, argv,
+        {
+            {"--format",
+             [&](std::string_view v) {
+                 format = v;
+                 return v == "text" || v == "json";
+             }},
+            {"--out", out_path},
+            {"--list-rules", list_rules},
+            {"--jobs", jobs, 1, 256},
+            {"--fix", apply_fixes},
+            {"--baseline", baseline_path},
+            {"--write-baseline", write_baseline_path},
+            {"--changed-only", changed_only_path},
+            {"--include-graph-dot", dot_path},
+        },
+        usage);
 
     const auto registry = tvacr::lint::Registry::with_builtin_rules();
     if (list_rules) {
         std::cout << tvacr::lint::render_rule_list(registry);
         return 0;
     }
-    if (roots.empty()) {
-        std::cerr << kUsage;
-        return 2;
-    }
+    if (roots.empty()) return usage(argv[0]);
 
     std::string error;
     std::vector<std::string> files = collect_files(roots, error);

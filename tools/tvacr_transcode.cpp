@@ -12,14 +12,14 @@
 // tvcr -> pcap requires a frames-mode file; --from-block K exports only the
 // record suffix starting at block boundary K — the CI replay-determinism
 // job uses that to build the reference capture a resumed analysis must
-// match.
+// match. A flag for the other direction exits 2 instead of being ignored.
+#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
+#include <ostream>
 #include <string>
 
 #include "common/file_io.hpp"
-#include "common/parse.hpp"
+#include "common/flags.hpp"
 #include "common/strings.hpp"
 #include "replay/replay.hpp"
 
@@ -38,34 +38,39 @@ int usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 3) return usage(argv[0]);
-    const std::string in_path = argv[1];
-    const std::string out_path = argv[2];
     bool keep_frames = false;
     std::size_t block_records = 0;
-    std::size_t from_block = 0;
-    for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--frames") == 0) {
-            keep_frames = true;
-        } else if (std::strcmp(argv[i], "--block-records") == 0 && i + 1 < argc) {
-            block_records = static_cast<std::size_t>(
-                common::parse_flag_int("--block-records", argv[++i], 1, 1 << 24));
-        } else if (std::strcmp(argv[i], "--from-block") == 0 && i + 1 < argc) {
-            from_block = static_cast<std::size_t>(
-                common::parse_flag_int("--from-block", argv[++i], 0, 1 << 24));
-        } else {
-            return usage(argv[0]);
-        }
+    long long from_block = -1;  // -1: flag not given
+    const auto positionals = common::parse_flags(
+        argc, argv,
+        {
+            {"--frames", keep_frames},
+            {"--block-records", block_records, 1, 1 << 24},
+            {"--from-block", from_block, 0, 1 << 24},
+        },
+        usage);
+    if (positionals.size() != 2) return usage(argv[0]);
+    const std::string& in_path = positionals[0];
+    const std::string& out_path = positionals[1];
+    const bool from_tvcr = replay::sniff_capture_file(in_path) == replay::CaptureFormat::kTvcr;
+    if (from_tvcr && (keep_frames || block_records > 0)) {
+        std::fprintf(stderr, "--frames/--block-records need pcap input\n");
+        return 2;
+    }
+    if (!from_tvcr && from_block >= 0) {
+        std::fprintf(stderr, "--from-block needs .tvcr input\n");
+        return 2;
     }
 
-    if (replay::sniff_capture_file(in_path) == replay::CaptureFormat::kTvcr) {
+    if (from_tvcr) {
+        const auto first_block = static_cast<std::size_t>(std::max(from_block, 0LL));
         auto reader = replay::TvcrReader::open(in_path);
         if (!reader.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", in_path.c_str(),
                          reader.error().message.c_str());
             return 1;
         }
-        auto pcap = replay::export_tvcr_to_pcap(reader.value(), from_block);
+        auto pcap = replay::export_tvcr_to_pcap(reader.value(), first_block);
         if (!pcap.ok()) {
             std::fprintf(stderr, "export failed: %s\n", pcap.error().message.c_str());
             return 1;
@@ -81,7 +86,7 @@ int main(int argc, char** argv) {
             return 1;
         }
         std::printf("Exported %s from block %zu -> %s (%zu pcap bytes)\n", in_path.c_str(),
-                    from_block, out_path.c_str(), pcap.value().size());
+                    first_block, out_path.c_str(), pcap.value().size());
         return 0;
     }
 
