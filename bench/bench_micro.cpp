@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: frame synthesis,
-// perceptual hashing, capture fingerprints, the audio filter bank, batch
-// codecs, the match server, DNS and pcap codecs, and raw simulator event
-// throughput.
+// perceptual hashing, capture fingerprints, the audio filter bank, the
+// traffic period search, batch codecs, the match server, DNS and pcap
+// codecs, and raw simulator event throughput.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
 
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "dns/message.hpp"
 #include "fp/audio.hpp"
 #include "fp/batch.hpp"
@@ -62,6 +64,18 @@ void BM_FingerprintAt(benchmark::State& state) {
 }
 BENCHMARK(BM_FingerprintAt);
 
+void BM_DominantPeriodHour(benchmark::State& state) {
+    // identify()'s period search on one domain of an hour: 7,200 500 ms
+    // buckets with a burst every 15 s, lags 5 s to 10 min.
+    Rng rng(15);
+    std::vector<double> hour(7200, 0.0);
+    for (std::size_t i = 0; i < hour.size(); i += 30) {
+        hour[i] = 20.0 + static_cast<double>(rng.uniform(0, 6));
+    }
+    for (auto _ : state) benchmark::DoNotOptimize(dominant_period(hour, 10, 1200, 0.25));
+}
+BENCHMARK(BM_DominantPeriodHour);
+
 void BM_AnalyzeWindow(benchmark::State& state) {
     // One 100 ms window through the 8-band Goertzel bank.
     const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
@@ -102,7 +116,7 @@ BENCHMARK(BM_BatchDeserialize);
 void BM_MatchServer(benchmark::State& state) {
     static const fp::ContentLibrary* library = [] {
         // tvacr-lint: allow(no-raw-new-delete) intentionally leaked static; destructor order with gbench
-        auto* lib = new fp::ContentLibrary();
+        auto* lib = new fp::ContentLibrary(fp::ContentLibrary::Audio::kIndexed);
         for (const auto& info : fp::builtin_catalog(5)) lib->add(info);
         return lib;
     }();

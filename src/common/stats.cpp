@@ -1,6 +1,7 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 namespace tvacr {
@@ -63,29 +64,51 @@ double coefficient_of_variation(std::span<const double> xs) {
     return stddev(xs) / m;
 }
 
-double autocorrelation(std::span<const double> xs, std::size_t lag) {
-    if (xs.size() <= lag || lag == 0) return 0.0;
-    const double m = mean(xs);
-    double num = 0.0;
-    double den = 0.0;
-    for (std::size_t i = 0; i < xs.size(); ++i) {
-        const double d = xs[i] - m;
-        den += d * d;
-        if (i + lag < xs.size()) num += d * (xs[i + lag] - m);
-    }
-    // tvacr-lint: allow(no-float-equality) den is a sum of squares; exactly 0 iff all terms are 0
-    if (den == 0.0) return 0.0;
-    return num / den;
-}
-
 std::optional<PeriodEstimate> dominant_period(std::span<const double> xs, std::size_t min_lag,
                                               std::size_t max_lag, double threshold) {
+    const std::size_t n = xs.size();
+    if (min_lag > max_lag || min_lag >= n) return std::nullopt;
+    const std::size_t last_lag = std::min(max_lag, n - 1);
+
+    const double m = mean(xs);
+    std::vector<double> d(n);
+    double den = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        d[i] = xs[i] - m;
+        den += d[i] * d[i];
+    }
+
     std::optional<PeriodEstimate> best;
-    for (std::size_t lag = min_lag; lag <= max_lag && lag < xs.size(); ++lag) {
-        const double score = autocorrelation(xs, lag);
+    const auto consider = [&](std::size_t lag, double num) {
+        // tvacr-lint: allow(no-float-equality) den is a sum of squares: 0 iff every term is 0
+        const double score = lag == 0 || den == 0.0 ? 0.0 : num / den;
         if (score >= threshold && (!best || score > best->score)) {
             best = PeriodEstimate{lag, score};
         }
+    };
+
+    // kWidth lags per pass: each keeps its own accumulator over the indices
+    // all of them share, then finishes its own tail, so every sum still runs
+    // in ascending i.
+    constexpr std::size_t kWidth = 8;
+    std::size_t lag = min_lag;
+    for (; lag <= last_lag && last_lag - lag >= kWidth - 1; lag += kWidth) {
+        std::array<double, kWidth> num{};
+        const std::size_t shared = n - (lag + kWidth - 1);
+        for (std::size_t i = 0; i < shared; ++i) {
+            const double di = d[i];
+            const double* partner = &d[i + lag];
+            for (std::size_t k = 0; k < kWidth; ++k) num[k] += di * partner[k];
+        }
+        for (std::size_t k = 0; k < kWidth; ++k) {
+            for (std::size_t i = shared; i + lag + k < n; ++i) num[k] += d[i] * d[i + lag + k];
+            consider(lag + k, num[k]);
+        }
+    }
+    for (; lag <= last_lag; ++lag) {
+        double num = 0.0;
+        for (std::size_t i = 0; i + lag < n; ++i) num += d[i] * d[i + lag];
+        consider(lag, num);
     }
     return best;
 }

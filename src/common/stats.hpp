@@ -29,13 +29,14 @@ namespace tvacr {
 /// Coefficient of variation (stddev/mean); 0 when the mean is 0.
 [[nodiscard]] double coefficient_of_variation(std::span<const double> xs);
 
-/// Normalized autocorrelation of a series at a given lag (in samples).
-/// Result is in [-1, 1]; 0 for degenerate series.
-[[nodiscard]] double autocorrelation(std::span<const double> xs, std::size_t lag);
-
-/// Searches lags in [min_lag, max_lag] for the autocorrelation peak. Returns
-/// nullopt if no lag scores above `threshold`. Used to recover ACR burst
-/// periods from packets-per-bucket series.
+/// Searches lags in [min_lag, max_lag] for the peak of the normalized
+/// autocorrelation (in [-1, 1]; lag 0 and a zero-variance series score 0).
+/// Returns nullopt if no lag scores at least `threshold`; ties keep the
+/// smaller lag. Used to recover ACR burst periods from packets-per-bucket
+/// series. The mean, deviations and denominator are computed once and
+/// several lags share each pass over the series, but every lag's numerator
+/// is still summed in ascending index order, so scores are bit-equal to a
+/// lag-at-a-time evaluation.
 struct PeriodEstimate {
     std::size_t lag_samples = 0;
     double score = 0.0;

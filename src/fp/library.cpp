@@ -7,11 +7,13 @@ void ContentLibrary::add(const ContentInfo& info) {
     entry.info = info;
     const ContentStream stream(info.seed, info.dynamics);
     const std::int64_t steps = info.duration / kReferencePeriod;
+    const bool with_audio = audio_ == Audio::kIndexed;
     entry.hashes.reserve(static_cast<std::size_t>(steps));
-    entry.audio.reserve(static_cast<std::size_t>(steps));
+    if (with_audio) entry.audio.reserve(static_cast<std::size_t>(steps));
     for (std::int64_t step = 0; step < steps; ++step) {
-        entry.hashes.push_back(stream.fingerprint_at(kReferencePeriod * step).video);
-        entry.audio.push_back(audio_hash(stream.audio_at(kReferencePeriod * step)));
+        const SimTime t = kReferencePeriod * step;
+        entry.hashes.push_back(stream.fingerprint_at(t).video);
+        if (with_audio) entry.audio.push_back(audio_hash(stream.audio_at(t)));
     }
     entries_[info.id] = std::move(entry);
 }

@@ -17,7 +17,15 @@ class ContentLibrary {
     /// Reference fingerprints are sampled at this cadence.
     static constexpr SimTime kReferencePeriod = SimTime::millis(500);
 
-    /// Registers content and precomputes its reference hash track.
+    /// Whether add() also builds the per-step audio track. Only a library
+    /// that matches audio-bearing batches needs it; without it
+    /// reference_audio() is empty for every entry.
+    enum class Audio { kIndexed, kNone };
+
+    explicit ContentLibrary(Audio audio) : audio_(audio) {}
+
+    /// Registers content and precomputes its reference hash track (and
+    /// audio track when indexed).
     void add(const ContentInfo& info);
 
     [[nodiscard]] const ContentInfo* find(std::uint64_t content_id) const;
@@ -28,13 +36,14 @@ class ContentLibrary {
     struct Entry {
         ContentInfo info;
         std::vector<VideoHash> hashes;        // one per kReferencePeriod step
-        std::vector<std::uint32_t> audio;     // audio_hash per step
+        std::vector<std::uint32_t> audio;     // audio_hash per step, when indexed
     };
     [[nodiscard]] const std::unordered_map<std::uint64_t, Entry>& entries() const noexcept {
         return entries_;
     }
 
   private:
+    Audio audio_;
     std::unordered_map<std::uint64_t, Entry> entries_;
 };
 

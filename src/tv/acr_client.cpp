@@ -186,15 +186,15 @@ void AcrClient::schedule_capture(Channel& channel) {
         schedule_.capture_period, guarded(alive_, [this, &channel, epoch]() {
             if (!epoch_valid(epoch) || mode_ != AcrMode::kActive) return;
             if (screen_) {
-                const auto sample = screen_(wiring_.simulator.now());
-                if (sample) {
+                const auto capture = screen_(wiring_.simulator.now(), schedule_.has_audio);
+                if (capture) {
                     fp::CaptureRecord record;
                     record.offset_ms = static_cast<std::uint32_t>(
                         (wiring_.simulator.now() - batch_start_).as_millis());
-                    record.video = sample->video;
-                    record.detail = sample->detail;
+                    record.video = capture->fingerprint.video;
+                    record.detail = capture->fingerprint.detail;
                     record.audio =
-                        schedule_.has_audio ? fp::audio_hash(sample->audio) : 0;
+                        schedule_.has_audio ? fp::audio_hash(capture->audio) : 0;
                     pending_records_.push_back(record);
                     ++captures_taken_;
                     m_captures_.add();

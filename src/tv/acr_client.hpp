@@ -26,21 +26,20 @@
 
 namespace tvacr::tv {
 
-/// What the ACR client sees when it grabs the panel output. `video` and
-/// `detail` are the frame's dhash and frame_detail, computed by the content
-/// stream when it renders the frame.
-struct ScreenSample {
-    fp::Frame frame;
+/// What the ACR client reads when it grabs the panel output: the frame's
+/// dhash and frame_detail, and the audio window only when asked for it (its
+/// schedule uploads audio); otherwise `audio` is left zero.
+struct ScreenCapture {
+    fp::FrameFingerprint fingerprint;
     fp::AudioWindow audio;
-    fp::VideoHash video = 0;
-    std::uint16_t detail = 0;
 };
 
 class AcrClient {
   public:
-    /// Supplies the current panel content; nullopt when the screen shows
-    /// nothing fingerprintable (should not happen while the TV is on).
-    using ScreenProvider = std::function<std::optional<ScreenSample>(SimTime)>;
+    /// Supplies the current panel content at a time, with or without its
+    /// audio window; nullopt when the screen shows nothing fingerprintable
+    /// (should not happen while the TV is on).
+    using ScreenProvider = std::function<std::optional<ScreenCapture>(SimTime, bool with_audio)>;
 
     struct Wiring {
         sim::Simulator& simulator;

@@ -163,7 +163,7 @@ void SmartTv::refresh_acr() {
     if (!powered_ || !privacy_.viewing_information_allowed()) return;
     if (acr_->running()) return;
     const AcrMode mode = acr_mode_for(config_.brand, config_.country, scenario_);
-    acr_->start([this](SimTime t) { return screen_at(t); }, mode);
+    acr_->start([this](SimTime t, bool with_audio) { return capture_at(t, with_audio); }, mode);
 }
 
 void SmartTv::refresh_voice() {
@@ -183,36 +183,48 @@ const fp::ContentStream& SmartTv::stream_for(const fp::ContentInfo& info) const 
     return *slot;
 }
 
-std::optional<ScreenSample> SmartTv::screen_at(SimTime t) const {
+std::optional<SmartTv::OnScreen> SmartTv::on_screen(SimTime t) const {
     if (!powered_) return std::nullopt;
-    const auto sample_from = [&](const fp::ContentStream& stream,
-                                 SimTime offset) -> ScreenSample {
-        const fp::FrameFingerprint fingerprint = stream.fingerprint_at(offset);
-        return ScreenSample{stream.frame_at(offset), stream.audio_at(offset), fingerprint.video,
-                            fingerprint.detail};
-    };
     switch (scenario_) {
         case Scenario::kIdle:
-            return sample_from(*home_stream_, t);
+            return OnScreen{home_stream_.get(), t};
         case Scenario::kLinear: {
             const auto playing =
                 antenna_lineup_[static_cast<std::size_t>(channel_index_)].at(t);
-            if (playing.content == nullptr) return sample_from(*home_stream_, t);
-            return sample_from(stream_for(*playing.content), playing.offset);
+            if (playing.content == nullptr) return OnScreen{home_stream_.get(), t};
+            return OnScreen{&stream_for(*playing.content), playing.offset};
         }
         case Scenario::kFast: {
             const auto playing = fast_channel_.at(t);
-            if (playing.content == nullptr) return sample_from(*home_stream_, t);
-            return sample_from(stream_for(*playing.content), playing.offset);
+            if (playing.content == nullptr) return OnScreen{home_stream_.get(), t};
+            return OnScreen{&stream_for(*playing.content), playing.offset};
         }
         case Scenario::kOtt:
-            return sample_from(stream_for(ott_content_), t);
+            return OnScreen{&stream_for(ott_content_), t};
         case Scenario::kHdmi:
-            return sample_from(*hdmi_stream_, t);
+            return OnScreen{hdmi_stream_.get(), t};
         case Scenario::kScreenCast:
-            return sample_from(*cast_stream_, t);
+            return OnScreen{cast_stream_.get(), t};
     }
     return std::nullopt;
+}
+
+std::optional<ScreenSample> SmartTv::screen_at(SimTime t) const {
+    const auto shown = on_screen(t);
+    if (!shown) return std::nullopt;
+    const fp::FrameFingerprint fingerprint = shown->stream->fingerprint_at(shown->offset);
+    return ScreenSample{shown->stream->frame_at(shown->offset),
+                        shown->stream->audio_at(shown->offset), fingerprint.video,
+                        fingerprint.detail};
+}
+
+std::optional<ScreenCapture> SmartTv::capture_at(SimTime t, bool with_audio) const {
+    const auto shown = on_screen(t);
+    if (!shown) return std::nullopt;
+    ScreenCapture capture;
+    capture.fingerprint = shown->stream->fingerprint_at(shown->offset);
+    if (with_audio) capture.audio = shown->stream->audio_at(shown->offset);
+    return capture;
 }
 
 }  // namespace tvacr::tv

@@ -22,6 +22,15 @@
 
 namespace tvacr::tv {
 
+/// The full panel output at one instant: the rendered frame and audio
+/// window, plus the frame's dhash (`video`) and frame_detail (`detail`).
+struct ScreenSample {
+    fp::Frame frame;
+    fp::AudioWindow audio;
+    fp::VideoHash video = 0;
+    std::uint16_t detail = 0;
+};
+
 class SmartTv : public sim::PoweredDevice {
   public:
     struct Config {
@@ -77,10 +86,20 @@ class SmartTv : public sim::PoweredDevice {
     [[nodiscard]] std::uint64_t device_id() const noexcept { return device_id_; }
     [[nodiscard]] std::uint64_t advertising_id() const noexcept { return advertising_id_; }
 
-    /// Current panel content, as the ACR client samples it.
+    /// Current panel content, frame included; nullopt while powered off.
     [[nodiscard]] std::optional<ScreenSample> screen_at(SimTime t) const;
+    /// What the ACR client reads per capture: the same fingerprints as
+    /// screen_at, and its audio window only when `with_audio`.
+    [[nodiscard]] std::optional<ScreenCapture> capture_at(SimTime t, bool with_audio) const;
 
   private:
+    /// The stream on screen at `t` and the offset into it.
+    struct OnScreen {
+        const fp::ContentStream* stream;
+        SimTime offset;
+    };
+    [[nodiscard]] std::optional<OnScreen> on_screen(SimTime t) const;
+
     void refresh_acr();
     void refresh_voice();
     [[nodiscard]] const fp::ContentStream& stream_for(const fp::ContentInfo& info) const;

@@ -5,6 +5,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -345,6 +348,116 @@ TEST(Stats, PercentileSpanSingleElementAndClamping) {
     std::vector<double> xs = {3, 1, 2};
     EXPECT_DOUBLE_EQ(percentile(std::span<double>(xs), -0.5), 1.0);  // clamps to q=0
     EXPECT_DOUBLE_EQ(percentile(std::span<double>(xs), 1.5), 3.0);   // clamps to q=1
+}
+
+// Reference oracle for dominant_period: the normalized autocorrelation at
+// one lag, recomputing the mean and the denominator on every call.
+double autocorrelation(std::span<const double> xs, std::size_t lag) {
+    if (xs.size() <= lag || lag == 0) return 0.0;
+    const double m = mean(xs);
+    double num = 0.0;
+    double den = 0.0;
+    for (std::size_t i = 0; i < xs.size(); ++i) {
+        const double d = xs[i] - m;
+        den += d * d;
+        if (i + lag < xs.size()) num += d * (xs[i + lag] - m);
+    }
+    // tvacr-lint: allow(no-float-equality) den is a sum of squares; exactly 0 iff all terms are 0
+    if (den == 0.0) return 0.0;
+    return num / den;
+}
+
+// The lag-at-a-time period search dominant_period must reproduce.
+std::optional<PeriodEstimate> reference_dominant_period(std::span<const double> xs,
+                                                        std::size_t min_lag,
+                                                        std::size_t max_lag, double threshold) {
+    std::optional<PeriodEstimate> best;
+    for (std::size_t lag = min_lag; lag <= max_lag && lag < xs.size(); ++lag) {
+        const double score = autocorrelation(xs, lag);
+        if (score >= threshold && (!best || score > best->score)) {
+            best = PeriodEstimate{lag, score};
+        }
+    }
+    return best;
+}
+
+void expect_same_period(std::span<const double> xs, std::size_t min_lag, std::size_t max_lag,
+                        double threshold) {
+    SCOPED_TRACE("n=" + std::to_string(xs.size()) + " lags=[" + std::to_string(min_lag) + ", " +
+                 std::to_string(max_lag) + "] threshold=" + std::to_string(threshold));
+    const auto want = reference_dominant_period(xs, min_lag, max_lag, threshold);
+    const auto got = dominant_period(xs, min_lag, max_lag, threshold);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (!want) return;
+    EXPECT_EQ(got->lag_samples, want->lag_samples);
+    EXPECT_EQ(std::memcmp(&got->score, &want->score, sizeof(double)), 0)
+        << got->score << " vs " << want->score;
+}
+
+TEST(Stats, DominantPeriodMatchesPerLagOracle) {
+    Rng rng(2024);
+    const double thresholds[] = {-1.5, -0.2, 0.0, 0.25, 0.9};
+    // Short series, including n < 4, against every small lag window.
+    for (std::size_t n = 0; n <= 40; ++n) {
+        std::vector<double> xs;
+        for (std::size_t i = 0; i < n; ++i) xs.push_back(static_cast<double>(rng.uniform(0, 5)));
+        for (std::size_t min_lag = 0; min_lag <= n + 1; min_lag += 3) {
+            for (std::size_t max_lag = min_lag; max_lag <= min_lag + 19; ++max_lag) {
+                for (const double threshold : thresholds) {
+                    expect_same_period(xs, min_lag, max_lag, threshold);
+                }
+            }
+        }
+    }
+    // Lag ranges of every width mod the block width, on a longer real-valued
+    // series with bursts.
+    std::vector<double> bursty;
+    for (int i = 0; i < 500; ++i) {
+        bursty.push_back((i % 30 < 2 ? 40.0 : 0.0) + rng.uniform01() * 3.0);
+    }
+    for (std::size_t width = 1; width <= 33; ++width) {
+        for (const double threshold : thresholds) {
+            expect_same_period(bursty, 10, 10 + width - 1, threshold);
+            expect_same_period(bursty, 0, width - 1, threshold);
+        }
+    }
+    expect_same_period(bursty, 5, 499, 0.0);
+    expect_same_period(bursty, 5, 500, 0.0);
+    expect_same_period(bursty, 480, 10'000, -1.5);
+    expect_same_period(bursty, 499, SIZE_MAX, -1.5);
+    expect_same_period(bursty, 500, SIZE_MAX, -1.5);
+    expect_same_period(bursty, 7, 3, -1.5);
+}
+
+TEST(Stats, DominantPeriodMatchesOracleOnDegenerateSeries) {
+    const std::vector<double> empty;
+    const std::vector<double> constant(64, 3.0);
+    for (const double threshold : {-1.0, 0.0, 0.25}) {
+        for (const std::size_t min_lag : {0U, 1U, 5U}) {
+            expect_same_period(empty, min_lag, 20, threshold);
+            expect_same_period(constant, min_lag, 20, threshold);
+            expect_same_period(constant, min_lag, 100, threshold);
+        }
+    }
+    // Lag 0 scores 0, so a non-positive threshold can pick it.
+    const auto zero = dominant_period(constant, 0, 20, -1.0);
+    ASSERT_TRUE(zero.has_value());
+    EXPECT_EQ(zero->lag_samples, 0U);
+}
+
+TEST(Stats, DominantPeriodMatchesOracleOnAnHourSeries) {
+    // An LG-like hour in 500 ms buckets: a burst every 15 s with noise, the
+    // lag window identify() searches (5 s to 10 min).
+    Rng rng(15);
+    std::vector<double> hour(7200, 0.0);
+    for (std::size_t i = 0; i < hour.size(); ++i) {
+        if (i % 30 == 0) hour[i] += 20.0 + static_cast<double>(rng.uniform(0, 6));
+        if (rng.uniform01() < 0.05) hour[i] += 1.0;
+    }
+    for (const double threshold : {-1.0, 0.25}) expect_same_period(hour, 10, 1200, threshold);
+    // Every window of one block's width, so each lane of a block, tail
+    // included, is the winner somewhere and its score bits are compared.
+    for (std::size_t lag = 10; lag + 7 <= 1200; ++lag) expect_same_period(hour, lag, lag + 7, -1.0);
 }
 
 TEST(Stats, AutocorrelationDetectsPeriodicSignal) {

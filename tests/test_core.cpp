@@ -6,7 +6,9 @@
 // suite fast; the benchmarks run the full-length experiments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <cstring>
 #include <set>
 
 #include "analysis/acr_detect.hpp"
@@ -15,6 +17,7 @@
 #include "core/experiment.hpp"
 #include "core/paper.hpp"
 #include "core/validation.hpp"
+#include "fp/video_fp.hpp"
 
 namespace tvacr::core {
 namespace {
@@ -86,6 +89,80 @@ TEST(TestbedTest, RotatingDomainsAllResolve) {
     Testbed bed(config);
     for (int rotation = 0; rotation < 10; ++rotation) {
         EXPECT_TRUE(bed.address_of(tv::rotated_name("tkacrX.alphonso.tv", rotation)).has_value());
+    }
+}
+
+// The testbed's library builds the audio track only for a brand whose
+// batches carry audio; the video track is the same either way.
+void expect_same_library(const fp::ContentLibrary& got, const fp::ContentLibrary& want,
+                         bool with_audio) {
+    ASSERT_EQ(got.size(), want.size());
+    for (const auto& [id, entry] : want.entries()) {
+        ASSERT_NE(got.find(id), nullptr) << id;
+        const auto hashes = got.reference_hashes(id);
+        EXPECT_TRUE(std::equal(hashes.begin(), hashes.end(), entry.hashes.begin(),
+                               entry.hashes.end()))
+            << id;
+        const auto audio = got.reference_audio(id);
+        if (with_audio) {
+            EXPECT_FALSE(audio.empty()) << id;
+            EXPECT_TRUE(
+                std::equal(audio.begin(), audio.end(), entry.audio.begin(), entry.audio.end()))
+                << id;
+        } else {
+            EXPECT_TRUE(audio.empty()) << id;
+        }
+    }
+}
+
+TEST(TestbedTest, LibraryIndexesAudioOnlyForAudioBrands) {
+    for (const tv::Brand brand : {tv::Brand::kLg, tv::Brand::kSamsung}) {
+        SCOPED_TRACE(tv::to_string(brand));
+        TestbedConfig config;
+        config.brand = brand;
+        const Testbed bed(config);
+        fp::ContentLibrary direct(fp::ContentLibrary::Audio::kIndexed);
+        for (const auto& info : fp::builtin_catalog(derive_seed(config.seed, 0x11B))) {
+            direct.add(info);
+        }
+        expect_same_library(bed.library(), direct, tv::acr_schedule(brand).has_audio);
+    }
+    EXPECT_FALSE(tv::acr_schedule(tv::Brand::kLg).has_audio);
+    EXPECT_TRUE(tv::acr_schedule(tv::Brand::kSamsung).has_audio);
+}
+
+TEST(TestbedTest, ScreenSampleAndCaptureAgreeInEveryScenario) {
+    const fp::AudioWindow silence{};
+    for (const tv::Brand brand : {tv::Brand::kLg, tv::Brand::kSamsung}) {
+        TestbedConfig config;
+        config.brand = brand;
+        Testbed bed(config);
+        auto& tv = bed.tv();
+        tv.power_on();
+        for (const tv::Scenario scenario :
+             {tv::Scenario::kIdle, tv::Scenario::kLinear, tv::Scenario::kFast,
+              tv::Scenario::kOtt, tv::Scenario::kHdmi, tv::Scenario::kScreenCast}) {
+            SCOPED_TRACE(tv::to_string(brand) + " " + tv::to_string(scenario));
+            tv.set_scenario(scenario);
+            for (std::int64_t ms = 0; ms < 30 * 60 * 1000; ms += 9'970) {
+                const SimTime t = SimTime::millis(ms);
+                const auto sample = tv.screen_at(t);
+                const auto capture = tv.capture_at(t, /*with_audio=*/true);
+                const auto video_only = tv.capture_at(t, /*with_audio=*/false);
+                ASSERT_TRUE(sample && capture && video_only);
+                EXPECT_EQ(fp::dhash(sample->frame), sample->video) << ms;
+                EXPECT_EQ(fp::frame_detail(sample->frame), sample->detail) << ms;
+                EXPECT_EQ(capture->fingerprint.video, sample->video) << ms;
+                EXPECT_EQ(capture->fingerprint.detail, sample->detail) << ms;
+                EXPECT_EQ(std::memcmp(&capture->audio, &sample->audio, sizeof(silence)), 0) << ms;
+                EXPECT_EQ(video_only->fingerprint.video, sample->video) << ms;
+                EXPECT_EQ(video_only->fingerprint.detail, sample->detail) << ms;
+                EXPECT_EQ(std::memcmp(&video_only->audio, &silence, sizeof(silence)), 0) << ms;
+            }
+        }
+        tv.power_off();
+        EXPECT_FALSE(tv.screen_at(SimTime::minutes(1)).has_value());
+        EXPECT_FALSE(tv.capture_at(SimTime::minutes(1), true).has_value());
     }
 }
 

@@ -462,7 +462,7 @@ TEST(BatchTest, EmptyBatchRoundTrips) {
 // ---------------------------------------------------------- library/matcher
 
 struct MatcherFixture : ::testing::Test {
-    ContentLibrary library;
+    ContentLibrary library{ContentLibrary::Audio::kIndexed};
     std::vector<ContentInfo> catalog = builtin_catalog(/*seed=*/555);
 
     void SetUp() override {
@@ -710,7 +710,7 @@ TEST(MatcherTieBreakTest, EqualVotesPreferLowestContentId) {
     // regardless of hash-map layout — registration order is deliberately
     // high-id-first. (The pre-fix matcher answered whichever entry the
     // unordered container happened to surface.)
-    ContentLibrary library;
+    ContentLibrary library{ContentLibrary::Audio::kIndexed};
     ContentInfo twin = single_content_info();
     twin.id = 300;
     library.add(twin);
@@ -739,7 +739,7 @@ TEST(MatcherTieBreakTest, EqualVotesPreferEarliestAlignmentBucket) {
     // two votes each: records 0/1 claim a session starting at step `a`,
     // records 2/3 one starting 32 s later (four 8 s buckets away). The tie
     // must resolve to the earliest bucket, deterministically.
-    ContentLibrary library;
+    ContentLibrary library{ContentLibrary::Audio::kIndexed};
     const ContentInfo info = single_content_info();
     library.add(info);
     const auto track = library.reference_hashes(info.id);
@@ -792,7 +792,7 @@ TEST(MatcherEdgeTest, MinDistinctEvidenceBoundary) {
     // A batch dwelling on one scene: many votes, one distinct hash. The
     // default gate (2) rejects it; relaxing the gate to 1 on the same batch
     // accepts it — so the distinct-evidence counter is what decides.
-    ContentLibrary library;
+    ContentLibrary library{ContentLibrary::Audio::kIndexed};
     const ContentInfo info = single_content_info();
     library.add(info);
     const auto track = library.reference_hashes(info.id);

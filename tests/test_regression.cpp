@@ -17,8 +17,10 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "analysis/acr_detect.hpp"
 #include "core/campaign.hpp"
 #include "core/export.hpp"
 #include "core/paper.hpp"
@@ -27,7 +29,7 @@
 namespace tvacr::core {
 namespace {
 
-double hourly_kb(tv::Brand brand, const std::string& domain) {
+ExperimentSpec uk_linear_hour(tv::Brand brand) {
     ExperimentSpec spec;
     spec.brand = brand;
     spec.country = tv::Country::kUk;
@@ -35,7 +37,11 @@ double hourly_kb(tv::Brand brand, const std::string& domain) {
     spec.phase = tv::Phase::kLInOIn;
     spec.duration = SimTime::hours(1);
     spec.seed = 2024;
-    const auto trace = trace_of(ExperimentRunner::run(spec));
+    return spec;
+}
+
+double hourly_kb(tv::Brand brand, const std::string& domain) {
+    const auto trace = trace_of(ExperimentRunner::run(uk_linear_hour(brand)));
     const auto it = trace.kb_per_domain.find(domain);
     return it == trace.kb_per_domain.end() ? 0.0 : it->second;
 }
@@ -57,6 +63,50 @@ TEST(CalibrationRegression, SamsungLinearHourMatchesTable2) {
     EXPECT_GT(measured, paper / 2.0);
     EXPECT_LT(measured, paper * 2.0);
     EXPECT_NEAR(measured / paper, 1.0, 0.20);
+}
+
+/// identify()'s dominant period of every contacted domain, in seconds.
+std::map<std::string, double> hourly_periods(tv::Brand brand) {
+    const ExperimentSpec spec = uk_linear_hour(brand);
+    const auto result = ExperimentRunner::run(spec);
+    std::map<std::string, double> periods;
+    for (const auto& finding :
+         analysis::AcrDomainIdentifier().identify(result.analyze(), nullptr, spec.duration)) {
+        periods[finding.domain] = finding.period_seconds;
+    }
+    return periods;
+}
+
+// No golden or report gates period_seconds, so these pin it per domain. A
+// change to the period search or to burst timing has to update them. For the
+// ACR channels the search lands on a small multiple of the upload cadence
+// (LG 15 s, Samsung 60 s), not on the cadence itself.
+TEST(CalibrationRegression, LgLinearHourPeriodsArePinned) {
+    const std::map<std::string, double> expected = {
+        {"aic-common.lgthinq.com", 0.0}, {"eu-acr5.alphonso.tv", 30.5},
+        {"lgappstv.com", 0.0},           {"lgtvsdp.com", 0.0},
+        {"ngfts.lge.com", 0.0},          {"ntp.lge.com", 0.0},
+        {"snu.lge.com", 0.0},            {"unresolved:9.9.9.9", 0.0},
+        {"us.info.lgsmartad.com", 0.0},
+    };
+    EXPECT_EQ(hourly_periods(tv::Brand::kLg), expected);
+}
+
+TEST(CalibrationRegression, SamsungLinearHourPeriodsArePinned) {
+    const std::map<std::string, double> expected = {
+        {"acr-eu-prd.samsungcloud.tv", 180.5},
+        {"acr0.samsungcloudsolution.com", 240.0},
+        {"art.samsungcloud.tv", 0.0},
+        {"config.samsungads.com", 0.0},
+        {"log-config.samsungacr.com", 0.0},
+        {"log-ingestion-eu.samsungacr.com", 30.5},
+        {"samsungads.com", 0.0},
+        {"samsungcloudsolution.net", 0.0},
+        {"samsungotn.net", 0.0},
+        {"time.samsungcloudsolution.com", 0.0},
+        {"unresolved:9.9.9.9", 0.0},
+    };
+    EXPECT_EQ(hourly_periods(tv::Brand::kSamsung), expected);
 }
 
 // ------------------------------------------------------------ golden traces
