@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: frame synthesis,
-// perceptual hashing, capture fingerprints, the audio filter bank, the
-// traffic period search, batch codecs, the match server, DNS and pcap
-// codecs, and raw simulator event throughput.
+// perceptual hashing, capture fingerprints, reference tracks, the audio
+// filter bank, the traffic period search, batch codecs, the match server,
+// DNS and pcap codecs, and raw simulator event throughput.
 #include <benchmark/benchmark.h>
 
 #include <sstream>
@@ -53,8 +53,8 @@ void BM_CaptureStep(benchmark::State& state) {
 BENCHMARK(BM_CaptureStep);
 
 void BM_FingerprintAt(benchmark::State& state) {
-    // The client's capture cost: the same fingerprints as BM_CaptureStep,
-    // patched from the scene's cached sums and hash state.
+    // The LG client's capture cost: the same fingerprints as
+    // BM_CaptureStep, read every 10 ms, so eight frames per read-ahead pass.
     const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
     std::int64_t t = 0;
     for (auto _ : state) {
@@ -63,6 +63,31 @@ void BM_FingerprintAt(benchmark::State& state) {
     }
 }
 BENCHMARK(BM_FingerprintAt);
+
+void BM_FingerprintAtScattered(benchmark::State& state) {
+    // Samsung's 500 ms capture cadence: no read is the frame after the
+    // last, so every capture takes the single-frame path.
+    const auto live = fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast);
+    const fp::ContentStream stream(1, live);
+    std::int64_t t = 0;
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stream.fingerprint_at(SimTime::millis(t)));
+        t += 500;
+    }
+}
+BENCHMARK(BM_FingerprintAtScattered);
+
+void BM_ReferenceTrack(benchmark::State& state) {
+    // One 30-minute catalog entry's reference track (Cartoon Block), video
+    // only, as an audio-less brand's library builds it.
+    const fp::ContentInfo info = fp::builtin_catalog(1)[4];
+    for (auto _ : state) {
+        fp::ContentLibrary library(fp::ContentLibrary::Audio::kNone);
+        library.add(info);
+        benchmark::DoNotOptimize(library.size());
+    }
+}
+BENCHMARK(BM_ReferenceTrack)->Unit(benchmark::kMicrosecond);
 
 void BM_DominantPeriodHour(benchmark::State& state) {
     // identify()'s period search on one domain of an hour: 7,200 500 ms

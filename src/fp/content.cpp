@@ -17,6 +17,13 @@ std::uint32_t fnv1a(std::uint32_t h, std::uint8_t pixel) { return (h ^ pixel) * 
 
 std::uint16_t fold_detail(std::uint32_t h) { return static_cast<std::uint16_t>(h ^ (h >> 16)); }
 
+// Motion is drawn once per 10 ms frame.
+constexpr std::int64_t kFrameMillis = 10;
+
+std::uint64_t frame_index_at(SimTime t) {
+    return static_cast<std::uint64_t>(t.as_millis() / kFrameMillis);
+}
+
 }  // namespace
 
 std::string to_string(ContentKind kind) {
@@ -123,27 +130,32 @@ bool ContentStream::dhash_bit(const CellSums& sum, int bit) const {
     return mean(gx, gy) < mean(gx + 1, gy);
 }
 
-const ContentStream::Basis& ContentStream::basis_at(SimTime t) const {
-    const std::size_t scene = scene_index_at(t);
-    if (basis_.scene == scene) return basis_;
+ContentStream::Basis& ContentStream::basis_of(std::size_t scene) const {
     Basis& basis = basis_;
+    if (basis.scene == scene) return basis;
     basis.scene = scene;
     basis.scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
     basis.is_static = scene_is_static(scene);
+    basis.fnv.clear();
+    basis.lanes.clear();
 
+    // Coarse 4x4 blocks give the frame spatial structure a perceptual hash
+    // keys on; the fine per-pixel term adds texture.
     Frame frame = make_frame(width_, height_);
-    for (int y = 0; y < height_; ++y) {
-        for (int x = 0; x < width_; ++x) {
-            // Coarse blocks give the frame spatial structure a perceptual
-            // hash keys on; the fine term adds texture.
+    for (int by = 0; by * 4 < height_; ++by) {
+        for (int bx = 0; bx * 4 < width_; ++bx) {
             const std::uint64_t block =
-                splitmix64(basis.scene_seed ^ (static_cast<std::uint64_t>(x / 4) << 16) ^
-                           static_cast<std::uint64_t>(y / 4));
-            const std::uint64_t fine =
-                splitmix64(basis.scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
-                           (static_cast<std::uint64_t>(y) << 8) ^ 1);
-            frame.at(x, y) =
-                static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+                splitmix64(basis.scene_seed ^ (static_cast<std::uint64_t>(bx) << 16) ^
+                           static_cast<std::uint64_t>(by));
+            for (int y = by * 4; y < std::min(by * 4 + 4, height_); ++y) {
+                for (int x = bx * 4; x < std::min(bx * 4 + 4, width_); ++x) {
+                    const std::uint64_t fine =
+                        splitmix64(basis.scene_seed ^ (static_cast<std::uint64_t>(x) << 20) ^
+                                   (static_cast<std::uint64_t>(y) << 8) ^ 1);
+                    frame.at(x, y) =
+                        static_cast<std::uint8_t>(((block & 0xFF) * 3 + (fine & 0xFF)) / 4);
+                }
+            }
         }
     }
     for (std::size_t gy = 0; gy < kGridH; ++gy) {
@@ -160,22 +172,17 @@ const ContentStream::Basis& ContentStream::basis_at(SimTime t) const {
         if (dhash_bit(basis.cell_sum, bit)) basis.video |= 1ULL << bit;
     }
     basis.luma = std::move(frame.luma);
-    basis.fnv.resize(basis.luma.size() + 1);
-    basis.fnv[0] = kFnvOffset;
-    for (std::size_t i = 0; i < basis.luma.size(); ++i) {
-        basis.fnv[i + 1] = fnv1a(basis.fnv[i], basis.luma[i]);
-    }
     return basis;
 }
 
-ContentStream::Motion ContentStream::motion_at(const Basis& basis, SimTime t) const {
+ContentStream::Motion ContentStream::motion_at(const Basis& basis,
+                                               std::uint64_t frame_index) const {
     // Motion: within non-static scenes, most frames get a handful of
     // deterministic pixel perturbations, so consecutive hashes differ
     // slightly (as real video does) while staying within matching distance
     // of the scene's reference hash.
     Motion motion;
     if (basis.is_static) return motion;
-    const std::uint64_t frame_index = static_cast<std::uint64_t>(t.as_millis() / 10);
     const std::uint64_t motion_seed = splitmix64(basis.scene_seed ^ frame_index ^ 0x4070104Eu);
     const double gate = static_cast<double>(splitmix64(motion_seed) >> 11) * 0x1.0p-53;
     if (gate < dynamics_.motion_rate) {
@@ -202,23 +209,20 @@ ContentStream::Motion ContentStream::motion_at(const Basis& basis, SimTime t) co
 }
 
 Frame ContentStream::frame_at(SimTime t) const {
-    const Basis& basis = basis_at(t);
+    const Basis& basis = basis_of(scene_index_at(t));
     Frame frame{width_, height_, basis.luma};
-    const Motion motion = motion_at(basis, t);
+    const Motion motion = motion_at(basis, frame_index_at(t));
     for (std::size_t k = 0; k < motion.count; ++k) {
         frame.luma[motion.edits[k].index] = motion.edits[k].after;
     }
     return frame;
 }
 
-FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
-    const Basis& basis = basis_at(t);
-    const Motion motion = motion_at(basis, t);
-    if (motion.count == 0) return {basis.video, fold_detail(basis.fnv.back())};
-
-    // dhash: move the sums of the cells that contain each edited pixel
-    // (several, on frames narrower than the grid), then redo the
-    // comparison bits that read those cells.
+VideoHash ContentStream::video_of(const Basis& basis, const Motion& motion) const {
+    // Move the sums of the cells that contain each edited pixel (several,
+    // on frames narrower than the grid), then redo the comparison bits that
+    // read those cells.
+    if (motion.count == 0) return basis.video;
     CellSums sum = basis.cell_sum;
     std::uint64_t dirty = 0;
     for (std::size_t k = 0; k < motion.count; ++k) {
@@ -239,6 +243,38 @@ FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
         const int bit = std::countr_zero(dirty);
         video = (video & ~(1ULL << bit)) | (VideoHash{dhash_bit(sum, bit)} << bit);
     }
+    return video;
+}
+
+VideoHash ContentStream::video_at(SimTime t) const {
+    const Basis& basis = basis_of(scene_index_at(t));
+    return video_of(basis, motion_at(basis, frame_index_at(t)));
+}
+
+FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
+    const std::size_t scene = scene_index_at(t);
+    const std::uint64_t frame = frame_index_at(t);
+    const bool sequential = scene == last_scene_ && frame == last_frame_ + 1;
+    last_scene_ = scene;
+    last_frame_ = frame;
+    if (ahead_.scene == scene && frame - ahead_.first < ahead_.count) {
+        return ahead_.fingerprints[frame - ahead_.first];
+    }
+    Basis& basis = basis_of(scene);
+    if (basis.fnv.empty()) {
+        basis.fnv.resize(basis.luma.size() + 1);
+        basis.fnv[0] = kFnvOffset;
+        for (std::size_t i = 0; i < basis.luma.size(); ++i) {
+            basis.fnv[i + 1] = fnv1a(basis.fnv[i], basis.luma[i]);
+        }
+    }
+    if (sequential && !basis.is_static) {
+        read_ahead(basis, frame);
+        return ahead_.fingerprints[0];
+    }
+
+    const Motion motion = motion_at(basis, frame);
+    if (motion.count == 0) return {basis.video, fold_detail(basis.fnv.back())};
 
     // frame_detail: resume FNV-1a from the first edited pixel. When both
     // edits hit one pixel, the later edit holds its final value.
@@ -254,7 +290,54 @@ FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
         next = order[k].index + 1;
     }
     for (; next < luma.size(); ++next) h = fnv1a(h, luma[next]);
-    return {video, fold_detail(h)};
+    return {video_of(basis, motion), fold_detail(h)};
+}
+
+void ContentStream::read_ahead(Basis& basis, std::uint64_t first) const {
+    // Up to the last frame that starts before the scene ends.
+    std::size_t count = 1;
+    while (count < kLanes &&
+           SimTime::millis(kFrameMillis * static_cast<std::int64_t>(first + count)) <
+               scene_ends_[basis.scene]) {
+        ++count;
+    }
+    const std::size_t pixels = basis.luma.size();
+    if (basis.lanes.empty()) {
+        for (const std::uint8_t pixel : basis.luma) {
+            basis.lanes.insert(basis.lanes.end(), kLanes, pixel);
+        }
+    }
+    // Patch each lane with its frame's edits (a second edit of one pixel
+    // overwrites the first with its final value).
+    std::array<Motion, kLanes> motions{};
+    std::size_t start = pixels;
+    for (std::size_t k = 0; k < count; ++k) {
+        motions[k] = motion_at(basis, first + k);
+        for (std::size_t e = 0; e < motions[k].count; ++e) {
+            const PixelEdit& edit = motions[k].edits[e];
+            basis.lanes[edit.index * kLanes + k] = edit.after;
+            start = std::min(start, edit.index);
+        }
+    }
+    // Every lane resumes FNV-1a at the earliest edit of any lane. A lane
+    // whose first edit comes later reads unedited pixels up to it, which is
+    // exactly the prefix state fnv[] holds there. The lanes are independent
+    // chains, so the loop runs at multiply throughput, not latency.
+    std::array<std::uint32_t, kLanes> h{};
+    h.fill(basis.fnv[start]);
+    for (std::size_t i = start; i < pixels; ++i) {
+        for (std::size_t k = 0; k < kLanes; ++k) h[k] = fnv1a(h[k], basis.lanes[i * kLanes + k]);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+        for (std::size_t e = 0; e < motions[k].count; ++e) {
+            const std::size_t index = motions[k].edits[e].index;
+            basis.lanes[index * kLanes + k] = basis.luma[index];
+        }
+        ahead_.fingerprints[k] = {video_of(basis, motions[k]), fold_detail(h[k])};
+    }
+    ahead_.scene = basis.scene;
+    ahead_.first = first;
+    ahead_.count = count;
 }
 
 SimTime ContentStream::scene_start(std::size_t scene_index) const {

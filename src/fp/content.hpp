@@ -60,11 +60,14 @@ struct FrameFingerprint {
 /// (seed, time), so the client and the reference library agree bit-for-bit.
 ///
 /// A frame is its scene's base plane plus at most two motion edits. The
-/// stream caches the current scene's plane with its dhash cell sums and
-/// FNV-1a prefix states, so synthesis runs once per scene and each frame
-/// costs only its edits. Any read order is correct; reading in time order
-/// (as the ACR client and the library do) is what makes the cache hit. A
-/// stream is not safe to share across threads.
+/// stream caches the current scene's plane with its dhash cell sums (and,
+/// once fingerprint_at reads the scene, its FNV-1a prefix states), so
+/// synthesis runs once per scene and each frame costs only its edits. A
+/// fingerprint_at that reads the frame after the previous call's, in the
+/// same moving scene, fingerprints the next kLanes frames in one pass and
+/// keeps them for the reads that follow. Any read order is correct; reading
+/// in time order (as the ACR client and the library do) is what makes the
+/// caches hit. A stream is not safe to share across threads.
 class ContentStream {
   public:
     ContentStream(std::uint64_t seed, ContentDynamics dynamics, int width = 36, int height = 16);
@@ -74,6 +77,8 @@ class ContentStream {
     /// Equals {dhash(frame_at(t)), frame_detail(frame_at(t))}, computed by
     /// patching the scene's cached sums and hash state with the edits.
     [[nodiscard]] FrameFingerprint fingerprint_at(SimTime t) const;
+    /// Equals fingerprint_at(t).video, without hashing the frame's detail.
+    [[nodiscard]] VideoHash video_at(SimTime t) const;
 
     /// Index of the scene containing `t` (scene boundaries are part of the
     /// deterministic schedule).
@@ -90,6 +95,9 @@ class ContentStream {
   private:
     static constexpr std::size_t kGridW = 9;  // dhash downsample grid
     static constexpr std::size_t kGridH = 8;
+    /// Frames fingerprinted side by side by one sequential read-ahead pass.
+    static constexpr std::size_t kLanes = 8;
+    static constexpr std::size_t kNoScene = static_cast<std::size_t>(-1);
     using CellSums = std::array<int, kGridW * kGridH>;
     /// A downsample cell's pixel range along one axis: [begin, end).
     struct Span {
@@ -101,7 +109,7 @@ class ContentStream {
 
     /// Everything about a scene that does not depend on the frame index.
     struct Basis {
-        std::size_t scene = static_cast<std::size_t>(-1);
+        std::size_t scene = kNoScene;
         std::uint64_t scene_seed = 0;
         bool is_static = false;
         /// The scene's frame before motion, row-major.
@@ -109,8 +117,12 @@ class ContentStream {
         /// Pixel sums of dhash's downsample cells over `luma`, and the hash.
         CellSums cell_sum{};
         VideoHash video = 0;
-        /// fnv[i]: frame_detail's FNV-1a state before pixel i.
+        /// fnv[i]: frame_detail's FNV-1a state before pixel i. Empty until
+        /// the scene's first fingerprint_at.
         std::vector<std::uint32_t> fnv;
+        /// lanes[i * kLanes + k] == luma[i]: one copy of the plane per
+        /// read-ahead lane. Empty until the scene's first read-ahead.
+        std::vector<std::uint8_t> lanes;
     };
     /// One motion perturbation; a second edit of the same pixel starts
     /// from the first edit's value.
@@ -125,12 +137,24 @@ class ContentStream {
         std::size_t count = 0;
         std::array<PixelEdit, 2> edits{};
     };
+    /// Fingerprints of frames [first, first + count) of one scene.
+    struct ReadAhead {
+        std::size_t scene = kNoScene;
+        std::uint64_t first = 0;
+        std::size_t count = 0;
+        std::array<FrameFingerprint, kLanes> fingerprints{};
+    };
 
     /// Extends the cached scene schedule to cover `t`.
     void ensure_schedule(SimTime t) const;
-    /// The basis of the scene containing `t`, rebuilt on a scene change.
-    const Basis& basis_at(SimTime t) const;
-    [[nodiscard]] Motion motion_at(const Basis& basis, SimTime t) const;
+    /// The basis of `scene`, rebuilt when it is not the cached one.
+    Basis& basis_of(std::size_t scene) const;
+    [[nodiscard]] Motion motion_at(const Basis& basis, std::uint64_t frame_index) const;
+    /// dhash of the basis frame with `motion` applied.
+    [[nodiscard]] VideoHash video_of(const Basis& basis, const Motion& motion) const;
+    /// Fills ahead_ with frames first, first + 1, ... of the basis scene:
+    /// kLanes of them, or fewer where the scene ends.
+    void read_ahead(Basis& basis, std::uint64_t first) const;
     /// dhash bit `bit` (left cell < right cell) computed from cell sums.
     [[nodiscard]] bool dhash_bit(const CellSums& sum, int bit) const;
 
@@ -147,6 +171,10 @@ class ContentStream {
     std::array<Span, kGridW> cell_x_{};
     std::array<Span, kGridH> cell_y_{};
     mutable Basis basis_;
+    mutable ReadAhead ahead_;
+    // The (scene, frame index) the last fingerprint_at read.
+    mutable std::size_t last_scene_ = kNoScene;
+    mutable std::uint64_t last_frame_ = 0;
 };
 
 /// Catalog entry for the ACR backend's reference library.

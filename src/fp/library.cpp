@@ -12,7 +12,7 @@ void ContentLibrary::add(const ContentInfo& info) {
     if (with_audio) entry.audio.reserve(static_cast<std::size_t>(steps));
     for (std::int64_t step = 0; step < steps; ++step) {
         const SimTime t = kReferencePeriod * step;
-        entry.hashes.push_back(stream.fingerprint_at(t).video);
+        entry.hashes.push_back(stream.video_at(t));
         if (with_audio) entry.audio.push_back(audio_hash(stream.audio_at(t)));
     }
     entries_[info.id] = std::move(entry);

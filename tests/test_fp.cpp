@@ -6,6 +6,7 @@
 #include <array>
 #include <bit>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -138,6 +139,12 @@ void expect_fingerprints_match(ContentKind kind, std::uint64_t seed, int width, 
     }
 }
 
+std::string kind_name(const ::testing::TestParamInfo<ContentKind>& info) {
+    std::string name = to_string(info.param);
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+}
+
 class FingerprintSweep : public ::testing::TestWithParam<ContentKind> {};
 
 TEST_P(FingerprintSweep, MatchesReferenceOverAnHour) {
@@ -169,14 +176,7 @@ TEST_P(FingerprintSweep, FrameAtMatchesPerPixelSynthesis) {
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllKinds, FingerprintSweep, ::testing::ValuesIn(kAllKinds),
-                         [](const ::testing::TestParamInfo<ContentKind>& info) {
-                             std::string name = to_string(info.param);
-                             for (char& c : name) {
-                                 if (c == '-') c = '_';
-                             }
-                             return name;
-                         });
+INSTANTIATE_TEST_SUITE_P(AllKinds, FingerprintSweep, ::testing::ValuesIn(kAllKinds), kind_name);
 
 TEST(FingerprintAtTest, RandomAccessMatchesReference) {
     // The scene cache is keyed on the scene, not on reading in time order.
@@ -268,6 +268,167 @@ TEST(FingerprintAtTest, EditWrapsPast255) {
         const auto times = frames_where(stream, SimTime::minutes(5), wrapped);
         EXPECT_FALSE(times.empty()) << width << "x" << height;
         expect_fingerprints_at(stream, times);
+    }
+}
+
+// ------------------------------------------------ read-ahead and video_at
+
+constexpr std::pair<int, int> kFrameSizes[] = {{36, 16}, {8, 4}, {37, 17}};
+
+/// Reads `times` in order through fingerprint_at of `fast` and checks each
+/// against dhash/frame_detail of frame_at from a separate stream.
+void expect_reads_match(const ContentStream& fast, const std::vector<SimTime>& times) {
+    const ContentStream frames(fast.seed(), fast.dynamics(), fast.width(), fast.height());
+    for (std::size_t i = 0; i < times.size(); ++i) {
+        const SimTime t = times[i];
+        const FrameFingerprint got = fast.fingerprint_at(t);
+        const Frame frame = frames.frame_at(t);
+        ASSERT_EQ(got.video, dhash(frame)) << fast.width() << "x" << fast.height() << " read "
+                                           << i << " t=" << t.as_micros() << "us";
+        ASSERT_EQ(got.detail, frame_detail(frame)) << fast.width() << "x" << fast.height()
+                                                   << " read " << i << " t=" << t.as_micros()
+                                                   << "us";
+    }
+}
+
+/// Runs `reads(stream)` for every frame size and sweep seed of `kind`.
+template <typename Reads>
+void expect_pattern_matches(ContentKind kind, Reads reads) {
+    for (const auto& [width, height] : kFrameSizes) {
+        for (const std::uint64_t seed : kSweepSeeds) {
+            const ContentStream stream(seed, ContentDynamics::for_kind(kind), width, height);
+            const std::vector<SimTime> times = reads(stream);
+            ASSERT_FALSE(times.empty());
+            expect_reads_match(stream, times);
+            if (::testing::Test::HasFatalFailure()) return;
+        }
+    }
+}
+
+/// The span of `n` 10 ms capture frames.
+SimTime in_frames(std::int64_t n) { return SimTime::millis(10 * n); }
+
+class ReadAheadSweep : public ::testing::TestWithParam<ContentKind> {};
+
+TEST_P(ReadAheadSweep, JumpBackIntoComputedBlock) {
+    // Frame offsets from a start: a sequential run computes the block of
+    // frames 1..8, then reads jump back into it, skip past it, return to
+    // it and run on into the next block.
+    constexpr int kOffsets[] = {0, 1, 2, 3, 4, 5, 2, 3, 9, 4, 5, 6, 7, 8, 9, 10, 1, 0, 1, 2, 3};
+    expect_pattern_matches(GetParam(), [&](const ContentStream&) {
+        std::vector<SimTime> times;
+        for (SimTime start = SimTime::millis(4); start < SimTime::minutes(5);
+             start += SimTime::millis(7310)) {
+            for (const int offset : kOffsets) times.push_back(start + in_frames(offset));
+        }
+        return times;
+    });
+}
+
+TEST_P(ReadAheadSweep, InterleavedSequentialReaders) {
+    // Channel flipping: two sequential readers take turns on one stream,
+    // three frames a turn. One leads by 37 s, one by 4 frames (inside the
+    // other's block).
+    expect_pattern_matches(GetParam(), [](const ContentStream&) {
+        std::vector<SimTime> times;
+        for (const SimTime lead : {SimTime::millis(37'003), in_frames(4)}) {
+            for (SimTime t = SimTime::seconds(60); t < SimTime::seconds(90); t += in_frames(3)) {
+                for (const SimTime reader : {t, t + lead}) {
+                    for (std::int64_t k = 0; k < 3; ++k) times.push_back(reader + in_frames(k));
+                }
+            }
+        }
+        return times;
+    });
+}
+
+TEST_P(ReadAheadSweep, RepeatedAndSubFrameReads) {
+    expect_pattern_matches(GetParam(), [](const ContentStream&) {
+        std::vector<SimTime> times;
+        for (SimTime t; t < SimTime::seconds(40); t += in_frames(1)) {
+            times.push_back(t);
+            times.push_back(t);
+            times.push_back(t + SimTime::millis(3));
+        }
+        return times;
+    });
+}
+
+TEST_P(ReadAheadSweep, BlocksStopAtSceneEnd) {
+    // Sequential runs that start a few frames before a scene ends, at
+    // every phase of the 10 ms frame, and a 1 ms walk across the end (the
+    // frame that straddles it belongs to two scenes).
+    expect_pattern_matches(GetParam(), [](const ContentStream& stream) {
+        std::vector<SimTime> times;
+        for (std::size_t scene = 1; scene <= 12; ++scene) {
+            const SimTime end = stream.scene_start(scene);
+            for (std::int64_t lead = 1; lead <= 9; ++lead) {
+                const SimTime from = end - in_frames(lead) - SimTime::micros(1'100 * lead);
+                for (std::int64_t k = 0; k < 12; ++k) times.push_back(from + in_frames(k));
+            }
+            for (SimTime t = end - SimTime::millis(25); t < end + SimTime::millis(25);
+                 t += SimTime::millis(1)) {
+                times.push_back(t);
+            }
+        }
+        return times;
+    });
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, ReadAheadSweep, ::testing::ValuesIn(kAllKinds), kind_name);
+
+TEST(ReadAheadTest, StaticScenes) {
+    // Static scenes take the single-frame path even when read in order.
+    for (const ContentKind kind : {ContentKind::kHomeScreen, ContentKind::kHdmiDesktop}) {
+        expect_pattern_matches(kind, [](const ContentStream& stream) {
+            std::vector<SimTime> times;
+            std::size_t in_static = 0;
+            for (SimTime t; t < SimTime::minutes(3); t += in_frames(1)) {
+                times.push_back(t);
+                in_static += stream.scene_is_static(stream.scene_index_at(t)) ? 1 : 0;
+            }
+            EXPECT_GT(in_static, 0U);
+            return times;
+        });
+    }
+}
+
+class VideoAtSweep : public ::testing::TestWithParam<ContentKind> {};
+
+TEST_P(VideoAtSweep, EqualsFingerprintVideo) {
+    // video_at leaves the scene's FNV prefix unbuilt; the fingerprint_at
+    // that follows it in the same scene builds it.
+    for (const auto& [width, height] : kFrameSizes) {
+        const auto dynamics = ContentDynamics::for_kind(GetParam());
+        const ContentStream stream(kSweepSeeds[1], dynamics, width, height);
+        const ContentStream frames(kSweepSeeds[1], dynamics, width, height);
+        for (SimTime t; t < SimTime::minutes(10); t += SimTime::millis(70)) {
+            const Frame frame = frames.frame_at(t);
+            ASSERT_EQ(stream.video_at(t), dhash(frame))
+                << width << "x" << height << " t=" << t.as_millis() << "ms";
+            const FrameFingerprint got = stream.fingerprint_at(t);
+            ASSERT_EQ(got.video, dhash(frame));
+            ASSERT_EQ(got.detail, frame_detail(frame));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllKinds, VideoAtSweep, ::testing::ValuesIn(kAllKinds), kind_name);
+
+TEST(VideoAtTest, ReferenceTrackIsTheFingerprintVideoTrack) {
+    ContentLibrary library(ContentLibrary::Audio::kNone);
+    const std::vector<ContentInfo> catalog = builtin_catalog(2024);
+    for (const ContentInfo& info : catalog) library.add(info);
+    for (const ContentInfo& info : catalog) {
+        const ContentStream stream(info.seed, info.dynamics);
+        const std::span<const VideoHash> track = library.reference_hashes(info.id);
+        ASSERT_EQ(static_cast<std::int64_t>(track.size()),
+                  info.duration / ContentLibrary::kReferencePeriod);
+        for (std::size_t step = 0; step < track.size(); ++step) {
+            const SimTime t = ContentLibrary::kReferencePeriod * static_cast<std::int64_t>(step);
+            ASSERT_EQ(track[step], stream.fingerprint_at(t).video)
+                << info.title << " step " << step;
+        }
     }
 }
 
