@@ -65,8 +65,8 @@ void BM_FingerprintAt(benchmark::State& state) {
 BENCHMARK(BM_FingerprintAt);
 
 void BM_FingerprintAtScattered(benchmark::State& state) {
-    // Samsung's 500 ms capture cadence: no read is the frame after the
-    // last, so every capture takes the single-frame path.
+    // Samsung's 500 ms capture cadence: every capture misses the block,
+    // so each pays a read-ahead pass and reads one of its eight frames.
     const auto live = fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast);
     const fp::ContentStream stream(1, live);
     std::int64_t t = 0;

@@ -137,7 +137,6 @@ ContentStream::Basis& ContentStream::basis_of(std::size_t scene) const {
     basis.scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
     basis.is_static = scene_is_static(scene);
     basis.fnv.clear();
-    basis.lanes.clear();
 
     // Coarse 4x4 blocks give the frame spatial structure a perceptual hash
     // keys on; the fine per-pixel term adds texture.
@@ -254,9 +253,6 @@ VideoHash ContentStream::video_at(SimTime t) const {
 FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
     const std::size_t scene = scene_index_at(t);
     const std::uint64_t frame = frame_index_at(t);
-    const bool sequential = scene == last_scene_ && frame == last_frame_ + 1;
-    last_scene_ = scene;
-    last_frame_ = frame;
     if (ahead_.scene == scene && frame - ahead_.first < ahead_.count) {
         return ahead_.fingerprints[frame - ahead_.first];
     }
@@ -268,32 +264,12 @@ FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
             basis.fnv[i + 1] = fnv1a(basis.fnv[i], basis.luma[i]);
         }
     }
-    if (sequential && !basis.is_static) {
-        read_ahead(basis, frame);
-        return ahead_.fingerprints[0];
-    }
-
-    const Motion motion = motion_at(basis, frame);
-    if (motion.count == 0) return {basis.video, fold_detail(basis.fnv.back())};
-
-    // frame_detail: resume FNV-1a from the first edited pixel. When both
-    // edits hit one pixel, the later edit holds its final value.
-    auto order = motion.edits;
-    if (motion.count == 2 && order[1].index < order[0].index) std::swap(order[0], order[1]);
-    const std::vector<std::uint8_t>& luma = basis.luma;
-    std::uint32_t h = basis.fnv[order[0].index];
-    std::size_t next = order[0].index;
-    for (std::size_t k = 0; k < motion.count; ++k) {
-        if (k + 1 < motion.count && order[k + 1].index == order[k].index) continue;
-        for (; next < order[k].index; ++next) h = fnv1a(h, luma[next]);
-        h = fnv1a(h, order[k].after);
-        next = order[k].index + 1;
-    }
-    for (; next < luma.size(); ++next) h = fnv1a(h, luma[next]);
-    return {video_of(basis, motion), fold_detail(h)};
+    if (basis.is_static) return {basis.video, fold_detail(basis.fnv.back())};
+    read_ahead(basis, frame);
+    return ahead_.fingerprints[0];
 }
 
-void ContentStream::read_ahead(Basis& basis, std::uint64_t first) const {
+void ContentStream::read_ahead(const Basis& basis, std::uint64_t first) const {
     // Up to the last frame that starts before the scene ends.
     std::size_t count = 1;
     while (count < kLanes &&
@@ -301,38 +277,52 @@ void ContentStream::read_ahead(Basis& basis, std::uint64_t first) const {
                scene_ends_[basis.scene]) {
         ++count;
     }
-    const std::size_t pixels = basis.luma.size();
-    if (basis.lanes.empty()) {
-        for (const std::uint8_t pixel : basis.luma) {
-            basis.lanes.insert(basis.lanes.end(), kLanes, pixel);
-        }
-    }
-    // Patch each lane with its frame's edits (a second edit of one pixel
-    // overwrites the first with its final value).
+    // Every lane's edits, one per pixel it changes (when both edits of a
+    // frame hit one pixel, the later holds the final value), in pixel order.
+    struct LaneEdit {
+        std::size_t index;
+        std::size_t lane;
+        std::uint8_t after;
+    };
     std::array<Motion, kLanes> motions{};
-    std::size_t start = pixels;
+    std::array<LaneEdit, 2 * kLanes> edits{};
+    std::size_t edit_count = 0;
     for (std::size_t k = 0; k < count; ++k) {
-        motions[k] = motion_at(basis, first + k);
-        for (std::size_t e = 0; e < motions[k].count; ++e) {
-            const PixelEdit& edit = motions[k].edits[e];
-            basis.lanes[edit.index * kLanes + k] = edit.after;
-            start = std::min(start, edit.index);
+        const Motion& motion = motions[k] = motion_at(basis, first + k);
+        for (std::size_t e = 0; e < motion.count; ++e) {
+            const PixelEdit& edit = motion.edits[e];
+            if (e + 1 < motion.count && motion.edits[e + 1].index == edit.index) continue;
+            edits[edit_count++] = LaneEdit{edit.index, k, edit.after};
         }
     }
+    std::sort(edits.begin(), edits.begin() + static_cast<std::ptrdiff_t>(edit_count),
+              [](const LaneEdit& a, const LaneEdit& b) { return a.index < b.index; });
+
     // Every lane resumes FNV-1a at the earliest edit of any lane. A lane
     // whose first edit comes later reads unedited pixels up to it, which is
-    // exactly the prefix state fnv[] holds there. The lanes are independent
-    // chains, so the loop runs at multiply throughput, not latency.
+    // exactly the prefix state fnv[] holds there. Between edited pixels all
+    // lanes hash the same base pixel; at one, each lane hashes its own
+    // value. The lanes are independent chains, so the loop runs at multiply
+    // throughput, not latency.
+    const std::vector<std::uint8_t>& luma = basis.luma;
+    std::size_t i = edit_count == 0 ? luma.size() : edits[0].index;
     std::array<std::uint32_t, kLanes> h{};
-    h.fill(basis.fnv[start]);
-    for (std::size_t i = start; i < pixels; ++i) {
-        for (std::size_t k = 0; k < kLanes; ++k) h[k] = fnv1a(h[k], basis.lanes[i * kLanes + k]);
-    }
-    for (std::size_t k = 0; k < count; ++k) {
-        for (std::size_t e = 0; e < motions[k].count; ++e) {
-            const std::size_t index = motions[k].edits[e].index;
-            basis.lanes[index * kLanes + k] = basis.luma[index];
+    h.fill(basis.fnv[i]);
+    const auto run_to = [&](std::size_t end) {
+        for (; i < end; ++i) {
+            for (std::uint32_t& lane : h) lane = fnv1a(lane, luma[i]);
         }
+    };
+    for (std::size_t e = 0; e < edit_count;) {
+        run_to(edits[e].index);
+        std::array<std::uint8_t, kLanes> pixel{};
+        pixel.fill(luma[i]);
+        for (; e < edit_count && edits[e].index == i; ++e) pixel[edits[e].lane] = edits[e].after;
+        for (std::size_t k = 0; k < kLanes; ++k) h[k] = fnv1a(h[k], pixel[k]);
+        ++i;
+    }
+    run_to(luma.size());
+    for (std::size_t k = 0; k < count; ++k) {
         ahead_.fingerprints[k] = {video_of(basis, motions[k]), fold_detail(h[k])};
     }
     ahead_.scene = basis.scene;

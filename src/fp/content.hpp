@@ -63,11 +63,11 @@ struct FrameFingerprint {
 /// stream caches the current scene's plane with its dhash cell sums (and,
 /// once fingerprint_at reads the scene, its FNV-1a prefix states), so
 /// synthesis runs once per scene and each frame costs only its edits. A
-/// fingerprint_at that reads the frame after the previous call's, in the
-/// same moving scene, fingerprints the next kLanes frames in one pass and
-/// keeps them for the reads that follow. Any read order is correct; reading
-/// in time order (as the ACR client and the library do) is what makes the
-/// caches hit. A stream is not safe to share across threads.
+/// fingerprint_at that misses in a moving scene fingerprints that frame and
+/// the next kLanes - 1 in one pass and keeps them for the reads that
+/// follow. Any read order is correct; reading in time order (as the ACR
+/// client and the library do) is what makes the caches hit. A stream is
+/// not safe to share across threads.
 class ContentStream {
   public:
     ContentStream(std::uint64_t seed, ContentDynamics dynamics, int width = 36, int height = 16);
@@ -95,7 +95,7 @@ class ContentStream {
   private:
     static constexpr std::size_t kGridW = 9;  // dhash downsample grid
     static constexpr std::size_t kGridH = 8;
-    /// Frames fingerprinted side by side by one sequential read-ahead pass.
+    /// Frames fingerprinted side by side by one read-ahead pass.
     static constexpr std::size_t kLanes = 8;
     static constexpr std::size_t kNoScene = static_cast<std::size_t>(-1);
     using CellSums = std::array<int, kGridW * kGridH>;
@@ -120,9 +120,6 @@ class ContentStream {
         /// fnv[i]: frame_detail's FNV-1a state before pixel i. Empty until
         /// the scene's first fingerprint_at.
         std::vector<std::uint32_t> fnv;
-        /// lanes[i * kLanes + k] == luma[i]: one copy of the plane per
-        /// read-ahead lane. Empty until the scene's first read-ahead.
-        std::vector<std::uint8_t> lanes;
     };
     /// One motion perturbation; a second edit of the same pixel starts
     /// from the first edit's value.
@@ -154,7 +151,7 @@ class ContentStream {
     [[nodiscard]] VideoHash video_of(const Basis& basis, const Motion& motion) const;
     /// Fills ahead_ with frames first, first + 1, ... of the basis scene:
     /// kLanes of them, or fewer where the scene ends.
-    void read_ahead(Basis& basis, std::uint64_t first) const;
+    void read_ahead(const Basis& basis, std::uint64_t first) const;
     /// dhash bit `bit` (left cell < right cell) computed from cell sums.
     [[nodiscard]] bool dhash_bit(const CellSums& sum, int bit) const;
 
@@ -172,9 +169,6 @@ class ContentStream {
     std::array<Span, kGridH> cell_y_{};
     mutable Basis basis_;
     mutable ReadAhead ahead_;
-    // The (scene, frame index) the last fingerprint_at read.
-    mutable std::size_t last_scene_ = kNoScene;
-    mutable std::uint64_t last_frame_ = 0;
 };
 
 /// Catalog entry for the ACR backend's reference library.

@@ -354,6 +354,22 @@ TEST_P(ReadAheadSweep, RepeatedAndSubFrameReads) {
     });
 }
 
+TEST_P(ReadAheadSweep, ScatteredAndBackwardReads) {
+    // Samsung's 500 ms cadence (every read a miss that uses one frame of
+    // its block), then 10 ms frames read backward: each lies just before
+    // the block the previous read computed, so every read misses too.
+    expect_pattern_matches(GetParam(), [](const ContentStream&) {
+        std::vector<SimTime> times;
+        for (SimTime t = SimTime::millis(3); t < SimTime::minutes(3); t += SimTime::millis(500)) {
+            times.push_back(t);
+        }
+        for (SimTime t = SimTime::seconds(30); t > SimTime::seconds(20); t -= in_frames(1)) {
+            times.push_back(t);
+        }
+        return times;
+    });
+}
+
 TEST_P(ReadAheadSweep, BlocksStopAtSceneEnd) {
     // Sequential runs that start a few frames before a scene ends, at
     // every phase of the 10 ms frame, and a 1 ms walk across the end (the
@@ -378,7 +394,7 @@ TEST_P(ReadAheadSweep, BlocksStopAtSceneEnd) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, ReadAheadSweep, ::testing::ValuesIn(kAllKinds), kind_name);
 
 TEST(ReadAheadTest, StaticScenes) {
-    // Static scenes take the single-frame path even when read in order.
+    // Static scenes are served from the basis, with no read-ahead pass.
     for (const ContentKind kind : {ContentKind::kHomeScreen, ContentKind::kHdmiDesktop}) {
         expect_pattern_matches(kind, [](const ContentStream& stream) {
             std::vector<SimTime> times;
