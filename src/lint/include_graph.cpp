@@ -1,7 +1,6 @@
 #include "lint/include_graph.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <tuple>
 
 #include "lint/lexer.hpp"
@@ -64,7 +63,7 @@ const std::map<std::string, std::set<std::string>>& layering_contract() {
     // any edge that isn't in it. Keep in sync with DESIGN.md §11.
     static const std::map<std::string, std::set<std::string>> kContract = {
         {"common", {}},
-        {"lint", {"common"}},  // the parallel driver runs on common::ThreadPool
+        {"lint", {}},
         {"obs", {"common"}},
         {"net", {"common"}},
         {"fp", {"common"}},
@@ -184,42 +183,6 @@ void IncludeGraph::check(std::vector<Finding>& out) const {
             iters.push_back(adjacency[next].begin());
         }
     }
-}
-
-std::string IncludeGraph::to_dot() const {
-    const auto& contract = layering_contract();
-    // Aggregate file edges to module edges with counts.
-    std::map<std::pair<std::string, std::string>, std::size_t> module_edges;
-    std::set<std::string> modules;
-    for (const IncludeEdge& edge : edges_) {
-        if (edge.from_module.empty() || edge.to_module.empty()) continue;
-        modules.insert(edge.from_module);
-        modules.insert(edge.to_module);
-        if (edge.from_module != edge.to_module) {
-            ++module_edges[{edge.from_module, edge.to_module}];
-        }
-    }
-
-    std::ostringstream out;
-    out << "digraph tvacr_includes {\n";
-    out << "  rankdir=BT;\n";
-    out << "  node [shape=box, fontname=\"monospace\"];\n";
-    for (const auto& module : modules) {
-        out << "  \"" << module << "\"";
-        if (contract.count(module) == 0) out << " [style=dashed]";
-        out << ";\n";
-    }
-    for (const auto& [edge, count] : module_edges) {
-        const auto from = contract.find(edge.first);
-        const bool constrained = from != contract.end() && contract.count(edge.second) > 0;
-        const bool allowed = !constrained || from->second.count(edge.second) > 0;
-        out << "  \"" << edge.first << "\" -> \"" << edge.second << "\" [label=\"" << count
-            << "\"";
-        if (!allowed) out << ", color=red, penwidth=2";
-        out << "];\n";
-    }
-    out << "}\n";
-    return out.str();
 }
 
 }  // namespace tvacr::lint

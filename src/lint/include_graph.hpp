@@ -1,17 +1,16 @@
-// Include-graph extraction, declared layering contract, cycle detection and
-// DOT rendering.
+// Include-graph extraction, declared layering contract and cycle detection.
 //
 // The tree is layered: `common` depends on nothing, the protocol layers
 // (`net`, `dns`, `fp`, ...) must never reach up into `analysis`/`core`, and
 // `core` is the only module allowed to see everything. That contract is
 // declared here as an explicit allowed-dependency table (DESIGN.md §11) and
-// enforced as two findings the driver emits on top of the per-file rules:
+// enforced as two findings tvacr_lint emits on top of the per-file rules:
 //
 //   include-layering   an `#include "a/..."` edge the table does not allow
 //   include-cycle      a strongly-connected component in the module graph
 //
-// Both are baselinable but not inline-suppressible (the edge is the fact).
-// The module graph renders to a deterministic DOT artifact for CI.
+// Neither is inline-suppressible (the edge is the fact): an edge is accepted
+// only by adding it to layering_contract().
 #pragma once
 
 #include <cstdint>
@@ -57,10 +56,6 @@ class IncludeGraph {
 
     /// Appends include-layering and include-cycle findings.
     void check(std::vector<Finding>& out) const;
-
-    /// Deterministic module-level DOT: nodes and aggregated edges sorted,
-    /// contract-violating edges marked. Byte-stable across input order.
-    [[nodiscard]] std::string to_dot() const;
 
   private:
     std::vector<IncludeEdge> edges_;  // sorted by (from_path, line, to_include)

@@ -426,14 +426,13 @@ class NoFloatEqualityRule final : public Rule {
 
 /// float-literal-spelling: `.5` and `1.` parse fine but read badly and are
 /// a grep/diff hazard; the canonical spelling has digits on both sides of
-/// the point. Mechanically fixable: `tvacr_lint --fix` rewrites the literal
-/// (fix.cpp mirrors this detection exactly, so --fix always clears it).
+/// the point.
 class FloatLiteralSpellingRule final : public Rule {
   public:
     FloatLiteralSpellingRule()
         : Rule("float-literal-spelling",
                "float literal lacks a digit on one side of the point (.5 / 1.); spell it "
-               "0.5 / 1.0 — `--fix` rewrites these mechanically",
+               "0.5 / 1.0",
                /*scopes=*/{}, /*allowlist=*/{}) {}
 
     void check(const SourceFile& file, Findings& out) const override {

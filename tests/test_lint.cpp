@@ -16,8 +16,7 @@
 #include <map>
 #include <sstream>
 
-#include "lint/driver.hpp"
-#include "lint/fix.hpp"
+#include "lint/include_graph.hpp"
 #include "lint/lexer.hpp"
 #include "lint/registry.hpp"
 #include "lint/report.hpp"
@@ -759,139 +758,17 @@ TEST(LintIncludeGraph, LayeringViolationsAndCycleAreFound) {
     EXPECT_TRUE(saw_cycle);
 }
 
-TEST(LintIncludeGraph, DotIsStableAcrossInputOrder) {
+TEST(LintIncludeGraph, CheckIsStableAcrossInputOrder) {
+    // Cycle findings are anchored at the first edge of the cycle in the
+    // graph's edge order, so that order must not depend on input order.
     auto sources = graph_fixture_sources();
-    const std::string forward = IncludeGraph::build(sources).to_dot();
+    std::vector<Finding> forward;
+    IncludeGraph::build(sources).check(forward);
     std::reverse(sources.begin(), sources.end());
-    EXPECT_EQ(forward, IncludeGraph::build(sources).to_dot());
-}
-
-/// Golden regression over the fixture subtree's module DOT. Regenerate with
-/// TVACR_UPDATE_GOLDEN=1.
-TEST(LintIncludeGraph, GoldenDot) {
-    const std::string dot = IncludeGraph::build(graph_fixture_sources()).to_dot();
-    const std::string golden_path =
-        std::string(TVACR_GOLDEN_DIR) + "/lint_include_graph.dot";
-    if (std::getenv("TVACR_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(golden_path, std::ios::binary);
-        ASSERT_TRUE(out) << "cannot write " << golden_path;
-        out << dot;
-        GTEST_SKIP() << "golden regenerated at " << golden_path;
-    }
-    std::ifstream in(golden_path, std::ios::binary);
-    ASSERT_TRUE(in) << "missing golden " << golden_path
-                    << " (run with TVACR_UPDATE_GOLDEN=1)";
-    std::ostringstream expected;
-    expected << in.rdbuf();
-    EXPECT_EQ(dot, expected.str());
-}
-
-// ----------------------------------------------------------------- autofix
-
-TEST(LintFix, SpellsFloatsAndInsertsPragmaOnce) {
-    const auto fixed =
-        fix_source("src/x.hpp", "// header comment\ndouble h() { return .5; }\n");
-    EXPECT_NE(fixed.content.find("#pragma once"), std::string::npos);
-    EXPECT_NE(fixed.content.find("0.5"), std::string::npos);
-    ASSERT_EQ(fixed.rules_applied.size(), 2u);
-    EXPECT_EQ(fixed.rules_applied[0], "float-literal-spelling");
-    EXPECT_EQ(fixed.rules_applied[1], "pragma-once-required");
-    EXPECT_TRUE(lint_source("src/x.hpp", fixed.content).empty())
-        << render_text(lint_source("src/x.hpp", fixed.content));
-}
-
-TEST(LintFix, FixLeavesCleanSourcesAlone) {
-    const std::string clean = "#pragma once\ndouble h() { return 0.5; }\n";
-    const auto fixed = fix_source("src/x.hpp", clean);
-    EXPECT_FALSE(fixed.changed());
-    EXPECT_EQ(fixed.content, clean);
-}
-
-TEST(LintFix, DoubleApplyIsIdempotent) {
-    // Over the whole fixture tree (which includes every nasty literal and
-    // header shape we ship), fix(fix(x)) must equal fix(x) byte for byte.
-    for (const auto& [relative, source] : all_fixture_sources()) {
-        const auto once = fix_source(relative, source);
-        const auto twice = fix_source(relative, once.content);
-        EXPECT_EQ(once.content, twice.content) << relative;
-    }
-    const auto once = fix_source("src/x.cpp", "double d() { return .5 + 2. + .25f; }\n");
-    const auto twice = fix_source("src/x.cpp", once.content);
-    EXPECT_EQ(once.content, twice.content);
-    EXPECT_FALSE(twice.changed());
-}
-
-// ------------------------------------------------------------------ driver
-
-TEST(LintDriver, JobsSweepIsByteIdentical) {
-    const auto sources = all_fixture_sources();
-    const auto registry = Registry::with_builtin_rules();
-    std::string reference;
-    for (const std::size_t jobs : {1, 4, 8}) {
-        DriverOptions options;
-        options.jobs = jobs;
-        const DriverResult result = run_driver(registry, sources, options);
-        const std::string rendered = render_json(result.findings) + result.graph.to_dot();
-        if (reference.empty()) {
-            reference = rendered;
-        } else {
-            EXPECT_EQ(rendered, reference) << "--jobs " << jobs << " diverged";
-        }
-    }
-    EXPECT_FALSE(reference.empty());
-}
-
-TEST(LintDriver, BaselineFiltersKnownFindingsAndFlagsStaleEntries) {
-    const auto registry = Registry::with_builtin_rules();
-    const std::vector<std::pair<std::string, std::string>> dirty = {
-        {"src/x.cpp", "void f() { std::time_t t = time(nullptr); (void)t; }\n"}};
-    const DriverResult unfiltered = run_driver(registry, dirty, DriverOptions{});
-    ASSERT_FALSE(unfiltered.findings.empty());
-
-    const Baseline baseline = Baseline::from_findings(unfiltered.findings);
-    DriverOptions options;
-    options.baseline = &baseline;
-    const DriverResult filtered = run_driver(registry, dirty, options);
-    EXPECT_TRUE(filtered.findings.empty()) << render_text(filtered.findings);
-
-    // Fixing the file makes the baseline entry stale — and that is a finding.
-    const std::vector<std::pair<std::string, std::string>> fixed = {
-        {"src/x.cpp", "constexpr int x = 1;\n"}};
-    const DriverResult stale = run_driver(registry, fixed, options);
-    const auto counts = count_by_rule(stale.findings);
-    EXPECT_EQ(counts.at(kBaselineStaleRule), 1);
-}
-
-TEST(LintDriver, BaselineSerializationRoundTrips) {
-    const std::vector<Finding> findings = {
-        {"src/a.cpp", 3, "no-wallclock", "m"},
-        {"src/a.cpp", 9, "no-wallclock", "m"},
-        {"src/b.cpp", 1, "no-raw-new-delete", "m"},
-        {"src/c.cpp", 2, kUnusedSuppressionRule, "never baselined"},
-    };
-    const Baseline baseline = Baseline::from_findings(findings);
-    EXPECT_EQ(baseline.entries().size(), 2u);  // hygiene rules excluded
-    EXPECT_EQ(baseline.entries().at({"src/a.cpp", "no-wallclock"}), 2u);
-
-    Baseline reparsed;
-    std::string error;
-    ASSERT_TRUE(Baseline::parse(baseline.serialize(), reparsed, error)) << error;
-    EXPECT_EQ(baseline.serialize(), reparsed.serialize());
-
-    EXPECT_FALSE(Baseline::parse("not a baseline line\n", reparsed, error));
-    EXPECT_FALSE(error.empty());
-}
-
-TEST(LintDriver, ChangedListParsingAndBoundaryMatching) {
-    const auto changed = parse_changed_list("# a comment\n\n./src/a.cpp\ntools/b.cpp\n");
-    ASSERT_EQ(changed.size(), 2u);
-    EXPECT_EQ(changed[0], "src/a.cpp");
-    EXPECT_TRUE(path_in_changed_list("src/a.cpp", changed));
-    EXPECT_TRUE(path_in_changed_list("/root/repo/src/a.cpp", changed));
-    EXPECT_TRUE(path_in_changed_list("tools/b.cpp", changed));
-    EXPECT_FALSE(path_in_changed_list("src/ab.cpp", changed));
-    EXPECT_FALSE(path_in_changed_list("xsrc/a.cpp", changed));
-    EXPECT_FALSE(path_in_changed_list("src/c.cpp", changed));
+    std::vector<Finding> reversed;
+    IncludeGraph::build(sources).check(reversed);
+    EXPECT_EQ(forward, reversed);
+    EXPECT_EQ(forward.size(), 3u);
 }
 
 TEST(LintCatalogue, EveryRuleIsRegisteredAndListed) {
