@@ -38,7 +38,7 @@ fp::FingerprintBatch make_batch(const fp::ContentInfo& info, SimTime start, SimT
 }  // namespace
 
 int main() {
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     const auto catalog = fp::builtin_catalog(4242);
     for (const auto& info : catalog) library.add(info);
     const fp::MatchServer server(library);
@@ -85,7 +85,7 @@ int main() {
     }
 
     // --- Hash ablation ----------------------------------------------------------
-    fp::ContentLibrary block_library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary block_library;
     for (auto info : catalog) block_library.add(info);
     // blockhash accuracy measured against the dHash-indexed library is
     // meaningless; instead compare intra-scene stability.

@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
         usage);
     if (!positionals.empty()) return usage(argv[0]);
 
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     const auto catalog = fp::builtin_catalog(/*seed=*/555);
     for (const auto& info : catalog) library.add(info);
     const fp::MatchServer server(library);

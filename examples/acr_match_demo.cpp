@@ -23,7 +23,7 @@ using namespace tvacr;
 
 int main() {
     // The operator's content library and backend services.
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     for (const auto& info : fp::builtin_catalog(2024)) library.add(info);
     const fp::MatchServer server(library);
     fp::AudienceProfiler profiler(library);

@@ -57,8 +57,8 @@ class FleetTestbed {
     FleetSpec spec_;
     sim::Simulator simulator_;
     std::unique_ptr<sim::Cloud> cloud_;
-    // Shared by both brands, so it indexes audio for Samsung's batches.
-    fp::ContentLibrary library_{fp::ContentLibrary::Audio::kIndexed};
+    // Shared by both brands.
+    fp::ContentLibrary library_;
     geo::GroundTruth truth_;
     const geo::City* vantage_ = nullptr;
     Unit lg_;

@@ -1,7 +1,6 @@
 #include "core/testbed.hpp"
 
 #include "tv/background.hpp"
-#include "tv/calibration.hpp"
 #include "tv/platform.hpp"
 
 namespace tvacr::core {
@@ -13,11 +12,7 @@ constexpr int kRotationSpan = 10;  // eu-acr0..eu-acr9 all exist server-side
 }  // namespace
 
 Testbed::Testbed(const TestbedConfig& config)
-    : config_(config),
-      // The backend reads the audio track only for has_audio batches, so
-      // only a brand that sends them needs it built.
-      library_(tv::acr_schedule(config.brand).has_audio ? fp::ContentLibrary::Audio::kIndexed
-                                                        : fp::ContentLibrary::Audio::kNone) {
+    : config_(config) {
     simulator_.obs().trace.set_enabled(config.trace);
     vantage_ = geo::find_city(config.country == tv::Country::kUk ? "London" : "San Jose");
 

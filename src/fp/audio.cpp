@@ -80,25 +80,11 @@ PcmChunk synthesize_audio(const ContentStream& stream, SimTime t, SimTime durati
     return pcm;
 }
 
-double goertzel(std::span<const float> samples, double hz, int sample_rate) {
-    const double omega = kTwoPi * hz / sample_rate;
-    const double coefficient = 2.0 * std::cos(omega);
-    double s_prev = 0.0;
-    double s_prev2 = 0.0;
-    for (const float sample : samples) {
-        const double s = sample + coefficient * s_prev - s_prev2;
-        s_prev2 = s_prev;
-        s_prev = s;
-    }
-    const double power =
-        s_prev * s_prev + s_prev2 * s_prev2 - coefficient * s_prev * s_prev2;
-    return std::max(0.0, power) / std::max<std::size_t>(samples.size(), 1);
-}
-
 AudioWindow analyze_window(std::span<const float> samples) {
-    // goertzel() for all bands in one pass over the window. Each band runs
-    // the same operations in the same order as the single-band reference,
-    // and the build contracts no multiply-adds, so energies are bit-equal.
+    // The Goertzel recurrence for all bands in one pass over the window.
+    // Each band runs the same operations in the same order as a single-band
+    // Goertzel (the oracle in tests/test_audio.cpp), and the build contracts
+    // no multiply-adds, so energies are bit-equal to it.
     constexpr int kBands = AudioWindow::kBands;
     const auto& bands = band_frequencies();
     double coefficient[kBands];

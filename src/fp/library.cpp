@@ -3,19 +3,13 @@
 namespace tvacr::fp {
 
 void ContentLibrary::add(const ContentInfo& info) {
-    Entry entry;
-    entry.info = info;
-    const ContentStream stream(info.seed, info.dynamics);
+    Entry entry{info, {}, ContentStream(info.seed, info.dynamics)};
     const std::int64_t steps = info.duration / kReferencePeriod;
-    const bool with_audio = audio_ == Audio::kIndexed;
     entry.hashes.reserve(static_cast<std::size_t>(steps));
-    if (with_audio) entry.audio.reserve(static_cast<std::size_t>(steps));
     for (std::int64_t step = 0; step < steps; ++step) {
-        const SimTime t = kReferencePeriod * step;
-        entry.hashes.push_back(stream.video_at(t));
-        if (with_audio) entry.audio.push_back(audio_hash(stream.audio_at(t)));
+        entry.hashes.push_back(entry.stream.video_at(kReferencePeriod * step));
     }
-    entries_[info.id] = std::move(entry);
+    entries_.insert_or_assign(info.id, std::move(entry));
 }
 
 const ContentInfo* ContentLibrary::find(std::uint64_t content_id) const {
@@ -29,10 +23,14 @@ std::span<const VideoHash> ContentLibrary::reference_hashes(std::uint64_t conten
     return it->second.hashes;
 }
 
-std::span<const std::uint32_t> ContentLibrary::reference_audio(std::uint64_t content_id) const {
+std::optional<std::uint32_t> ContentLibrary::reference_audio(std::uint64_t content_id,
+                                                            std::int64_t step) const {
     const auto it = entries_.find(content_id);
-    if (it == entries_.end()) return {};
-    return it->second.audio;
+    if (it == entries_.end()) return std::nullopt;
+    const Entry& entry = it->second;
+    if (step < 0 || step >= static_cast<std::int64_t>(entry.hashes.size())) return std::nullopt;
+    const std::lock_guard lock(streams_mutex_);
+    return audio_hash(entry.stream.audio_at(kReferencePeriod * step));
 }
 
 std::vector<ContentInfo> builtin_catalog(std::uint64_t seed) {

@@ -2,6 +2,7 @@
 // live feeds) that uploaded fingerprints are matched against (Figure 1).
 #pragma once
 
+#include <mutex>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -17,34 +18,32 @@ class ContentLibrary {
     /// Reference fingerprints are sampled at this cadence.
     static constexpr SimTime kReferencePeriod = SimTime::millis(500);
 
-    /// Whether add() also builds the per-step audio track. Only a library
-    /// that matches audio-bearing batches needs it; without it
-    /// reference_audio() is empty for every entry.
-    enum class Audio { kIndexed, kNone };
-
-    explicit ContentLibrary(Audio audio) : audio_(audio) {}
-
-    /// Registers content and precomputes its reference hash track (and
-    /// audio track when indexed).
+    /// Registers content and precomputes its reference hash track.
     void add(const ContentInfo& info);
 
     [[nodiscard]] const ContentInfo* find(std::uint64_t content_id) const;
     [[nodiscard]] std::span<const VideoHash> reference_hashes(std::uint64_t content_id) const;
-    [[nodiscard]] std::span<const std::uint32_t> reference_audio(std::uint64_t content_id) const;
+    /// audio_hash of the content's audio at reference step `step`, computed
+    /// on demand: the backend reads audio only to corroborate a video match,
+    /// a few steps around its alignment. nullopt for an unknown id or a step
+    /// outside the hash track. Safe to call from several threads.
+    [[nodiscard]] std::optional<std::uint32_t> reference_audio(std::uint64_t content_id,
+                                                               std::int64_t step) const;
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
     struct Entry {
         ContentInfo info;
-        std::vector<VideoHash> hashes;        // one per kReferencePeriod step
-        std::vector<std::uint32_t> audio;     // audio_hash per step, when indexed
+        std::vector<VideoHash> hashes;  // one per kReferencePeriod step
+        ContentStream stream;           // read lazily by reference_audio
     };
     [[nodiscard]] const std::unordered_map<std::uint64_t, Entry>& entries() const noexcept {
         return entries_;
     }
 
   private:
-    Audio audio_;
     std::unordered_map<std::uint64_t, Entry> entries_;
+    // Guards the entries' streams, whose caches reference_audio fills.
+    mutable std::mutex streams_mutex_;
 };
 
 /// A small builtin catalog spanning the genres and kinds the scenarios use;

@@ -121,37 +121,29 @@ std::optional<MatchResult> resolve_match(const ContentLibrary& library,
     result.confidence = std::min(confidence, 1.0);
 
     // Audio corroboration: compare the batch's audio hashes against the
-    // reference audio track at the aligned position. Scene granularity makes
-    // exact per-step alignment unnecessary — agreement within +/-1 step
-    // counts.
+    // reference audio at the aligned position, which the library computes
+    // only for the steps probed here. Scene granularity makes exact per-step
+    // alignment unnecessary — agreement within +/-1 step counts.
     if (batch.has_audio) {
-        const auto reference_audio = library.reference_audio(result.content_id);
-        if (!reference_audio.empty()) {
-            int audio_checked = 0;
-            int audio_agree = 0;
-            for (std::size_t i = 0; i < batch.records.size(); i += stride) {
-                const auto& record = batch.records[i];
-                if (record.audio == 0) continue;
-                const std::int64_t position_us =
-                    result.content_offset.as_micros() +
-                    static_cast<std::int64_t>(record.offset_ms) * 1000;
-                const std::int64_t step = position_us / reference_us;
-                ++audio_checked;
-                for (std::int64_t probe = step - 1; probe <= step + 1; ++probe) {
-                    if (probe < 0 ||
-                        probe >= static_cast<std::int64_t>(reference_audio.size())) {
-                        continue;
-                    }
-                    if (reference_audio[static_cast<std::size_t>(probe)] == record.audio) {
-                        ++audio_agree;
-                        break;
-                    }
+        int audio_checked = 0;
+        int audio_agree = 0;
+        for (std::size_t i = 0; i < batch.records.size(); i += stride) {
+            const auto& record = batch.records[i];
+            if (record.audio == 0) continue;
+            const std::int64_t position_us = result.content_offset.as_micros() +
+                                             static_cast<std::int64_t>(record.offset_ms) * 1000;
+            const std::int64_t step = position_us / reference_us;
+            ++audio_checked;
+            for (std::int64_t probe = step - 1; probe <= step + 1; ++probe) {
+                if (library.reference_audio(result.content_id, probe) == record.audio) {
+                    ++audio_agree;
+                    break;
                 }
             }
-            if (audio_checked > 0) {
-                result.audio_agreement =
-                    static_cast<double>(audio_agree) / static_cast<double>(audio_checked);
-            }
+        }
+        if (audio_checked > 0) {
+            result.audio_agreement =
+                static_cast<double>(audio_agree) / static_cast<double>(audio_checked);
         }
     }
     return result;

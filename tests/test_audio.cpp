@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numbers>
 #include <span>
 #include <vector>
 
@@ -44,6 +45,23 @@ TEST(AudioSynthesisTest, BoundedAmplitude) {
 }
 
 // ---------------------------------------------------------------- goertzel
+
+/// Goertzel energy of `samples` at frequency `hz`, one band at a time: the
+/// reference that analyze_window's one-pass bank matches bit for bit.
+double goertzel(std::span<const float> samples, double hz, int sample_rate) {
+    const double omega = 2.0 * std::numbers::pi * hz / sample_rate;
+    const double coefficient = 2.0 * std::cos(omega);
+    double s_prev = 0.0;
+    double s_prev2 = 0.0;
+    for (const float sample : samples) {
+        const double s = sample + coefficient * s_prev - s_prev2;
+        s_prev2 = s_prev;
+        s_prev = s;
+    }
+    const double power =
+        s_prev * s_prev + s_prev2 * s_prev2 - coefficient * s_prev * s_prev2;
+    return std::max(0.0, power) / std::max<std::size_t>(samples.size(), 1);
+}
 
 TEST(GoertzelTest, DetectsPureTone) {
     constexpr int kRate = 16000;

@@ -92,10 +92,9 @@ TEST(TestbedTest, RotatingDomainsAllResolve) {
     }
 }
 
-// The testbed's library builds the audio track only for a brand whose
-// batches carry audio; the video track is the same either way.
-void expect_same_library(const fp::ContentLibrary& got, const fp::ContentLibrary& want,
-                         bool with_audio) {
+// A testbed's library is the catalog's library whatever the brand: the
+// same video track, and the same reference audio at every step read.
+void expect_same_library(const fp::ContentLibrary& got, const fp::ContentLibrary& want) {
     ASSERT_EQ(got.size(), want.size());
     for (const auto& [id, entry] : want.entries()) {
         ASSERT_NE(got.find(id), nullptr) << id;
@@ -103,32 +102,27 @@ void expect_same_library(const fp::ContentLibrary& got, const fp::ContentLibrary
         EXPECT_TRUE(std::equal(hashes.begin(), hashes.end(), entry.hashes.begin(),
                                entry.hashes.end()))
             << id;
-        const auto audio = got.reference_audio(id);
-        if (with_audio) {
-            EXPECT_FALSE(audio.empty()) << id;
-            EXPECT_TRUE(
-                std::equal(audio.begin(), audio.end(), entry.audio.begin(), entry.audio.end()))
-                << id;
-        } else {
-            EXPECT_TRUE(audio.empty()) << id;
+        const auto steps = static_cast<std::int64_t>(entry.hashes.size());
+        for (std::int64_t step = 0; step < steps; step += 97) {
+            EXPECT_EQ(got.reference_audio(id, step), want.reference_audio(id, step))
+                << id << " step " << step;
         }
+        EXPECT_EQ(got.reference_audio(id, steps - 1), want.reference_audio(id, steps - 1)) << id;
     }
 }
 
-TEST(TestbedTest, LibraryIndexesAudioOnlyForAudioBrands) {
+TEST(TestbedTest, LibraryEqualsDirectlyBuiltOneForEveryBrand) {
     for (const tv::Brand brand : {tv::Brand::kLg, tv::Brand::kSamsung}) {
         SCOPED_TRACE(tv::to_string(brand));
         TestbedConfig config;
         config.brand = brand;
         const Testbed bed(config);
-        fp::ContentLibrary direct(fp::ContentLibrary::Audio::kIndexed);
+        fp::ContentLibrary direct;
         for (const auto& info : fp::builtin_catalog(derive_seed(config.seed, 0x11B))) {
             direct.add(info);
         }
-        expect_same_library(bed.library(), direct, tv::acr_schedule(brand).has_audio);
+        expect_same_library(bed.library(), direct);
     }
-    EXPECT_FALSE(tv::acr_schedule(tv::Brand::kLg).has_audio);
-    EXPECT_TRUE(tv::acr_schedule(tv::Brand::kSamsung).has_audio);
 }
 
 TEST(TestbedTest, ScreenSampleAndCaptureAgreeInEveryScenario) {

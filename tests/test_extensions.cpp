@@ -72,7 +72,7 @@ TEST(MitmAuditTest, RenderMentionsLinkability) {
 // --------------------------------------------------------------------- ads
 
 struct AdsFixture : ::testing::Test {
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     std::unique_ptr<fp::AudienceProfiler> profiler;
 
     void SetUp() override {

@@ -5,9 +5,12 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -432,7 +435,7 @@ TEST_P(VideoAtSweep, EqualsFingerprintVideo) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, VideoAtSweep, ::testing::ValuesIn(kAllKinds), kind_name);
 
 TEST(VideoAtTest, ReferenceTrackIsTheFingerprintVideoTrack) {
-    ContentLibrary library(ContentLibrary::Audio::kNone);
+    ContentLibrary library;
     const std::vector<ContentInfo> catalog = builtin_catalog(2024);
     for (const ContentInfo& info : catalog) library.add(info);
     for (const ContentInfo& info : catalog) {
@@ -639,7 +642,7 @@ TEST(BatchTest, EmptyBatchRoundTrips) {
 // ---------------------------------------------------------- library/matcher
 
 struct MatcherFixture : ::testing::Test {
-    ContentLibrary library{ContentLibrary::Audio::kIndexed};
+    ContentLibrary library;
     std::vector<ContentInfo> catalog = builtin_catalog(/*seed=*/555);
 
     void SetUp() override {
@@ -775,13 +778,106 @@ TEST_F(MatcherFixture, AudioAgreementAbsentForVideoOnlyBatch) {
     EXPECT_DOUBLE_EQ(match->audio_agreement, -1.0);
 }
 
-TEST_F(MatcherFixture, LibraryStoresAudioTrack) {
-    const auto audio = library.reference_audio(catalog[0].id);
-    EXPECT_EQ(audio.size(), library.reference_hashes(catalog[0].id).size());
-    EXPECT_TRUE(library.reference_audio(424242).empty());
-    // Audio hashes vary across the track (scene changes change the chord).
-    std::set<std::uint32_t> distinct(audio.begin(), audio.end());
-    EXPECT_GT(distinct.size(), 10U);
+/// The reference audio track the library must reproduce: a fresh stream
+/// read in step order.
+std::vector<std::uint32_t> reference_audio_oracle(const ContentInfo& info) {
+    const ContentStream stream(info.seed, info.dynamics);
+    std::vector<std::uint32_t> track;
+    const std::int64_t steps = info.duration / ContentLibrary::kReferencePeriod;
+    for (std::int64_t step = 0; step < steps; ++step) {
+        track.push_back(audio_hash(stream.audio_at(ContentLibrary::kReferencePeriod * step)));
+    }
+    return track;
+}
+
+TEST(ReferenceAudioTest, EqualsFreshStreamInAnyReadOrder) {
+    const std::vector<ContentInfo> catalog = builtin_catalog(2024);
+    // One library per read order, so no order inherits another's caches.
+    ContentLibrary forward;
+    ContentLibrary backward;
+    ContentLibrary strided;
+    for (const ContentInfo& info : catalog) {
+        forward.add(info);
+        backward.add(info);
+        strided.add(info);
+    }
+    for (const ContentInfo& info : catalog) {
+        SCOPED_TRACE(info.title);
+        const std::vector<std::uint32_t> want = reference_audio_oracle(info);
+        const auto steps = static_cast<std::int64_t>(want.size());
+        ASSERT_EQ(want.size(), forward.reference_hashes(info.id).size());
+        for (std::int64_t step = 0; step < steps; ++step) {
+            ASSERT_EQ(forward.reference_audio(info.id, step),
+                      want[static_cast<std::size_t>(step)])
+                << "forward step " << step;
+        }
+        for (std::int64_t step = steps - 1; step >= 0; --step) {
+            ASSERT_EQ(backward.reference_audio(info.id, step),
+                      want[static_cast<std::size_t>(step)])
+                << "backward step " << step;
+        }
+        // A stride coprime to the track length visits every step once, in
+        // an order that jumps across scenes.
+        std::int64_t stride = 7919;
+        while (std::gcd(stride, steps) != 1) ++stride;
+        for (std::int64_t i = 0; i < steps; ++i) {
+            const std::int64_t step = (i * stride + 13) % steps;
+            ASSERT_EQ(strided.reference_audio(info.id, step),
+                      want[static_cast<std::size_t>(step)])
+                << "strided step " << step;
+        }
+        // Scene changes change the chord, so a long track is not constant.
+        if (steps > 600) {
+            EXPECT_GT(std::set<std::uint32_t>(want.begin(), want.end()).size(), 10U);
+        }
+        EXPECT_EQ(forward.reference_audio(info.id, -1), std::nullopt);
+        EXPECT_EQ(forward.reference_audio(info.id, steps), std::nullopt);
+    }
+    EXPECT_EQ(forward.reference_audio(424242, 0), std::nullopt);
+}
+
+TEST(ReferenceAudioTest, ConcurrentReadersSeeTheOracle) {
+    // Four threads read one library at overlapping steps; the streams'
+    // caches are shared, so this is the case the library's lock covers.
+    const std::vector<ContentInfo> catalog = builtin_catalog(77);
+    ContentLibrary library;
+    for (const ContentInfo& info : catalog) library.add(info);
+    const std::vector<const ContentInfo*> contents = {&catalog[4], &catalog[6], &catalog[7]};
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::optional<std::uint32_t>>> seen(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (const ContentInfo* info : contents) {
+                const auto steps =
+                    static_cast<std::int64_t>(library.reference_hashes(info->id).size());
+                // Each thread starts a quarter further in and wraps, so
+                // every step is read by all four threads at different times.
+                for (std::int64_t i = 0; i < steps; ++i) {
+                    const std::int64_t step = (i + t * steps / kThreads) % steps;
+                    seen[static_cast<std::size_t>(t)].push_back(
+                        library.reference_audio(info->id, step));
+                }
+            }
+        });
+    }
+    for (std::thread& thread : threads) thread.join();
+    std::vector<std::vector<std::uint32_t>> oracles;
+    for (const ContentInfo* info : contents) oracles.push_back(reference_audio_oracle(*info));
+    for (int t = 0; t < kThreads; ++t) {
+        std::size_t read = 0;
+        for (std::size_t c = 0; c < contents.size(); ++c) {
+            const ContentInfo* info = contents[c];
+            const std::vector<std::uint32_t>& want = oracles[c];
+            const auto steps = static_cast<std::int64_t>(want.size());
+            for (std::int64_t i = 0; i < steps; ++i) {
+                const std::int64_t step = (i + t * steps / kThreads) % steps;
+                ASSERT_EQ(seen[static_cast<std::size_t>(t)][read++],
+                          want[static_cast<std::size_t>(step)])
+                    << info->title << " thread " << t << " step " << step;
+            }
+        }
+    }
 }
 
 TEST_F(MatcherFixture, ReindexPicksUpNewContent) {
@@ -887,7 +983,7 @@ TEST(MatcherTieBreakTest, EqualVotesPreferLowestContentId) {
     // regardless of hash-map layout — registration order is deliberately
     // high-id-first. (The pre-fix matcher answered whichever entry the
     // unordered container happened to surface.)
-    ContentLibrary library{ContentLibrary::Audio::kIndexed};
+    ContentLibrary library;
     ContentInfo twin = single_content_info();
     twin.id = 300;
     library.add(twin);
@@ -916,7 +1012,7 @@ TEST(MatcherTieBreakTest, EqualVotesPreferEarliestAlignmentBucket) {
     // two votes each: records 0/1 claim a session starting at step `a`,
     // records 2/3 one starting 32 s later (four 8 s buckets away). The tie
     // must resolve to the earliest bucket, deterministically.
-    ContentLibrary library{ContentLibrary::Audio::kIndexed};
+    ContentLibrary library;
     const ContentInfo info = single_content_info();
     library.add(info);
     const auto track = library.reference_hashes(info.id);
@@ -969,7 +1065,7 @@ TEST(MatcherEdgeTest, MinDistinctEvidenceBoundary) {
     // A batch dwelling on one scene: many votes, one distinct hash. The
     // default gate (2) rejects it; relaxing the gate to 1 on the same batch
     // accepts it — so the distinct-evidence counter is what decides.
-    ContentLibrary library{ContentLibrary::Audio::kIndexed};
+    ContentLibrary library;
     const ContentInfo info = single_content_info();
     library.add(info);
     const auto track = library.reference_hashes(info.id);

@@ -305,7 +305,7 @@ TEST(FuzzTest, AcrWireDecodersNeverCrash) {
 }
 
 TEST(FuzzTest, BackendSurvivesArbitraryPayloads) {
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     for (const auto& info : fp::builtin_catalog(1)) library.add(info);
     tv::AcrBackend backend(tv::Brand::kSamsung, tv::Country::kUk, library);
     Rng rng(707);

@@ -231,7 +231,7 @@ TEST(AcrWireTest, RejectsGarbage) {
 }
 
 struct BackendFixture : ::testing::Test {
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     void SetUp() override {
         for (const auto& info : fp::builtin_catalog(555)) library.add(info);
     }
@@ -324,7 +324,7 @@ struct TvFixture : ::testing::Test {
     sim::Cloud cloud{simulator, 11};
     sim::AccessPoint ap{simulator, net::MacAddress::local(0xA1), net::Ipv4Address(192, 168, 4, 1),
                         sim::LatencyModel{SimTime::millis(2), SimTime::micros(200)}, 12};
-    fp::ContentLibrary library{fp::ContentLibrary::Audio::kIndexed};
+    fp::ContentLibrary library;
     std::unique_ptr<AcrBackend> backend;
     std::unique_ptr<SmartTv> tv;
     std::vector<net::Packet> capture;
