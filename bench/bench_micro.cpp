@@ -54,7 +54,8 @@ BENCHMARK(BM_CaptureStep);
 
 void BM_FingerprintAt(benchmark::State& state) {
     // The LG client's capture cost: the same fingerprints as
-    // BM_CaptureStep, read every 10 ms, so eight frames per read-ahead pass.
+    // BM_CaptureStep, read every 10 ms, so one read-ahead pass fingerprints
+    // the next 64 frames (fewer where the scene ends).
     const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
     std::int64_t t = 0;
     for (auto _ : state) {
@@ -65,8 +66,9 @@ void BM_FingerprintAt(benchmark::State& state) {
 BENCHMARK(BM_FingerprintAt);
 
 void BM_FingerprintAtScattered(benchmark::State& state) {
-    // Samsung's 500 ms capture cadence: every capture misses the block,
-    // so each pays a read-ahead pass and reads one of its eight frames.
+    // Samsung's 500 ms capture cadence: a miss fingerprints the frames
+    // at the 50-frame stride up to the scene's end, and the captures that
+    // follow in the scene read them.
     const auto live = fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast);
     const fp::ContentStream stream(1, live);
     std::int64_t t = 0;

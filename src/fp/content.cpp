@@ -5,15 +5,11 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <numeric>
 
 namespace tvacr::fp {
 
 namespace {
-
-// frame_detail's FNV-1a, one pixel at a time.
-constexpr std::uint32_t kFnvOffset = 2166136261U;
-
-std::uint32_t fnv1a(std::uint32_t h, std::uint8_t pixel) { return (h ^ pixel) * 16777619U; }
 
 std::uint16_t fold_detail(std::uint32_t h) { return static_cast<std::uint16_t>(h ^ (h >> 16)); }
 
@@ -22,6 +18,17 @@ constexpr std::int64_t kFrameMillis = 10;
 
 std::uint64_t frame_index_at(SimTime t) {
     return static_cast<std::uint64_t>(t.as_millis() / kFrameMillis);
+}
+
+// fnv_lanes compiled for AVX2 (vpmulld: eight lanes per multiply) and for
+// the baseline ISA; the loader picks the first the CPU supports. Both give
+// the same bits, since the loop is 32-bit wraparound integer arithmetic.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+__attribute__((target_clones("avx2", "default")))
+#endif
+void hash_lanes(std::span<const std::uint8_t> plane, std::span<const LaneEdit> edits,
+                std::span<std::uint32_t> h) {
+    fnv_lanes(plane, edits, h);
 }
 
 }  // namespace
@@ -136,7 +143,7 @@ ContentStream::Basis& ContentStream::basis_of(std::size_t scene) const {
     basis.scene = scene;
     basis.scene_seed = splitmix64(seed_ ^ (scene * 0xD1B54A32D192ED03ULL));
     basis.is_static = scene_is_static(scene);
-    basis.fnv.clear();
+    basis.detail.reset();
 
     // Coarse 4x4 blocks give the frame spatial structure a perceptual hash
     // keys on; the fine per-pixel term adds texture.
@@ -253,80 +260,71 @@ VideoHash ContentStream::video_at(SimTime t) const {
 FrameFingerprint ContentStream::fingerprint_at(SimTime t) const {
     const std::size_t scene = scene_index_at(t);
     const std::uint64_t frame = frame_index_at(t);
-    if (ahead_.scene == scene && frame - ahead_.first < ahead_.count) {
-        return ahead_.fingerprints[frame - ahead_.first];
-    }
-    Basis& basis = basis_of(scene);
-    if (basis.fnv.empty()) {
-        basis.fnv.resize(basis.luma.size() + 1);
-        basis.fnv[0] = kFnvOffset;
-        for (std::size_t i = 0; i < basis.luma.size(); ++i) {
-            basis.fnv[i + 1] = fnv1a(basis.fnv[i], basis.luma[i]);
+    const std::uint64_t stride = last_frame_ < frame ? frame - last_frame_ : 1;
+    last_frame_ = frame;
+    if (ahead_.scene == scene && frame >= ahead_.first) {
+        const std::uint64_t gap = frame - ahead_.first;
+        if (gap % ahead_.stride == 0 && gap / ahead_.stride < ahead_.count) {
+            return ahead_.fingerprints[gap / ahead_.stride];
         }
     }
-    if (basis.is_static) return {basis.video, fold_detail(basis.fnv.back())};
-    read_ahead(basis, frame);
+    Basis& basis = basis_of(scene);
+    if (basis.is_static) {
+        if (!basis.detail) {
+            // One pass with no edits: every lane holds the plane's hash.
+            std::array<std::uint32_t, 8> h{};
+            hash_lanes(basis.luma, {}, h);
+            basis.detail = fold_detail(h[0]);
+        }
+        return {basis.video, *basis.detail};
+    }
+    read_ahead(basis, frame, stride);
     return ahead_.fingerprints[0];
 }
 
-void ContentStream::read_ahead(const Basis& basis, std::uint64_t first) const {
+void ContentStream::read_ahead(const Basis& basis, std::uint64_t first,
+                               std::uint64_t stride) const {
     // Up to the last frame that starts before the scene ends.
+    const auto frame_start = [](std::uint64_t frame) {
+        return SimTime::millis(kFrameMillis * static_cast<std::int64_t>(frame));
+    };
     std::size_t count = 1;
-    while (count < kLanes &&
-           SimTime::millis(kFrameMillis * static_cast<std::int64_t>(first + count)) <
-               scene_ends_[basis.scene]) {
+    while (count < kLanes && frame_start(first + count * stride) < scene_ends_[basis.scene]) {
         ++count;
     }
-    // Every lane's edits, one per pixel it changes (when both edits of a
-    // frame hit one pixel, the later holds the final value), in pixel order.
-    struct LaneEdit {
-        std::size_t index;
-        std::size_t lane;
-        std::uint8_t after;
-    };
+    // Every lane's edits in pixel order, by a counting sort over the plane
+    // (two edits of one lane on one pixel compose in either order).
     std::array<Motion, kLanes> motions{};
-    std::array<LaneEdit, 2 * kLanes> edits{};
+    std::vector<std::uint16_t> slot(basis.luma.size() + 1);
     std::size_t edit_count = 0;
     for (std::size_t k = 0; k < count; ++k) {
-        const Motion& motion = motions[k] = motion_at(basis, first + k);
-        for (std::size_t e = 0; e < motion.count; ++e) {
-            const PixelEdit& edit = motion.edits[e];
-            if (e + 1 < motion.count && motion.edits[e + 1].index == edit.index) continue;
-            edits[edit_count++] = LaneEdit{edit.index, k, edit.after};
+        const Motion& motion = motions[k] = motion_at(basis, first + k * stride);
+        for (std::size_t e = 0; e < motion.count; ++e) ++slot[motion.edits[e].index + 1];
+        edit_count += motion.count;
+    }
+    std::partial_sum(slot.begin(), slot.end(), slot.begin());
+    std::array<LaneEdit, 2 * kLanes> edits{};
+    for (std::size_t k = 0; k < count; ++k) {
+        for (std::size_t e = 0; e < motions[k].count; ++e) {
+            const PixelEdit& edit = motions[k].edits[e];
+            edits[slot[edit.index]++] =
+                LaneEdit{static_cast<std::uint32_t>(edit.index), static_cast<std::uint8_t>(k),
+                         static_cast<std::uint8_t>(edit.before ^ edit.after)};
         }
     }
-    std::sort(edits.begin(), edits.begin() + static_cast<std::ptrdiff_t>(edit_count),
-              [](const LaneEdit& a, const LaneEdit& b) { return a.index < b.index; });
 
-    // Every lane resumes FNV-1a at the earliest edit of any lane. A lane
-    // whose first edit comes later reads unedited pixels up to it, which is
-    // exactly the prefix state fnv[] holds there. Between edited pixels all
-    // lanes hash the same base pixel; at one, each lane hashes its own
-    // value. The lanes are independent chains, so the loop runs at multiply
-    // throughput, not latency.
-    const std::vector<std::uint8_t>& luma = basis.luma;
-    std::size_t i = edit_count == 0 ? luma.size() : edits[0].index;
+    // The pass rounds its lanes up to a multiple of 8. Lanes past `count`
+    // hash the plane as it is; nothing reads them.
+    static_assert(kLanes % 8 == 0 && kLanes <= 256, "LaneEdit::lane is one byte");
     std::array<std::uint32_t, kLanes> h{};
-    h.fill(basis.fnv[i]);
-    const auto run_to = [&](std::size_t end) {
-        for (; i < end; ++i) {
-            for (std::uint32_t& lane : h) lane = fnv1a(lane, luma[i]);
-        }
-    };
-    for (std::size_t e = 0; e < edit_count;) {
-        run_to(edits[e].index);
-        std::array<std::uint8_t, kLanes> pixel{};
-        pixel.fill(luma[i]);
-        for (; e < edit_count && edits[e].index == i; ++e) pixel[edits[e].lane] = edits[e].after;
-        for (std::size_t k = 0; k < kLanes; ++k) h[k] = fnv1a(h[k], pixel[k]);
-        ++i;
-    }
-    run_to(luma.size());
+    hash_lanes(basis.luma, std::span(edits).first(edit_count),
+               std::span(h).first((count + 7) / 8 * 8));
     for (std::size_t k = 0; k < count; ++k) {
         ahead_.fingerprints[k] = {video_of(basis, motions[k]), fold_detail(h[k])};
     }
     ahead_.scene = basis.scene;
     ahead_.first = first;
+    ahead_.stride = stride;
     ahead_.count = count;
 }
 

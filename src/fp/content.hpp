@@ -11,6 +11,8 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -56,18 +58,57 @@ struct FrameFingerprint {
     std::uint16_t detail = 0;  // frame_detail of the frame
 };
 
+/// One lane's change at one pixel in a read-ahead pass: lane `lane` hashes
+/// the plane's byte at `index` xor `flip`. Two edits of one lane on one
+/// pixel compose, since their flips xor together.
+struct LaneEdit {
+    std::uint32_t index;
+    std::uint8_t lane;
+    std::uint8_t flip;
+};
+
+/// The lane loop of ContentStream's read-ahead pass: h[k] becomes
+/// frame_detail's 32-bit FNV-1a state over `plane` with lane k's edits
+/// applied. `edits` is sorted by index and names lanes below h.size(),
+/// which is a multiple of 8. All lanes hash the same plane byte; an edit
+/// xors its flip into its lane's state just before that pixel, so the
+/// lane hashes (state ^ byte ^ flip). The lanes are independent chains of
+/// 32-bit wraparound xor and multiply, so the loop runs at multiply
+/// throughput and every ISA it is compiled for gives the same bits.
+/// content.cpp compiles it once per ISA it dispatches on; it is inline so
+/// that tests can compile it for each ISA too.
+[[gnu::always_inline]] inline void fnv_lanes(std::span<const std::uint8_t> plane,
+                                             std::span<const LaneEdit> edits,
+                                             std::span<std::uint32_t> h) {
+    std::uint32_t* const state = h.data();
+    const std::size_t lanes = h.size();
+    for (std::size_t k = 0; k < lanes; ++k) state[k] = 2166136261U;
+    std::size_t i = 0;
+    for (std::size_t e = 0;; ++e) {
+        const std::size_t end = e < edits.size() ? edits[e].index : plane.size();
+        for (; i < end; ++i) {
+            const std::uint32_t pixel = plane[i];
+            for (std::size_t g = 0; g < lanes; g += 8) {
+                for (std::size_t k = g; k < g + 8; ++k) state[k] = (state[k] ^ pixel) * 16777619U;
+            }
+        }
+        if (e == edits.size()) return;
+        state[edits[e].lane] ^= edits[e].flip;
+    }
+}
+
 /// A deterministic A/V stream: frame and audio content depend only on
 /// (seed, time), so the client and the reference library agree bit-for-bit.
 ///
 /// A frame is its scene's base plane plus at most two motion edits. The
 /// stream caches the current scene's plane with its dhash cell sums (and,
-/// once fingerprint_at reads the scene, its FNV-1a prefix states), so
-/// synthesis runs once per scene and each frame costs only its edits. A
-/// fingerprint_at that misses in a moving scene fingerprints that frame and
-/// the next kLanes - 1 in one pass and keeps them for the reads that
-/// follow. Any read order is correct; reading in time order (as the ACR
-/// client and the library do) is what makes the caches hit. A stream is
-/// not safe to share across threads.
+/// for a static scene, its frame_detail), so synthesis runs once per scene
+/// and each frame costs only its edits. A fingerprint_at that misses in a
+/// moving scene fingerprints up to kLanes frames in one pass, spaced at the
+/// reader's stride (the gap between its last two frame indices), and keeps
+/// them for the reads that follow. Any read order is correct; reading at a
+/// steady cadence in time order (as the ACR client does) is what makes the
+/// caches hit. A stream is not safe to share across threads.
 class ContentStream {
   public:
     ContentStream(std::uint64_t seed, ContentDynamics dynamics, int width = 36, int height = 16);
@@ -75,7 +116,7 @@ class ContentStream {
     [[nodiscard]] Frame frame_at(SimTime t) const;
     [[nodiscard]] AudioWindow audio_at(SimTime t) const;
     /// Equals {dhash(frame_at(t)), frame_detail(frame_at(t))}, computed by
-    /// patching the scene's cached sums and hash state with the edits.
+    /// patching the scene's cached sums and hashing its plane with the edits.
     [[nodiscard]] FrameFingerprint fingerprint_at(SimTime t) const;
     /// Equals fingerprint_at(t).video, without hashing the frame's detail.
     [[nodiscard]] VideoHash video_at(SimTime t) const;
@@ -96,7 +137,7 @@ class ContentStream {
     static constexpr std::size_t kGridW = 9;  // dhash downsample grid
     static constexpr std::size_t kGridH = 8;
     /// Frames fingerprinted side by side by one read-ahead pass.
-    static constexpr std::size_t kLanes = 8;
+    static constexpr std::size_t kLanes = 64;
     static constexpr std::size_t kNoScene = static_cast<std::size_t>(-1);
     using CellSums = std::array<int, kGridW * kGridH>;
     /// A downsample cell's pixel range along one axis: [begin, end).
@@ -117,9 +158,9 @@ class ContentStream {
         /// Pixel sums of dhash's downsample cells over `luma`, and the hash.
         CellSums cell_sum{};
         VideoHash video = 0;
-        /// fnv[i]: frame_detail's FNV-1a state before pixel i. Empty until
-        /// the scene's first fingerprint_at.
-        std::vector<std::uint32_t> fnv;
+        /// frame_detail of `luma`, for a static scene once fingerprint_at
+        /// has read it.
+        std::optional<std::uint16_t> detail;
     };
     /// One motion perturbation; a second edit of the same pixel starts
     /// from the first edit's value.
@@ -134,10 +175,11 @@ class ContentStream {
         std::size_t count = 0;
         std::array<PixelEdit, 2> edits{};
     };
-    /// Fingerprints of frames [first, first + count) of one scene.
+    /// Fingerprints of frames first + k * stride, k < count, of one scene.
     struct ReadAhead {
         std::size_t scene = kNoScene;
         std::uint64_t first = 0;
+        std::uint64_t stride = 1;
         std::size_t count = 0;
         std::array<FrameFingerprint, kLanes> fingerprints{};
     };
@@ -149,9 +191,9 @@ class ContentStream {
     [[nodiscard]] Motion motion_at(const Basis& basis, std::uint64_t frame_index) const;
     /// dhash of the basis frame with `motion` applied.
     [[nodiscard]] VideoHash video_of(const Basis& basis, const Motion& motion) const;
-    /// Fills ahead_ with frames first, first + 1, ... of the basis scene:
-    /// kLanes of them, or fewer where the scene ends.
-    void read_ahead(const Basis& basis, std::uint64_t first) const;
+    /// Fills ahead_ with frames first, first + stride, ... of the basis
+    /// scene: kLanes of them, or fewer where the scene ends.
+    void read_ahead(const Basis& basis, std::uint64_t first, std::uint64_t stride) const;
     /// dhash bit `bit` (left cell < right cell) computed from cell sums.
     [[nodiscard]] bool dhash_bit(const CellSums& sum, int bit) const;
 
@@ -169,6 +211,8 @@ class ContentStream {
     std::array<Span, kGridH> cell_y_{};
     mutable Basis basis_;
     mutable ReadAhead ahead_;
+    // Frame index of the last fingerprint_at (none yet: no earlier read).
+    mutable std::uint64_t last_frame_ = static_cast<std::uint64_t>(-1);
 };
 
 /// Catalog entry for the ACR backend's reference library.

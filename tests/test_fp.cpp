@@ -315,14 +315,15 @@ class ReadAheadSweep : public ::testing::TestWithParam<ContentKind> {};
 
 TEST_P(ReadAheadSweep, JumpBackIntoComputedBlock) {
     // Frame offsets from a start: a sequential run computes the block of
-    // frames 1..8, then reads jump back into it, skip past it, return to
+    // frames 1..64, then reads jump back into it, skip past it, return to
     // it and run on into the next block.
-    constexpr int kOffsets[] = {0, 1, 2, 3, 4, 5, 2, 3, 9, 4, 5, 6, 7, 8, 9, 10, 1, 0, 1, 2, 3};
+    constexpr int kOffsets[] = {0, 1, 2, 3, 4, 5, 2, 3, 9, 70, 4, 5, 6, 7, 8, 9, 10, 1, 0, 1, 2, 3};
     expect_pattern_matches(GetParam(), [&](const ContentStream&) {
         std::vector<SimTime> times;
         for (SimTime start = SimTime::millis(4); start < SimTime::minutes(5);
              start += SimTime::millis(7310)) {
             for (const int offset : kOffsets) times.push_back(start + in_frames(offset));
+            for (int offset = 4; offset <= 70; ++offset) times.push_back(start + in_frames(offset));
         }
         return times;
     });
@@ -358,9 +359,10 @@ TEST_P(ReadAheadSweep, RepeatedAndSubFrameReads) {
 }
 
 TEST_P(ReadAheadSweep, ScatteredAndBackwardReads) {
-    // Samsung's 500 ms cadence (every read a miss that uses one frame of
-    // its block), then 10 ms frames read backward: each lies just before
-    // the block the previous read computed, so every read misses too.
+    // Samsung's 500 ms cadence (a miss fills a block at the 50-frame
+    // stride, which the scene's later reads hit), then 10 ms frames read
+    // backward: each lies just before the block the previous read
+    // computed, so every read misses.
     expect_pattern_matches(GetParam(), [](const ContentStream&) {
         std::vector<SimTime> times;
         for (SimTime t = SimTime::millis(3); t < SimTime::minutes(3); t += SimTime::millis(500)) {
@@ -374,22 +376,64 @@ TEST_P(ReadAheadSweep, ScatteredAndBackwardReads) {
 }
 
 TEST_P(ReadAheadSweep, BlocksStopAtSceneEnd) {
-    // Sequential runs that start a few frames before a scene ends, at
-    // every phase of the 10 ms frame, and a 1 ms walk across the end (the
-    // frame that straddles it belongs to two scenes).
+    // Sequential runs that start 1-70 frames before a scene ends, at every
+    // phase of the 10 ms frame, so that a block of every length up to
+    // kLanes is cut at the end, and a 1 ms walk across the end (the frame
+    // that straddles it belongs to two scenes).
     expect_pattern_matches(GetParam(), [](const ContentStream& stream) {
         std::vector<SimTime> times;
         for (std::size_t scene = 1; scene <= 12; ++scene) {
             const SimTime end = stream.scene_start(scene);
-            for (std::int64_t lead = 1; lead <= 9; ++lead) {
+            for (std::int64_t lead = 1; lead <= 70; ++lead) {
                 const SimTime from = end - in_frames(lead) - SimTime::micros(1'100 * lead);
-                for (std::int64_t k = 0; k < 12; ++k) times.push_back(from + in_frames(k));
+                for (std::int64_t k = 0; k < lead + 3; ++k) times.push_back(from + in_frames(k));
             }
             for (SimTime t = end - SimTime::millis(25); t < end + SimTime::millis(25);
                  t += SimTime::millis(1)) {
                 times.push_back(t);
             }
         }
+        return times;
+    });
+}
+
+TEST_P(ReadAheadSweep, StridedReads) {
+    expect_pattern_matches(GetParam(), [](const ContentStream& stream) {
+        std::vector<SimTime> times;
+        // Constant strides: each miss fills a block at the reader's stride.
+        for (const std::int64_t stride : {2, 7, 50, 97}) {
+            const SimTime from = SimTime::seconds(stride) + SimTime::millis(3);
+            for (std::int64_t k = 0; k < 300; ++k) times.push_back(from + in_frames(k * stride));
+        }
+        // 10 ms -> 500 ms -> 10 ms inside scenes long enough to hold it.
+        std::size_t switched = 0;
+        for (std::size_t scene = 1; scene < 400 && switched < 12; ++scene) {
+            const SimTime from = stream.scene_start(scene) + SimTime::millis(4);
+            if (from + SimTime::millis(1600) >= stream.scene_start(scene + 1)) continue;
+            ++switched;
+            SimTime t = from;
+            for (int k = 0; k < 5; ++k, t += in_frames(1)) times.push_back(t);
+            for (int k = 0; k < 3; ++k, t += SimTime::millis(500)) times.push_back(t);
+            for (int k = 0; k < 5; ++k, t += in_frames(1)) times.push_back(t);
+        }
+        // Two reads `stride` apart fill a block at frames b, b + stride, ...;
+        // a third read lands at b + j for every j up to two strides (between
+        // lanes, which must miss, or on one), then on lane 63 and just past it.
+        for (const std::int64_t stride : {2, 7, 50}) {
+            for (std::int64_t j = 1; j <= 2 * stride + 1; ++j) {
+                const SimTime b = SimTime::seconds(200 + 40 * j) + SimTime::millis(6);
+                times.push_back(b - in_frames(stride));
+                times.push_back(b);
+                times.push_back(b + in_frames(j));
+            }
+            const SimTime b = SimTime::seconds(190) + SimTime::millis(6);
+            for (const std::int64_t lane : {63, 64}) {
+                times.push_back(b - in_frames(stride));
+                times.push_back(b);
+                times.push_back(b + in_frames(lane * stride));
+            }
+        }
+        EXPECT_GT(switched, 0U);
         return times;
     });
 }
@@ -412,11 +456,81 @@ TEST(ReadAheadTest, StaticScenes) {
     }
 }
 
+// The read-ahead lane loop compiled at the baseline ISA and for AVX2: the
+// two versions the library's dispatch chooses between.
+using LaneKernel = void (*)(std::span<const std::uint8_t>, std::span<const LaneEdit>,
+                            std::span<std::uint32_t>);
+
+void lanes_baseline(std::span<const std::uint8_t> plane, std::span<const LaneEdit> edits,
+                    std::span<std::uint32_t> h) {
+    fnv_lanes(plane, edits, h);
+}
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+[[gnu::target("avx2")]] void lanes_avx2(std::span<const std::uint8_t> plane,
+                                        std::span<const LaneEdit> edits,
+                                        std::span<std::uint32_t> h) {
+    fnv_lanes(plane, edits, h);
+}
+#endif
+
+/// Checks `kernel` against one scalar FNV-1a chain per lane over that
+/// lane's edited plane, for 1-64 lanes and 0-128 edits. Edit 0 is on pixel
+/// 0, edit 1 on the last pixel, and edit 2 on edit 0's lane and pixel.
+void expect_lanes_match(LaneKernel kernel) {
+    Rng rng(20);
+    std::vector<std::uint8_t> plane(36 * 16);
+    for (std::uint8_t& pixel : plane) pixel = static_cast<std::uint8_t>(rng.uniform(0, 255));
+    for (std::size_t lanes = 1; lanes <= 64; ++lanes) {
+        const std::size_t width = (lanes + 7) / 8 * 8;
+        for (std::size_t edit_count = 0; edit_count <= 128; ++edit_count) {
+            std::vector<std::vector<std::uint8_t>> frames(width, plane);
+            std::vector<LaneEdit> edits;
+            for (std::size_t e = 0; e < edit_count; ++e) {
+                std::size_t lane = static_cast<std::size_t>(rng.uniform(0, lanes - 1));
+                std::size_t index = static_cast<std::size_t>(rng.uniform(0, plane.size() - 1));
+                if (e == 0) index = 0;
+                if (e == 1) index = plane.size() - 1;
+                if (e == 2) {
+                    lane = edits[0].lane;
+                    index = edits[0].index;
+                }
+                const std::uint8_t before = frames[lane][index];
+                const auto after = static_cast<std::uint8_t>(rng.uniform(0, 255));
+                frames[lane][index] = after;
+                edits.push_back({static_cast<std::uint32_t>(index),
+                                 static_cast<std::uint8_t>(lane),
+                                 static_cast<std::uint8_t>(before ^ after)});
+            }
+            std::stable_sort(edits.begin(), edits.end(), [](const LaneEdit& a, const LaneEdit& b) {
+                return a.index < b.index;
+            });
+            std::vector<std::uint32_t> h(width);
+            kernel(plane, edits, h);
+            for (std::size_t k = 0; k < width; ++k) {
+                std::uint32_t want = 2166136261U;
+                for (const std::uint8_t pixel : frames[k]) want = (want ^ pixel) * 16777619U;
+                ASSERT_EQ(h[k], want) << lanes << " lanes, " << edit_count << " edits, lane " << k;
+            }
+        }
+    }
+}
+
+TEST(FnvLanesTest, BaselineMatchesScalarChains) { expect_lanes_match(lanes_baseline); }
+
+TEST(FnvLanesTest, Avx2MatchesScalarChains) {
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+    if (!__builtin_cpu_supports("avx2")) GTEST_SKIP() << "CPU has no AVX2";
+    expect_lanes_match(lanes_avx2);
+#else
+    GTEST_SKIP() << "AVX2 is an x86-64 GCC/Clang build only";
+#endif
+}
+
 class VideoAtSweep : public ::testing::TestWithParam<ContentKind> {};
 
 TEST_P(VideoAtSweep, EqualsFingerprintVideo) {
-    // video_at leaves the scene's FNV prefix unbuilt; the fingerprint_at
-    // that follows it in the same scene builds it.
+    // video_at and fingerprint_at take turns in one scene.
     for (const auto& [width, height] : kFrameSizes) {
         const auto dynamics = ContentDynamics::for_kind(GetParam());
         const ContentStream stream(kSweepSeeds[1], dynamics, width, height);
