@@ -23,7 +23,10 @@ std::uint64_t frame_index_at(SimTime t) {
 // fnv_lanes compiled for AVX2 (vpmulld: eight lanes per multiply) and for
 // the baseline ISA; the loader picks the first the CPU supports. Both give
 // the same bits, since the loop is 32-bit wraparound integer arithmetic.
-#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+// Not under TSan: with the clones (an ifunc), a GCC TSan build of any
+// binary linking tvacr_fp crashes at load, before main.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__)
 __attribute__((target_clones("avx2", "default")))
 #endif
 void hash_lanes(std::span<const std::uint8_t> plane, std::span<const LaneEdit> edits,

@@ -3,13 +3,7 @@
 namespace tvacr::fp {
 
 void ContentLibrary::add(const ContentInfo& info) {
-    Entry entry{info, {}, ContentStream(info.seed, info.dynamics)};
-    const std::int64_t steps = info.duration / kReferencePeriod;
-    entry.hashes.reserve(static_cast<std::size_t>(steps));
-    for (std::int64_t step = 0; step < steps; ++step) {
-        entry.hashes.push_back(entry.stream.video_at(kReferencePeriod * step));
-    }
-    entries_.insert_or_assign(info.id, std::move(entry));
+    entries_.insert_or_assign(info.id, Entry(info));
 }
 
 const ContentInfo* ContentLibrary::find(std::uint64_t content_id) const {
@@ -20,7 +14,16 @@ const ContentInfo* ContentLibrary::find(std::uint64_t content_id) const {
 std::span<const VideoHash> ContentLibrary::reference_hashes(std::uint64_t content_id) const {
     const auto it = entries_.find(content_id);
     if (it == entries_.end()) return {};
-    return it->second.hashes;
+    const Entry& entry = it->second;
+    const std::lock_guard lock(streams_mutex_);
+    if (entry.hashes.empty()) {
+        const std::int64_t steps = entry.info.duration / kReferencePeriod;
+        entry.hashes.reserve(static_cast<std::size_t>(steps));
+        for (std::int64_t step = 0; step < steps; ++step) {
+            entry.hashes.push_back(entry.stream.video_at(kReferencePeriod * step));
+        }
+    }
+    return entry.hashes;
 }
 
 std::optional<std::uint32_t> ContentLibrary::reference_audio(std::uint64_t content_id,
@@ -28,7 +31,7 @@ std::optional<std::uint32_t> ContentLibrary::reference_audio(std::uint64_t conte
     const auto it = entries_.find(content_id);
     if (it == entries_.end()) return std::nullopt;
     const Entry& entry = it->second;
-    if (step < 0 || step >= static_cast<std::int64_t>(entry.hashes.size())) return std::nullopt;
+    if (step < 0 || step >= entry.info.duration / kReferencePeriod) return std::nullopt;
     const std::lock_guard lock(streams_mutex_);
     return audio_hash(entry.stream.audio_at(kReferencePeriod * step));
 }

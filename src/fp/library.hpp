@@ -18,23 +18,34 @@ class ContentLibrary {
     /// Reference fingerprints are sampled at this cadence.
     static constexpr SimTime kReferencePeriod = SimTime::millis(500);
 
-    /// Registers content and precomputes its reference hash track.
+    /// Registers content; hashes nothing until a reference is read.
     void add(const ContentInfo& info);
 
     [[nodiscard]] const ContentInfo* find(std::uint64_t content_id) const;
+    /// The content's video hash at every kReferencePeriod step, built on
+    /// first read and valid for the library's lifetime (until the content is
+    /// re-added); empty for an unknown id. Safe to call from several threads.
     [[nodiscard]] std::span<const VideoHash> reference_hashes(std::uint64_t content_id) const;
     /// audio_hash of the content's audio at reference step `step`, computed
     /// on demand: the backend reads audio only to corroborate a video match,
     /// a few steps around its alignment. nullopt for an unknown id or a step
-    /// outside the hash track. Safe to call from several threads.
+    /// outside [0, duration / kReferencePeriod). Thread-safe.
     [[nodiscard]] std::optional<std::uint32_t> reference_audio(std::uint64_t content_id,
                                                                std::int64_t step) const;
     [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
     struct Entry {
         ContentInfo info;
-        std::vector<VideoHash> hashes;  // one per kReferencePeriod step
-        ContentStream stream;           // read lazily by reference_audio
+
+      private:
+        friend class ContentLibrary;
+        explicit Entry(const ContentInfo& content)
+            : info(content), stream(content.seed, content.dynamics) {}
+
+        ContentStream stream;
+        // Filled by the first reference_hashes and never changed after, so
+        // the spans handed out stay valid.
+        mutable std::vector<VideoHash> hashes;
     };
     [[nodiscard]] const std::unordered_map<std::uint64_t, Entry>& entries() const noexcept {
         return entries_;
@@ -42,7 +53,7 @@ class ContentLibrary {
 
   private:
     std::unordered_map<std::uint64_t, Entry> entries_;
-    // Guards the entries' streams, whose caches reference_audio fills.
+    // Guards the entries' streams and lazily filled tracks.
     mutable std::mutex streams_mutex_;
 };
 

@@ -161,13 +161,14 @@ void MatchServer::reindex() {
 
     // Deterministic build order — content ids ascending — so the postings
     // within every bucket come out sorted by (content_id, position) no
-    // matter how the library's hash map is laid out.
+    // matter how the library's hash map is laid out. Reading a track
+    // builds it on first use (ContentLibrary::reference_hashes).
     std::vector<std::uint64_t> content_ids;
     content_ids.reserve(library_.entries().size());
     std::size_t total_hashes = 0;
     for (const auto& [content_id, entry] : library_.entries()) {
         content_ids.push_back(content_id);
-        total_hashes += entry.hashes.size();
+        total_hashes += library_.reference_hashes(content_id).size();
     }
     std::sort(content_ids.begin(), content_ids.end());
 
@@ -177,7 +178,7 @@ void MatchServer::reindex() {
     // (content_id, position).
     std::vector<std::uint32_t> counts(kBucketCount, 0);
     for (const std::uint64_t content_id : content_ids) {
-        for (const VideoHash hash : library_.entries().at(content_id).hashes) {
+        for (const VideoHash hash : library_.reference_hashes(content_id)) {
             for (int band = 0; band < kBands; ++band) {
                 const auto value = static_cast<std::uint16_t>(hash >> (band * 16));
                 ++counts[(static_cast<std::size_t>(band) << 16) | value];
@@ -198,9 +199,9 @@ void MatchServer::reindex() {
     posting_position_.assign(total_postings, 0);
     std::vector<std::uint32_t> cursor(bucket_start_.begin(), bucket_start_.end() - 1);
     for (const std::uint64_t content_id : content_ids) {
-        const auto& entry = library_.entries().at(content_id);
-        for (std::size_t position = 0; position < entry.hashes.size(); ++position) {
-            const VideoHash hash = entry.hashes[position];
+        const auto hashes = library_.reference_hashes(content_id);
+        for (std::size_t position = 0; position < hashes.size(); ++position) {
+            const VideoHash hash = hashes[position];
             for (int band = 0; band < kBands; ++band) {
                 const auto value = static_cast<std::uint16_t>(hash >> (band * 16));
                 const std::size_t bucket = (static_cast<std::size_t>(band) << 16) | value;
@@ -261,8 +262,9 @@ std::optional<MatchResult> MatchServer::match_reference(const FingerprintBatch& 
         // plain std::popcount scalar path. The candidate total order makes
         // the library's unordered iteration harmless.
         for (const auto& [content_id, entry] : library_.entries()) {
-            for (std::size_t position = 0; position < entry.hashes.size(); ++position) {
-                const int distance = hamming(entry.hashes[position], query);
+            const auto hashes = library_.reference_hashes(content_id);
+            for (std::size_t position = 0; position < hashes.size(); ++position) {
+                const int distance = hamming(hashes[position], query);
                 if (distance <= options_.max_hamming) {
                     best.consider(distance, content_id, static_cast<std::uint32_t>(position));
                 }

@@ -57,7 +57,7 @@ Result<AcrResponse> AcrResponse::deserialize(BytesView wire) {
 AcrBackend::AcrBackend(Brand brand, Country country, const fp::ContentLibrary& library)
     : brand_(brand),
       calibration_(acr_calibration(brand, country)),
-      matcher_(library),
+      library_(library),
       profiler_(library) {}
 
 Bytes AcrBackend::handle(BytesView request_wire) {
@@ -76,7 +76,8 @@ Bytes AcrBackend::handle(BytesView request_wire) {
             AcrResponse response;
             auto batch = fp::FingerprintBatch::deserialize(request.value().body);
             if (batch.ok()) {
-                const auto match = matcher_.match(batch.value());
+                if (!matcher_) matcher_.emplace(library_);
+                const auto match = matcher_->match(batch.value());
                 if (match) {
                     ++batches_matched_;
                     response.recognized = true;

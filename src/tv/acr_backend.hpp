@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 
 #include "common/bytes.hpp"
 #include "fp/matcher.hpp"
@@ -56,7 +57,6 @@ class AcrBackend {
     /// plaintext response (sizes per calibration).
     [[nodiscard]] Bytes handle(BytesView request_wire);
 
-    [[nodiscard]] const fp::MatchServer& matcher() const noexcept { return matcher_; }
     [[nodiscard]] fp::AudienceProfiler& profiler() noexcept { return profiler_; }
     [[nodiscard]] const fp::AudienceProfiler& profiler() const noexcept { return profiler_; }
 
@@ -69,7 +69,10 @@ class AcrBackend {
   private:
     Brand brand_;
     AcrCalibration calibration_;
-    fp::MatchServer matcher_;
+    const fp::ContentLibrary& library_;
+    // Built by the first decodable fingerprint batch: a TV that uploads
+    // none never indexes the library.
+    std::optional<fp::MatchServer> matcher_;
     fp::AudienceProfiler profiler_;
     std::uint64_t batches_received_ = 0;
     std::uint64_t batches_matched_ = 0;

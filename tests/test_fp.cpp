@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <latch>
 #include <numeric>
 #include <optional>
 #include <set>
@@ -784,7 +785,7 @@ struct MatcherFixture : ::testing::Test {
     }
 };
 
-TEST_F(MatcherFixture, LibraryPrecomputesReferenceTracks) {
+TEST_F(MatcherFixture, LibraryServesRegisteredContent) {
     EXPECT_EQ(library.size(), catalog.size());
     const auto hashes = library.reference_hashes(catalog[0].id);
     EXPECT_EQ(hashes.size(),
@@ -904,6 +905,74 @@ std::vector<std::uint32_t> reference_audio_oracle(const ContentInfo& info) {
     return track;
 }
 
+/// The reference video track the library must reproduce: a fresh
+/// stream's video_at at every step.
+std::vector<VideoHash> reference_video_oracle(const ContentInfo& info) {
+    const ContentStream stream(info.seed, info.dynamics);
+    std::vector<VideoHash> track;
+    const std::int64_t steps = info.duration / ContentLibrary::kReferencePeriod;
+    for (std::int64_t step = 0; step < steps; ++step) {
+        track.push_back(stream.video_at(ContentLibrary::kReferencePeriod * step));
+    }
+    return track;
+}
+
+bool same_track(std::span<const VideoHash> got, const std::vector<VideoHash>& want) {
+    return std::equal(got.begin(), got.end(), want.begin(), want.end());
+}
+
+TEST(ContentLibraryTest, TrackEqualsTheOracleInEitherReadOrder) {
+    // The track is built on its first read, from the stream that
+    // reference_audio also reads. One library reads each track before any
+    // audio; the other reads every audio step first, so its tracks are
+    // built from streams whose caches the audio reads have moved.
+    const std::vector<ContentInfo> catalog = builtin_catalog(2024);
+    ContentLibrary track_first;
+    ContentLibrary audio_first;
+    for (const ContentInfo& info : catalog) {
+        track_first.add(info);
+        audio_first.add(info);
+    }
+    for (const ContentInfo& info : catalog) {
+        SCOPED_TRACE(info.title);
+        const std::vector<VideoHash> want = reference_video_oracle(info);
+        EXPECT_TRUE(same_track(track_first.reference_hashes(info.id), want));
+        const auto steps = static_cast<std::int64_t>(want.size());
+        for (std::int64_t step = 0; step < steps; ++step) {
+            ASSERT_TRUE(audio_first.reference_audio(info.id, step).has_value()) << step;
+        }
+        EXPECT_TRUE(same_track(audio_first.reference_hashes(info.id), want));
+    }
+}
+
+TEST(ContentLibraryTest, AudioBoundsHoldBeforeAnyTrackIsRead) {
+    const std::vector<ContentInfo> catalog = builtin_catalog(2024);
+    ContentLibrary library;
+    for (const ContentInfo& info : catalog) library.add(info);
+    for (const ContentInfo& info : catalog) {
+        SCOPED_TRACE(info.title);
+        const std::int64_t steps = info.duration / ContentLibrary::kReferencePeriod;
+        EXPECT_EQ(library.reference_audio(info.id, -1), std::nullopt);
+        EXPECT_EQ(library.reference_audio(info.id, steps), std::nullopt);
+        EXPECT_TRUE(library.reference_audio(info.id, steps - 1).has_value());
+    }
+    EXPECT_EQ(library.reference_audio(424242, 0), std::nullopt);
+}
+
+TEST(ContentLibraryTest, ReadsOfOneTrackShareOneBuild) {
+    const std::vector<ContentInfo> catalog = builtin_catalog(2024);
+    ContentLibrary library;
+    for (const ContentInfo& info : catalog) library.add(info);
+    const std::span<const VideoHash> first = library.reference_hashes(catalog[0].id);
+    // Building other tracks and reading audio in between moves nothing.
+    for (const ContentInfo& info : catalog) (void)library.reference_hashes(info.id);
+    EXPECT_TRUE(library.reference_audio(catalog[0].id, 3).has_value());
+    const std::span<const VideoHash> second = library.reference_hashes(catalog[0].id);
+    ASSERT_FALSE(first.empty());
+    EXPECT_EQ(first.data(), second.data());
+    EXPECT_EQ(first.size(), second.size());
+}
+
 TEST(ReferenceAudioTest, EqualsFreshStreamInAnyReadOrder) {
     const std::vector<ContentInfo> catalog = builtin_catalog(2024);
     // One library per read order, so no order inherits another's caches.
@@ -951,20 +1020,27 @@ TEST(ReferenceAudioTest, EqualsFreshStreamInAnyReadOrder) {
 }
 
 TEST(ReferenceAudioTest, ConcurrentReadersSeeTheOracle) {
-    // Four threads read one library at overlapping steps; the streams'
-    // caches are shared, so this is the case the library's lock covers.
+    // Four threads read one fresh library: first every track, so their
+    // first reference_hashes calls race to build it, then the audio at
+    // overlapping steps. The streams' caches and the tracks are shared, so
+    // this is the case the library's lock covers.
     const std::vector<ContentInfo> catalog = builtin_catalog(77);
     ContentLibrary library;
     for (const ContentInfo& info : catalog) library.add(info);
     const std::vector<const ContentInfo*> contents = {&catalog[4], &catalog[6], &catalog[7]};
     constexpr int kThreads = 4;
+    std::vector<std::vector<std::span<const VideoHash>>> tracks(kThreads);
     std::vector<std::vector<std::optional<std::uint32_t>>> seen(kThreads);
+    std::latch start(kThreads);
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
+            start.arrive_and_wait();
             for (const ContentInfo* info : contents) {
-                const auto steps =
-                    static_cast<std::int64_t>(library.reference_hashes(info->id).size());
+                tracks[static_cast<std::size_t>(t)].push_back(library.reference_hashes(info->id));
+            }
+            for (const ContentInfo* info : contents) {
+                const std::int64_t steps = info->duration / ContentLibrary::kReferencePeriod;
                 // Each thread starts a quarter further in and wraps, so
                 // every step is read by all four threads at different times.
                 for (std::int64_t i = 0; i < steps; ++i) {
@@ -978,6 +1054,13 @@ TEST(ReferenceAudioTest, ConcurrentReadersSeeTheOracle) {
     for (std::thread& thread : threads) thread.join();
     std::vector<std::vector<std::uint32_t>> oracles;
     for (const ContentInfo* info : contents) oracles.push_back(reference_audio_oracle(*info));
+    for (std::size_t c = 0; c < contents.size(); ++c) {
+        const std::vector<VideoHash> want = reference_video_oracle(*contents[c]);
+        for (int t = 0; t < kThreads; ++t) {
+            EXPECT_TRUE(same_track(tracks[static_cast<std::size_t>(t)][c], want))
+                << contents[c]->title << " thread " << t;
+        }
+    }
     for (int t = 0; t < kThreads; ++t) {
         std::size_t read = 0;
         for (std::size_t c = 0; c < contents.size(); ++c) {

@@ -3,6 +3,8 @@
 // and the SmartTv device model end-to-end on a small testbed.
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "sim/access_point.hpp"
 #include "sim/cloud.hpp"
 #include "tv/acr_backend.hpp"
@@ -307,6 +309,63 @@ TEST_F(BackendFixture, ResponseSizesFollowCalibration) {
     config.body = Bytes(10, 0);
     EXPECT_EQ(backend.handle(config.serialize()).size(), 17U + calibration.config_response);
     EXPECT_EQ(backend.heartbeats(), 1U);
+}
+
+TEST_F(BackendFixture, FirstBatchAfterControlTrafficAnswersLikeAnUpFrontIndex) {
+    // The backend indexes its library only when the first fingerprint
+    // batch arrives. Control traffic before it gets the calibrated sizes,
+    // and the batch gets the bytes of a MatchServer built up front over
+    // its own copy of the catalog.
+    fp::ContentLibrary up_front_library;
+    for (const auto& info : fp::builtin_catalog(555)) up_front_library.add(info);
+    const fp::MatchServer up_front(up_front_library);
+    AcrBackend backend(Brand::kLg, Country::kUk, library);
+    const auto calibration = acr_calibration(Brand::kLg, Country::kUk);
+
+    const std::pair<AcrMessageType, std::size_t> control[] = {
+        {AcrMessageType::kHeartbeat, calibration.heartbeat_response},
+        {AcrMessageType::kProbe, calibration.probe_response},
+        {AcrMessageType::kKeepAlive, calibration.keepalive_response},
+        {AcrMessageType::kConfigFetch, calibration.config_response},
+    };
+    for (const auto& [type, size] : control) {
+        AcrRequest request;
+        request.type = type;
+        request.body = Bytes(10, 0);
+        const auto response = AcrResponse::deserialize(backend.handle(request.serialize()));
+        ASSERT_TRUE(response.ok());
+        EXPECT_FALSE(response.value().recognized);
+        EXPECT_EQ(response.value().padding_size, size) << static_cast<int>(type);
+    }
+    EXPECT_EQ(backend.heartbeats(), 1U);
+    EXPECT_EQ(backend.batches_received(), 0U);
+
+    const fp::ContentInfo info = fp::builtin_catalog(555)[2];
+    const fp::ContentStream stream(info.seed, info.dynamics);
+    fp::FingerprintBatch batch;
+    batch.device_id = 79;
+    batch.capture_period_ms = 10;
+    for (int i = 0; i < 1500; ++i) {
+        fp::CaptureRecord record;
+        record.offset_ms = static_cast<std::uint32_t>(i * 10);
+        record.video = stream.video_at(SimTime::minutes(7) + SimTime::millis(i * 10));
+        batch.records.push_back(record);
+    }
+    const auto match = up_front.match(batch);
+    ASSERT_TRUE(match.has_value());
+    AcrResponse want;
+    want.recognized = true;
+    want.content_id = match->content_id;
+    want.content_offset_s =
+        static_cast<std::uint32_t>(match->content_offset.as_micros() / 1'000'000);
+    want.padding_size = static_cast<std::uint32_t>(calibration.response_recognized - 17);
+    EXPECT_EQ(want.content_id, info.id);
+
+    AcrRequest request;
+    request.type = AcrMessageType::kFingerprintBatch;
+    request.body = batch.serialize(fp::BatchEncoding::kCompactRle);
+    EXPECT_EQ(backend.handle(request.serialize()), want.serialize());
+    EXPECT_EQ(backend.batches_matched(), 1U);
 }
 
 TEST_F(BackendFixture, MalformedRequestGetsTerseError) {
