@@ -1,9 +1,10 @@
 // Micro-benchmarks (google-benchmark) for the hot paths: frame synthesis,
 // perceptual hashing, capture fingerprints, reference tracks, the audio
 // filter bank, the traffic period search, batch codecs, the match server,
-// DNS and pcap codecs, and raw simulator event throughput.
+// DNS and pcap codecs, and raw simulator event and capture-tick throughput.
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -245,6 +246,50 @@ void BM_SimulatorEvents(benchmark::State& state) {
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 10000);
 }
 BENCHMARK(BM_SimulatorEvents);
+
+void BM_CaptureTicks(benchmark::State& state) {
+    // One simulated hour of 10 ms capture ticks beside 30 self-rescheduling
+    // background events (a testbed's other timers): /1 runs the ticks
+    // through Simulator::every, /0 as the guarded after() chain the capture
+    // timer replaced, which allocates its closure and locks a weak_ptr on
+    // every tick. items_per_second counts ticks.
+    const bool timer = state.range(0) == 1;
+    struct Background {
+        sim::Simulator* simulator;
+        Rng* rng;
+        void operator()() const {
+            simulator->after(SimTime::micros(rng->uniform(300'000, 3'000'000)), *this);
+        }
+    };
+    struct Chain {
+        sim::Simulator* simulator;
+        std::weak_ptr<bool> alive;
+        std::int64_t* ticks;
+        void operator()() const {
+            const auto lock = alive.lock();
+            if (!lock || !*lock) return;
+            ++*ticks;
+            simulator->after(SimTime::millis(10), *this);
+        }
+    };
+    std::int64_t ticks = 0;
+    for (auto _ : state) {
+        sim::Simulator simulator;
+        Rng rng(7);
+        for (int i = 0; i < 30; ++i) {
+            simulator.at(SimTime::micros(rng.uniform(0, 3'000'000)), Background{&simulator, &rng});
+        }
+        const auto alive = std::make_shared<bool>(true);
+        if (timer) {
+            simulator.every(SimTime::millis(10), SimTime::millis(10), [&ticks]() { ++ticks; });
+        } else {
+            simulator.after(SimTime::millis(10), Chain{&simulator, alive, &ticks});
+        }
+        simulator.run_until(SimTime::hours(1));
+    }
+    state.SetItemsProcessed(ticks);
+}
+BENCHMARK(BM_CaptureTicks)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -7,27 +7,45 @@
 //
 //   audit_campaign [uk|us] [minutes-per-experiment] [jobs]
 //   (defaults: uk 20 $TVACR_JOBS-or-hardware)
+//
+// It takes no flags: a flag, an unknown country or a fourth argument exits
+// 2 with usage before anything runs.
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
 #include "analysis/report.hpp"
+#include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "core/matrix_runner.hpp"
+#include "tv/privacy.hpp"
 
 using namespace tvacr;
 
+namespace {
+
+int usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [uk|us] [minutes-per-experiment] [jobs]\n", argv0);
+    return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-    const tv::Country country =
-        (argc > 1 && std::strcmp(argv[1], "us") == 0) ? tv::Country::kUs : tv::Country::kUk;
+    const auto args = common::parse_flags(argc, argv, {}, usage);
+    if (args.size() > 3) return usage(argv[0]);
+    const std::optional<tv::Country> parsed =
+        args.empty() ? tv::Country::kUk : tv::parse_country(args[0]);
+    if (!parsed) return usage(argv[0]);
+    const tv::Country country = *parsed;
     const int minutes =
-        argc > 2 ? static_cast<int>(common::parse_flag_int("minutes", argv[2], 1, 1 << 24)) : 20;
+        args.size() > 1 ? static_cast<int>(common::parse_flag_int("minutes", args[1], 1, 1 << 24))
+                        : 20;
     const SimTime duration = SimTime::minutes(minutes);
-    const int jobs =
-        argc > 3 ? static_cast<int>(common::parse_flag_int("jobs", argv[3], 1, 1024))
-                 : core::default_jobs();
+    const int jobs = args.size() > 2
+                         ? static_cast<int>(common::parse_flag_int("jobs", args[2], 1, 1024))
+                         : core::default_jobs();
 
     std::cout << "Audit campaign: " << to_string(country) << ", " << duration.as_seconds() / 60
               << " simulated minutes per experiment, 2 TVs x 6 scenarios x 4 phases, " << jobs

@@ -81,8 +81,10 @@ class Testbed {
     void register_server(const std::string& domain, const geo::City& city,
                          const std::string& ptr_host);
 
-    TestbedConfig config_;
+    // First, so it is destroyed last: the TV's ACR client cancels its
+    // capture timer in the simulator when it is destroyed.
     sim::Simulator simulator_;
+    TestbedConfig config_;
     std::unique_ptr<fault::ImpairmentModel> impairment_;
     std::unique_ptr<sim::Cloud> cloud_;
     std::unique_ptr<sim::AccessPoint> access_point_;

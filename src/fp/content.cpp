@@ -3,7 +3,6 @@
 #include "fp/audio.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <numeric>
 
@@ -106,6 +105,23 @@ ContentStream::ContentStream(std::uint64_t seed, ContentDynamics dynamics, int w
     };
     for (std::size_t gx = 0; gx < kGridW; ++gx) cell_x_[gx] = bounds(gx, kGridW, width);
     for (std::size_t gy = 0; gy < kGridH; ++gy) cell_y_[gy] = bounds(gy, kGridH, height);
+    // Both cell bounds grow with the cell index, so the cells that contain
+    // one pixel are consecutive.
+    const auto owners = [](std::span<const Span> cells, int size) {
+        std::vector<Span> out(static_cast<std::size_t>(std::max(size, 0)), Span{0, 0});
+        for (int i = 0; i < size; ++i) {
+            Span& owner = out[static_cast<std::size_t>(i)];
+            while (cells[static_cast<std::size_t>(owner.begin)].end <= i) ++owner.begin;
+            owner.end = owner.begin;
+            while (owner.end < static_cast<int>(cells.size()) &&
+                   cells[static_cast<std::size_t>(owner.end)].begin <= i) {
+                ++owner.end;
+            }
+        }
+        return out;
+    };
+    owner_x_ = owners(cell_x_, width);
+    owner_y_ = owners(cell_y_, height);
 }
 
 void ContentStream::ensure_schedule(SimTime t) const {
@@ -128,16 +144,6 @@ std::size_t ContentStream::scene_index_at(SimTime t) const {
 bool ContentStream::scene_is_static(std::size_t scene_index) const {
     const std::uint64_t h = splitmix64(seed_ ^ (scene_index * 0x9E3779B97F4A7C15ULL) ^ 0x57A7);
     return (static_cast<double>(h >> 11) * 0x1.0p-53) < dynamics_.static_scene_fraction;
-}
-
-bool ContentStream::dhash_bit(const CellSums& sum, int bit) const {
-    // downsample's cell mean, compared as dhash compares it.
-    const auto mean = [&](std::size_t gx, std::size_t gy) {
-        return sum[gy * kGridW + gx] / (cell_x_[gx].size() * cell_y_[gy].size());
-    };
-    const auto gx = static_cast<std::size_t>(bit) % (kGridW - 1);
-    const auto gy = static_cast<std::size_t>(bit) / (kGridW - 1);
-    return mean(gx, gy) < mean(gx + 1, gy);
 }
 
 ContentStream::Basis& ContentStream::basis_of(std::size_t scene) const {
@@ -173,12 +179,21 @@ ContentStream::Basis& ContentStream::basis_of(std::size_t scene) const {
             for (int y = cell_y_[gy].begin; y < cell_y_[gy].end; ++y) {
                 for (int x = cell_x_[gx].begin; x < cell_x_[gx].end; ++x) sum += frame.at(x, y);
             }
-            basis.cell_sum[gy * kGridW + gx] = sum;
+            const std::size_t cell = gy * kGridW + gx;
+            basis.cell_sum[cell] = sum;
+            basis.cell_mean[cell] =
+                static_cast<std::uint8_t>(sum / (cell_x_[gx].size() * cell_y_[gy].size()));
         }
     }
+    // dhash: bit gy * 8 + gx is set when cell gx is darker than cell gx + 1.
     basis.video = 0;
-    for (int bit = 0; bit < 64; ++bit) {
-        if (dhash_bit(basis.cell_sum, bit)) basis.video |= 1ULL << bit;
+    for (std::size_t gy = 0; gy < kGridH; ++gy) {
+        for (std::size_t gx = 0; gx + 1 < kGridW; ++gx) {
+            const std::size_t cell = gy * kGridW + gx;
+            if (basis.cell_mean[cell] < basis.cell_mean[cell + 1]) {
+                basis.video |= 1ULL << (gy * (kGridW - 1) + gx);
+            }
+        }
     }
     basis.luma = std::move(frame.luma);
     return basis;
@@ -228,29 +243,57 @@ Frame ContentStream::frame_at(SimTime t) const {
 }
 
 VideoHash ContentStream::video_of(const Basis& basis, const Motion& motion) const {
-    // Move the sums of the cells that contain each edited pixel (several,
-    // on frames narrower than the grid), then redo the comparison bits that
-    // read those cells.
+    // Move the sums of the cells that contain each edited pixel, then redo
+    // the (at most two) comparison bits of each moved cell, reading the
+    // other cells' means from the basis.
     if (motion.count == 0) return basis.video;
-    CellSums sum = basis.cell_sum;
-    std::uint64_t dirty = 0;
+    struct Moved {
+        std::size_t cell;
+        int sum;
+        std::uint8_t mean;
+    };
+    std::array<Moved, kCells> moved;
+    std::size_t count = 0;
     for (std::size_t k = 0; k < motion.count; ++k) {
         const PixelEdit& edit = motion.edits[k];
-        for (std::size_t gy = 0; gy < kGridH; ++gy) {
-            if (!cell_y_[gy].contains(edit.y)) continue;
-            for (std::size_t gx = 0; gx < kGridW; ++gx) {
-                if (!cell_x_[gx].contains(edit.x)) continue;
-                sum[gy * kGridW + gx] += int{edit.after} - int{edit.before};
-                const std::size_t bit = gy * (kGridW - 1) + gx;
-                if (gx > 0) dirty |= 1ULL << (bit - 1);
-                if (gx < kGridW - 1) dirty |= 1ULL << bit;
+        const int delta = int{edit.after} - int{edit.before};
+        const Span rows = owner_y_[static_cast<std::size_t>(edit.y)];
+        const Span cols = owner_x_[static_cast<std::size_t>(edit.x)];
+        for (int gy = rows.begin; gy < rows.end; ++gy) {
+            for (int gx = cols.begin; gx < cols.end; ++gx) {
+                const std::size_t cell =
+                    static_cast<std::size_t>(gy) * kGridW + static_cast<std::size_t>(gx);
+                std::size_t m = 0;
+                while (m < count && moved[m].cell != cell) ++m;
+                if (m == count) moved[count++] = Moved{cell, basis.cell_sum[cell], 0};
+                moved[m].sum += delta;
             }
         }
     }
+    for (std::size_t m = 0; m < count; ++m) {
+        const std::size_t cell = moved[m].cell;
+        moved[m].mean = static_cast<std::uint8_t>(
+            moved[m].sum / (cell_x_[cell % kGridW].size() * cell_y_[cell / kGridW].size()));
+    }
+    const auto mean = [&](std::size_t cell) {
+        for (std::size_t m = 0; m < count; ++m) {
+            if (moved[m].cell == cell) return moved[m].mean;
+        }
+        return basis.cell_mean[cell];
+    };
     VideoHash video = basis.video;
-    for (; dirty != 0; dirty &= dirty - 1) {
-        const int bit = std::countr_zero(dirty);
-        video = (video & ~(1ULL << bit)) | (VideoHash{dhash_bit(sum, bit)} << bit);
+    for (std::size_t m = 0; m < count; ++m) {
+        const std::size_t cell = moved[m].cell;
+        const std::size_t gx = cell % kGridW;
+        const std::size_t bit = cell / kGridW * (kGridW - 1) + gx;
+        if (gx > 0) {
+            const VideoHash set{mean(cell - 1) < moved[m].mean};
+            video = (video & ~(1ULL << (bit - 1))) | (set << (bit - 1));
+        }
+        if (gx + 1 < kGridW) {
+            const VideoHash set{moved[m].mean < mean(cell + 1)};
+            video = (video & ~(1ULL << bit)) | (set << bit);
+        }
     }
     return video;
 }

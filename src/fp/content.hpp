@@ -139,12 +139,12 @@ class ContentStream {
     /// Frames fingerprinted side by side by one read-ahead pass.
     static constexpr std::size_t kLanes = 64;
     static constexpr std::size_t kNoScene = static_cast<std::size_t>(-1);
-    using CellSums = std::array<int, kGridW * kGridH>;
-    /// A downsample cell's pixel range along one axis: [begin, end).
+    static constexpr std::size_t kCells = kGridW * kGridH;
+    /// A half-open range [begin, end) along one axis: a downsample cell's
+    /// pixels, or the cells that contain one pixel row or column.
     struct Span {
         int begin;
         int end;
-        [[nodiscard]] bool contains(int i) const { return begin <= i && i < end; }
         [[nodiscard]] int size() const { return end - begin; }
     };
 
@@ -155,8 +155,10 @@ class ContentStream {
         bool is_static = false;
         /// The scene's frame before motion, row-major.
         std::vector<std::uint8_t> luma;
-        /// Pixel sums of dhash's downsample cells over `luma`, and the hash.
-        CellSums cell_sum{};
+        /// Pixel sums of dhash's downsample cells over `luma`, their means
+        /// (downsample's truncating sum / area), and the hash.
+        std::array<int, kCells> cell_sum{};
+        std::array<std::uint8_t, kCells> cell_mean{};
         VideoHash video = 0;
         /// frame_detail of `luma`, for a static scene once fingerprint_at
         /// has read it.
@@ -194,8 +196,6 @@ class ContentStream {
     /// Fills ahead_ with frames first, first + stride, ... of the basis
     /// scene: kLanes of them, or fewer where the scene ends.
     void read_ahead(const Basis& basis, std::uint64_t first, std::uint64_t stride) const;
-    /// dhash bit `bit` (left cell < right cell) computed from cell sums.
-    [[nodiscard]] bool dhash_bit(const CellSums& sum, int bit) const;
 
     std::uint64_t seed_;
     ContentDynamics dynamics_;
@@ -206,9 +206,13 @@ class ContentStream {
     mutable Rng schedule_rng_;
     // Onset-aligned audio windows are scene-constant: cache the analysis.
     mutable std::vector<std::pair<std::size_t, AudioWindow>> audio_cache_;
-    // Downsample cell bounds for this frame size.
+    // Downsample cell bounds for this frame size, and for each pixel column
+    // and row the cells that contain it (several where the frame is
+    // narrower or shorter than the grid).
     std::array<Span, kGridW> cell_x_{};
     std::array<Span, kGridH> cell_y_{};
+    std::vector<Span> owner_x_;
+    std::vector<Span> owner_y_;
     mutable Basis basis_;
     mutable ReadAhead ahead_;
     // Frame index of the last fingerprint_at (none yet: no earlier read).

@@ -122,6 +122,8 @@ void AcrClient::stop() {
     ++epoch_;
     *alive_ = false;
     alive_ = std::make_shared<bool>(true);
+    wiring_.simulator.cancel(capture_timer_);
+    capture_timer_ = 0;
     channels_.clear();  // tears down TLS/TCP registrations
     screen_ = nullptr;
 }
@@ -171,7 +173,11 @@ void AcrClient::send_on(Channel& channel, AcrMessageType type, Bytes body,
 void AcrClient::start_fingerprint_schedule(Channel& channel) {
     batch_start_ = wiring_.simulator.now();
     if (mode_ == AcrMode::kActive) {
-        schedule_capture(channel);
+        // One timer from here until stop() cancels it, so a tick
+        // needs no liveness, epoch or mode check.
+        const SimTime period = schedule_.capture_period;
+        capture_timer_ = wiring_.simulator.every(wiring_.simulator.now() + period, period,
+                                                 [this]() { take_capture(); });
         schedule_upload(channel);
     } else if (mode_ == AcrMode::kSuppressed) {
         schedule_heartbeat(channel);
@@ -180,28 +186,21 @@ void AcrClient::start_fingerprint_schedule(Channel& channel) {
     }
 }
 
-void AcrClient::schedule_capture(Channel& channel) {
-    const std::uint64_t epoch = epoch_;
-    wiring_.simulator.after(
-        schedule_.capture_period, guarded(alive_, [this, &channel, epoch]() {
-            if (!epoch_valid(epoch) || mode_ != AcrMode::kActive) return;
-            if (screen_) {
-                const auto capture = screen_(wiring_.simulator.now(), schedule_.has_audio);
-                if (capture) {
-                    fp::CaptureRecord record;
-                    record.offset_ms = static_cast<std::uint32_t>(
-                        (wiring_.simulator.now() - batch_start_).as_millis());
-                    record.video = capture->fingerprint.video;
-                    record.detail = capture->fingerprint.detail;
-                    record.audio =
-                        schedule_.has_audio ? fp::audio_hash(capture->audio) : 0;
-                    pending_records_.push_back(record);
-                    ++captures_taken_;
-                    m_captures_.add();
-                }
-            }
-            schedule_capture(channel);
-        }));
+void AcrClient::take_capture() {
+    if (screen_) {
+        const auto capture = screen_(wiring_.simulator.now(), schedule_.has_audio);
+        if (capture) {
+            fp::CaptureRecord record;
+            record.offset_ms =
+                static_cast<std::uint32_t>((wiring_.simulator.now() - batch_start_).as_millis());
+            record.video = capture->fingerprint.video;
+            record.detail = capture->fingerprint.detail;
+            record.audio = schedule_.has_audio ? fp::audio_hash(capture->audio) : 0;
+            pending_records_.push_back(record);
+            ++captures_taken_;
+            m_captures_.add();
+        }
+    }
 }
 
 void AcrClient::schedule_upload(Channel& channel) {

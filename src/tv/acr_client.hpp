@@ -97,7 +97,8 @@ class AcrClient {
                  std::function<void(Bytes)> on_response);
 
     void start_fingerprint_schedule(Channel& channel);
-    void schedule_capture(Channel& channel);
+    /// One capture tick: reads the screen and appends a record to the batch.
+    void take_capture();
     void schedule_upload(Channel& channel);
     void schedule_heartbeat(Channel& channel);
     void schedule_probe(Channel& channel);
@@ -127,6 +128,7 @@ class AcrClient {
     std::uint64_t epoch_ = 0;  // bumped on stop(); stale timers self-cancel
     ScreenProvider screen_;
     std::vector<std::unique_ptr<Channel>> channels_;
+    sim::Simulator::TimerId capture_timer_ = 0;  // 0: none armed
 
     // Capture accumulation for the active fingerprint channel.
     std::vector<fp::CaptureRecord> pending_records_;

@@ -172,6 +172,29 @@ TEST_P(FingerprintSweep, MatchesReferenceOnOverlappingCells) {
     }
 }
 
+TEST_P(FingerprintSweep, MatchesPerPixelOracleWhereCellsSharePixels) {
+    // Pixels that sit in two or more cells (5x3, and 5x16 and 36x3 on one
+    // axis only) and grids of one-pixel cells (9x8, 10x9), checked against
+    // the per-pixel oracle frame rather than frame_at.
+    constexpr std::pair<int, int> kSizes[] = {{9, 8}, {10, 9}, {5, 3}, {5, 16}, {36, 3}};
+    const auto dynamics = ContentDynamics::for_kind(GetParam());
+    for (const auto& [width, height] : kSizes) {
+        for (const std::uint64_t seed : kSweepSeeds) {
+            const ContentStream fast(seed, dynamics, width, height);
+            const ContentStream frames(seed, dynamics, width, height);
+            for (SimTime t; t < SimTime::minutes(3); t += SimTime::millis(10)) {
+                const FrameFingerprint got = fast.fingerprint_at(t);
+                const Frame frame = reference_frame(frames, t);
+                ASSERT_EQ(got.video, dhash(frame)) << width << "x" << height << " seed " << seed
+                                                   << " t=" << t.as_millis() << "ms";
+                ASSERT_EQ(got.detail, frame_detail(frame)) << width << "x" << height << " seed "
+                                                           << seed << " t=" << t.as_millis()
+                                                           << "ms";
+            }
+        }
+    }
+}
+
 TEST_P(FingerprintSweep, FrameAtMatchesPerPixelSynthesis) {
     const ContentStream stream(kSweepSeeds[0], ContentDynamics::for_kind(GetParam()));
     for (SimTime t; t < SimTime::minutes(3); t += SimTime::millis(10)) {
@@ -277,7 +300,11 @@ TEST(FingerprintAtTest, EditWrapsPast255) {
 
 // ------------------------------------------------ read-ahead and video_at
 
-constexpr std::pair<int, int> kFrameSizes[] = {{36, 16}, {8, 4}, {37, 17}};
+// 8x4 and 5x3 are narrower and shorter than the 9x8 dhash grid, so one
+// pixel sits in several cells on both axes; 9x8 and 10x9 have cells of one
+// pixel row or column.
+constexpr std::pair<int, int> kFrameSizes[] = {{36, 16}, {8, 4}, {37, 17},
+                                               {9, 8},   {10, 9}, {5, 3}};
 
 /// Reads `times` in order through fingerprint_at of `fast` and checks each
 /// against dhash/frame_detail of frame_at from a separate stream.
@@ -531,13 +558,14 @@ TEST(FnvLanesTest, Avx2MatchesScalarChains) {
 class VideoAtSweep : public ::testing::TestWithParam<ContentKind> {};
 
 TEST_P(VideoAtSweep, EqualsFingerprintVideo) {
-    // video_at and fingerprint_at take turns in one scene.
+    // video_at and fingerprint_at take turns in one scene; both are checked
+    // against the per-pixel oracle frame.
     for (const auto& [width, height] : kFrameSizes) {
         const auto dynamics = ContentDynamics::for_kind(GetParam());
         const ContentStream stream(kSweepSeeds[1], dynamics, width, height);
         const ContentStream frames(kSweepSeeds[1], dynamics, width, height);
         for (SimTime t; t < SimTime::minutes(10); t += SimTime::millis(70)) {
-            const Frame frame = frames.frame_at(t);
+            const Frame frame = reference_frame(frames, t);
             ASSERT_EQ(stream.video_at(t), dhash(frame))
                 << width << "x" << height << " t=" << t.as_millis() << "ms";
             const FrameFingerprint got = stream.fingerprint_at(t);

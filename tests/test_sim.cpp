@@ -3,8 +3,13 @@
 // internet, TCP exchanges and TLS sessions as seen by the capture.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <memory>
+#include <optional>
 #include <set>
 
+#include "common/rng.hpp"
 #include "dns/message.hpp"
 #include "fault/impairment.hpp"
 #include "net/flow.hpp"
@@ -127,6 +132,222 @@ TEST(SimulatorTest, EventsCanScheduleEvents) {
     sim.run_all();
     EXPECT_EQ(depth, 5);
     EXPECT_EQ(sim.now(), SimTime::millis(5));
+}
+
+// -------------------------------------------------------------------- timer
+
+TEST(SimulatorTimerTest, OutsideCancelLeavesOneNoOpEvent) {
+    Simulator sim;
+    int ticks = 0;
+    const auto id = sim.every(SimTime::millis(10), SimTime::millis(10), [&]() { ++ticks; });
+    sim.run_until(SimTime::millis(25));
+    EXPECT_EQ(ticks, 2);
+    EXPECT_EQ(sim.pending_events(), 1U);
+    sim.cancel(id);
+    sim.cancel(id);  // a second cancel is ignored
+    EXPECT_EQ(sim.pending_events(), 1U);
+    sim.run_all();
+    EXPECT_EQ(ticks, 2);
+    EXPECT_EQ(sim.now(), SimTime::millis(30));
+    EXPECT_EQ(sim.events_processed(), 3U);
+}
+
+TEST(SimulatorTimerTest, SelfCancelLeavesNothing) {
+    Simulator sim;
+    int ticks = 0;
+    Simulator::TimerId id = 0;
+    id = sim.every(SimTime{}, SimTime::millis(10), [&]() {
+        if (++ticks == 3) sim.cancel(id);
+    });
+    sim.run_until(SimTime::seconds(1));
+    EXPECT_EQ(ticks, 3);
+    EXPECT_EQ(sim.pending_events(), 0U);
+    EXPECT_EQ(sim.now(), SimTime::millis(20));
+    EXPECT_EQ(sim.events_processed(), 3U);
+}
+
+enum class Cancel { kNone, kOutside, kInsideTick, kRestart };
+
+/// A periodic tick run by Simulator::every, or by the after() chain that a
+/// timer replaces: a handler that re-arms itself as its last statement and
+/// checks a liveness flag, so an outside stop leaves its armed event queued
+/// and doing nothing.
+class Ticker {
+  public:
+    Ticker(Simulator& sim, bool timer, std::function<void()> body)
+        : sim_(sim), timer_(timer), body_(std::move(body)) {}
+
+    void start(SimTime first, SimTime period) {
+        if (timer_) {
+            id_ = sim_.every(first, period, body_);
+            return;
+        }
+        alive_ = std::make_shared<bool>(true);
+        sim_.at(first, Link{this, alive_, period});
+    }
+
+    void stop() {
+        if (timer_) {
+            sim_.cancel(id_);
+        } else {
+            *alive_ = false;
+        }
+    }
+
+  private:
+    struct Link {
+        Ticker* ticker;
+        std::shared_ptr<bool> alive;
+        SimTime period;
+        void operator()() const {
+            if (!*alive) return;
+            ticker->body_();
+            if (*alive) ticker->sim_.after(period, *this);
+        }
+    };
+
+    Simulator& sim_;
+    bool timer_;
+    std::function<void()> body_;
+    Simulator::TimerId id_ = 0;
+    std::shared_ptr<bool> alive_;
+};
+
+/// One-shot events around a ticker, drawn from a seed. Shot and deadline
+/// times are often exactly on the tick grid, so ties with ticks abound.
+struct TimerProgram {
+    struct Shot {
+        SimTime when;
+        bool before_start;  // scheduled before the ticker starts
+        std::optional<SimTime> child;  // a one-shot it schedules this far ahead
+    };
+    SimTime first;
+    SimTime period;
+    std::vector<Shot> shots;
+    std::size_t control_shot;  // stops or restarts the ticker
+    std::int64_t child_every;  // every n-th tick schedules a one-shot...
+    SimTime tick_child;        // ...this far ahead
+    std::int64_t self_cancel_tick;
+    SimTime restart_after;  // from the control shot to the restarted first tick
+    std::vector<SimTime> deadlines;  // ascending run_until deadlines
+};
+
+TimerProgram make_timer_program(std::uint64_t seed) {
+    Rng rng(seed);
+    TimerProgram p;
+    p.period = SimTime::millis(rng.uniform(1, 7));
+    p.first = SimTime::millis(rng.uniform(0, 12));
+    const auto on_grid = [&]() { return p.first + p.period * rng.uniform(0, 40); };
+    const auto any_time = [&]() { return SimTime::millis(rng.uniform(0, 200)); };
+    for (int i = 0; i < 40; ++i) {
+        TimerProgram::Shot shot{rng.chance(0.5) ? on_grid() : any_time(), rng.chance(0.5), {}};
+        if (rng.chance(0.3)) {
+            shot.child = rng.chance(0.5) ? p.period * rng.uniform(0, 2)
+                                         : SimTime::millis(rng.uniform(0, 9));
+        }
+        p.shots.push_back(shot);
+    }
+    p.control_shot = static_cast<std::size_t>(rng.uniform(0, 39));
+    p.child_every = rng.uniform(2, 6);
+    p.tick_child = p.period * rng.uniform(0, 2);
+    p.self_cancel_tick = rng.uniform(1, 30);
+    p.restart_after = rng.chance(0.5) ? p.period * rng.uniform(0, 2)
+                                      : SimTime::millis(rng.uniform(0, 9));
+    for (int i = 0; i < 8; ++i) p.deadlines.push_back(rng.chance(0.5) ? on_grid() : any_time());
+    p.deadlines.push_back(SimTime::seconds(1));  // past everything but a live ticker
+    std::sort(p.deadlines.begin(), p.deadlines.end());
+    return p;
+}
+
+/// What a run shows: each event as (label, time), and the clock and queue
+/// after each run_until and each trailing step().
+struct TimerOutcome {
+    std::vector<std::pair<std::int64_t, std::int64_t>> fired;
+    std::vector<std::array<std::int64_t, 3>> checkpoints;
+};
+
+TimerOutcome run_timer_program(const TimerProgram& p, Cancel cancel, bool timer) {
+    Simulator sim;
+    TimerOutcome out;
+    const auto log = [&](std::int64_t label) {
+        out.fired.emplace_back(label, sim.now().as_micros());
+    };
+    std::int64_t ticks = 0;
+    Ticker* self = nullptr;
+    Ticker ticker(sim, timer, [&]() {
+        log(-++ticks);
+        if (ticks % p.child_every == 0) {
+            sim.after(p.tick_child, [&log, n = ticks]() { log(-1000 - n); });
+        }
+        if (cancel == Cancel::kInsideTick && ticks == p.self_cancel_tick) self->stop();
+    });
+    self = &ticker;
+    const auto schedule_shot = [&](std::size_t i) {
+        const TimerProgram::Shot& shot = p.shots[i];
+        sim.at(shot.when, [&, i]() {
+            log(static_cast<std::int64_t>(i));
+            if (shot.child) sim.after(*shot.child, [&log, i]() { log(1000 + std::int64_t(i)); });
+            if (i != p.control_shot) return;
+            if (cancel == Cancel::kOutside || cancel == Cancel::kRestart) ticker.stop();
+            if (cancel == Cancel::kRestart) ticker.start(sim.now() + p.restart_after, p.period);
+        });
+    };
+    for (std::size_t i = 0; i < p.shots.size(); ++i) {
+        if (p.shots[i].before_start) schedule_shot(i);
+    }
+    ticker.start(p.first, p.period);
+    for (std::size_t i = 0; i < p.shots.size(); ++i) {
+        if (!p.shots[i].before_start) schedule_shot(i);
+    }
+    const auto checkpoint = [&](std::int64_t stepped) {
+        out.checkpoints.push_back({sim.now().as_micros() + stepped,
+                                   static_cast<std::int64_t>(sim.events_processed()),
+                                   static_cast<std::int64_t>(sim.pending_events())});
+    };
+    for (const SimTime deadline : p.deadlines) {
+        sim.run_until(deadline);
+        checkpoint(0);
+    }
+    for (int i = 0; i < 3; ++i) checkpoint(sim.step() ? 0 : -1);
+    return out;
+}
+
+/// Runs seeded programs with a timer and with the after() chain; both must
+/// fire the same events in the same order and agree on the clock and the
+/// queue at every checkpoint. Returns how many programs drained their
+/// queue before the last deadline.
+int expect_timer_matches_chain(Cancel cancel) {
+    int drained = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const TimerProgram program = make_timer_program(seed);
+        const TimerOutcome chain = run_timer_program(program, cancel, false);
+        const TimerOutcome timer = run_timer_program(program, cancel, true);
+        EXPECT_EQ(timer.fired, chain.fired) << "seed " << seed;
+        EXPECT_EQ(timer.checkpoints, chain.checkpoints) << "seed " << seed;
+        if (timer.fired != chain.fired || timer.checkpoints != chain.checkpoints) break;
+        if (timer.checkpoints[program.deadlines.size() - 1][0] <
+            program.deadlines.back().as_micros()) {
+            ++drained;
+        }
+    }
+    return drained;
+}
+
+TEST(SimulatorTimerTest, MatchesAfterChainWithoutCancel) {
+    EXPECT_EQ(expect_timer_matches_chain(Cancel::kNone), 0);
+}
+
+TEST(SimulatorTimerTest, MatchesAfterChainWhenCancelledOutsideATick) {
+    // The stale armed tick is still queued, so the queue drains at it.
+    EXPECT_GT(expect_timer_matches_chain(Cancel::kOutside), 150);
+}
+
+TEST(SimulatorTimerTest, MatchesAfterChainWhenCancelledInsideItsTick) {
+    EXPECT_GT(expect_timer_matches_chain(Cancel::kInsideTick), 150);
+}
+
+TEST(SimulatorTimerTest, MatchesAfterChainWhenCancelledAndRestartedAtOneInstant) {
+    EXPECT_EQ(expect_timer_matches_chain(Cancel::kRestart), 0);
 }
 
 // ----------------------------------------------------------------- topology
