@@ -23,8 +23,13 @@ using namespace tvacr;
 
 namespace {
 
+/// The seed-1 live broadcast that the single-stream benchmarks read.
+fp::ContentStream live_stream() {
+    return fp::ContentStream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+}
+
 void BM_FrameSynthesis(benchmark::State& state) {
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream = live_stream();
     std::int64_t t = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(stream.frame_at(SimTime::millis(t)));
@@ -34,7 +39,7 @@ void BM_FrameSynthesis(benchmark::State& state) {
 BENCHMARK(BM_FrameSynthesis);
 
 void BM_Dhash(benchmark::State& state) {
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream = live_stream();
     const fp::Frame frame = stream.frame_at(SimTime::seconds(1));
     for (auto _ : state) benchmark::DoNotOptimize(fp::dhash(frame));
 }
@@ -42,7 +47,7 @@ BENCHMARK(BM_Dhash);
 
 void BM_CaptureStep(benchmark::State& state) {
     // Full client capture cost: synthesize + dhash + detail.
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream = live_stream();
     std::int64_t t = 0;
     for (auto _ : state) {
         const fp::Frame frame = stream.frame_at(SimTime::millis(t));
@@ -57,7 +62,7 @@ void BM_FingerprintAt(benchmark::State& state) {
     // The LG client's capture cost: the same fingerprints as
     // BM_CaptureStep, read every 10 ms, so one read-ahead pass fingerprints
     // the next 64 frames (fewer where the scene ends).
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream = live_stream();
     std::int64_t t = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(stream.fingerprint_at(SimTime::millis(t)));
@@ -70,8 +75,7 @@ void BM_FingerprintAtScattered(benchmark::State& state) {
     // Samsung's 500 ms capture cadence: a miss fingerprints the frames
     // at the 50-frame stride up to the scene's end, and the captures that
     // follow in the scene read them.
-    const auto live = fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast);
-    const fp::ContentStream stream(1, live);
+    const fp::ContentStream stream = live_stream();
     std::int64_t t = 0;
     for (auto _ : state) {
         benchmark::DoNotOptimize(stream.fingerprint_at(SimTime::millis(t)));
@@ -107,7 +111,7 @@ BENCHMARK(BM_DominantPeriodHour);
 
 void BM_AnalyzeWindow(benchmark::State& state) {
     // One 100 ms window through the 8-band Goertzel bank.
-    const fp::ContentStream stream(1, fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast));
+    const fp::ContentStream stream = live_stream();
     const fp::PcmChunk pcm =
         fp::synthesize_audio(stream, SimTime::seconds(1), SimTime::millis(100));
     for (auto _ : state) benchmark::DoNotOptimize(fp::analyze_window(pcm.samples));
@@ -144,7 +148,8 @@ BENCHMARK(BM_BatchDeserialize);
 
 const fp::ContentLibrary& bench_library() {
     static const fp::ContentLibrary* library = [] {
-        // tvacr-lint: allow(no-raw-new-delete) intentionally leaked static; destructor order with gbench
+        // Leaked on purpose: it must outlive google-benchmark's teardown.
+        // tvacr-lint: allow(no-raw-new-delete) intentionally leaked static
         auto* lib = new fp::ContentLibrary();
         for (const auto& info : fp::builtin_catalog(5)) lib->add(info);
         return lib;

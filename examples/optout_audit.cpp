@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <iostream>
 
+#include "analysis/stream.hpp"
 #include "core/experiment.hpp"
 
 using namespace tvacr;
@@ -35,8 +36,7 @@ double acr_kb_with_single_optout(tv::Brand brand, const std::string& toggle_name
     bed.plug().schedule_cycle(SimTime::seconds(1), SimTime::seconds(1) + spec.duration);
     bed.simulator().run_until(SimTime::seconds(10) + spec.duration);
 
-    analysis::CaptureAnalyzer analyzer(bed.tv().station().ip());
-    analyzer.ingest_all(bed.capture());
+    const auto analyzer = analysis::analyze_packets(bed.capture(), bed.tv().station().ip());
     double kb = 0.0;
     for (const auto& domain : bed.tv().acr().domain_names()) {
         kb += analyzer.kilobytes_for(domain);

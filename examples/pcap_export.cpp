@@ -3,17 +3,35 @@
 // directly, then read it back with this library's own reader and re-run the
 // ACR analysis on the file — proving the analysis layer is an ordinary
 // packet-trace tool, not a simulator-only construct.
+//
+//   pcap_export [out.pcap]   (default: samsung_uk_linear.pcap)
+//
+// It takes no flags: a flag or a second argument exits 2 with usage before
+// anything runs.
 #include <cstdio>
 #include <iostream>
 
 #include "analysis/acr_detect.hpp"
+#include "analysis/stream.hpp"
+#include "common/flags.hpp"
 #include "core/experiment.hpp"
 #include "net/pcap.hpp"
 
 using namespace tvacr;
 
+namespace {
+
+int usage(const char* argv0) {
+    std::fprintf(stderr, "usage: %s [out.pcap]\n", argv0);
+    return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-    const std::string path = argc > 1 ? argv[1] : "samsung_uk_linear.pcap";
+    const auto args = common::parse_flags(argc, argv, {}, usage);
+    if (args.size() > 1) return usage(argv[0]);
+    const std::string path = args.empty() ? "samsung_uk_linear.pcap" : args[0];
 
     core::ExperimentSpec spec;
     spec.brand = tv::Brand::kSamsung;
@@ -40,8 +58,7 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "pcap read failed: %s\n", restored.error().message.c_str());
         return 1;
     }
-    analysis::CaptureAnalyzer analyzer(result.device_ip);
-    analyzer.ingest_all(restored.value());
+    const auto analyzer = analysis::analyze_packets(restored.value(), result.device_ip);
 
     std::cout << "Top domains in the restored trace:\n";
     int shown = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <vector>
 
 namespace tvacr::fp {
 
@@ -35,18 +34,6 @@ VideoHash dhash(const Frame& frame) {
             if (grid.at(x, y) < grid.at(x + 1, y)) hash |= (1ULL << bit);
             ++bit;
         }
-    }
-    return hash;
-}
-
-VideoHash blockhash(const Frame& frame) {
-    const Frame grid = downsample(frame, 8, 8);
-    std::vector<std::uint8_t> sorted(grid.luma);
-    std::nth_element(sorted.begin(), sorted.begin() + 32, sorted.end());
-    const std::uint8_t median = sorted[32];
-    VideoHash hash = 0;
-    for (int i = 0; i < 64; ++i) {
-        if (grid.luma[static_cast<std::size_t>(i)] > median) hash |= (1ULL << i);
     }
     return hash;
 }

@@ -1,10 +1,9 @@
 // Perceptual video hashing: the fingerprint half of the ACR pipeline.
 //
-// Two 64-bit perceptual hashes are provided: dHash (horizontal gradient
-// signs over a 9x8 downsample — the production default) and blockhash
-// (median-thresholded 8x8 block means — kept as an ablation alternative).
-// Both are robust to small luma perturbations: nearby frames land within a
-// few bits of Hamming distance, which the match server tolerates.
+// The 64-bit perceptual hash is dHash: horizontal gradient signs over a
+// 9x8 downsample. It is robust to small luma perturbations: nearby frames
+// land within a few bits of Hamming distance, which the match server
+// tolerates.
 #pragma once
 
 #include <cstdint>
@@ -21,20 +20,16 @@ using VideoHash = std::uint64_t;
 /// Difference hash: 64 bits of sign(left < right) over a 9x8 downsample.
 [[nodiscard]] VideoHash dhash(const Frame& frame);
 
-/// Blockhash: 64 bits of (block mean > median of block means) over 8x8.
-[[nodiscard]] VideoHash blockhash(const Frame& frame);
-
 /// Hamming distance between two 64-bit hashes.
 [[nodiscard]] int hamming(VideoHash a, VideoHash b) noexcept;
 
 /// Fine-grained frame digest: a 16-bit fold over the exact pixel values.
-/// Unlike the perceptual hashes, ANY pixel change flips it — it identifies
+/// Unlike the perceptual hash, ANY pixel change flips it — it identifies
 /// literally-repeated frames (for run-length collapsing), not content.
 [[nodiscard]] std::uint16_t frame_detail(const Frame& frame) noexcept;
 
-/// Audio fingerprint: a Shazam-style constellation reduced to one 32-bit
-/// code per window — the indices of the two strongest bands and their
-/// coarse energy ratio.
+/// Audio fingerprint: one 32-bit code per analysis window — the indices
+/// of the two strongest bands and their coarse energy ratio.
 [[nodiscard]] std::uint32_t audio_hash(const AudioWindow& window);
 
 }  // namespace tvacr::fp

@@ -7,6 +7,8 @@ namespace tvacr::tv {
 namespace {
 
 /// Guard helpers: run `fn` only while the owning client generation lives.
+/// stop() ends the generation, so a firing that passes the guard belongs to
+/// the running client and needs no other staleness check.
 template <typename F>
 auto guarded(const std::shared_ptr<bool>& alive, F fn) {
     return [alive = std::weak_ptr<bool>(alive), fn = std::move(fn)]() mutable {
@@ -75,7 +77,6 @@ bool AcrClient::link_up() const {
 void AcrClient::start(ScreenProvider screen, AcrMode mode) {
     if (running_) return;
     running_ = true;
-    ++epoch_;
     mode_ = mode;
     screen_ = std::move(screen);
     pending_records_.clear();
@@ -119,7 +120,6 @@ void AcrClient::start(ScreenProvider screen, AcrMode mode) {
 void AcrClient::stop() {
     if (!running_) return;
     running_ = false;
-    ++epoch_;
     *alive_ = false;
     alive_ = std::make_shared<bool>(true);
     wiring_.simulator.cancel(capture_timer_);
@@ -174,7 +174,7 @@ void AcrClient::start_fingerprint_schedule(Channel& channel) {
     batch_start_ = wiring_.simulator.now();
     if (mode_ == AcrMode::kActive) {
         // One timer from here until stop() cancels it, so a tick
-        // needs no liveness, epoch or mode check.
+        // needs no liveness or mode check.
         const SimTime period = schedule_.capture_period;
         capture_timer_ = wiring_.simulator.every(wiring_.simulator.now() + period, period,
                                                  [this]() { take_capture(); });
@@ -204,12 +204,11 @@ void AcrClient::take_capture() {
 }
 
 void AcrClient::schedule_upload(Channel& channel) {
-    const std::uint64_t epoch = epoch_;
     // Small jitter so bursts are not metronome-exact on the wire.
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 400'000));
     wiring_.simulator.after(
-        schedule_.upload_period + jitter, guarded(alive_, [this, &channel, epoch]() {
-            if (!epoch_valid(epoch) || mode_ != AcrMode::kActive) return;
+        schedule_.upload_period + jitter, guarded(alive_, [this, &channel]() {
+            if (mode_ != AcrMode::kActive) return;
 
             // Paper-faithful degradation: when an upload tick finds the link
             // inside an outage window, nothing is discarded — captures keep
@@ -285,11 +284,10 @@ void AcrClient::schedule_upload(Channel& channel) {
 }
 
 void AcrClient::schedule_heartbeat(Channel& channel) {
-    const std::uint64_t epoch = epoch_;
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 300'000));
     wiring_.simulator.after(
-        calibration_.heartbeat_period + jitter, guarded(alive_, [this, &channel, epoch]() {
-            if (!epoch_valid(epoch) || mode_ != AcrMode::kSuppressed) return;
+        calibration_.heartbeat_period + jitter, guarded(alive_, [this, &channel]() {
+            if (mode_ != AcrMode::kSuppressed) return;
             std::size_t size = calibration_.heartbeat_size;
             if (calibration_.heartbeats_per_peak > 0 &&
                 ++heartbeats_since_peak_ >= calibration_.heartbeats_per_peak) {
@@ -304,11 +302,10 @@ void AcrClient::schedule_heartbeat(Channel& channel) {
 }
 
 void AcrClient::schedule_probe(Channel& channel) {
-    const std::uint64_t epoch = epoch_;
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 2'000'000));
     wiring_.simulator.after(
-        calibration_.probe_period + jitter, guarded(alive_, [this, &channel, epoch]() {
-            if (!epoch_valid(epoch) || mode_ != AcrMode::kProbe) return;
+        calibration_.probe_period + jitter, guarded(alive_, [this, &channel]() {
+            if (mode_ != AcrMode::kProbe) return;
             send_on(channel, AcrMessageType::kProbe, padding(calibration_.probe_size),
                     [](Bytes) {});
             m_probes_.add();
@@ -317,10 +314,8 @@ void AcrClient::schedule_probe(Channel& channel) {
 }
 
 void AcrClient::start_keepalive_schedule(Channel& channel) {
-    const std::uint64_t epoch = epoch_;
     wiring_.simulator.after(
-        calibration_.keepalive_period, guarded(alive_, [this, &channel, epoch]() {
-            if (!epoch_valid(epoch)) return;
+        calibration_.keepalive_period, guarded(alive_, [this, &channel]() {
             send_on(channel, AcrMessageType::kKeepAlive, padding(calibration_.keepalive_size),
                     [](Bytes) {});
             start_keepalive_schedule(channel);
@@ -331,21 +326,16 @@ void AcrClient::start_config_schedule(Channel& channel) {
     send_on(channel, AcrMessageType::kConfigFetch, padding(calibration_.config_request),
             [](Bytes) {});
     if (calibration_.config_refresh_period.as_micros() > 0) {
-        const std::uint64_t epoch = epoch_;
-        wiring_.simulator.after(calibration_.config_refresh_period,
-                                guarded(alive_, [this, &channel, epoch]() {
-                                    if (!epoch_valid(epoch)) return;
-                                    start_config_schedule(channel);
-                                }));
+        wiring_.simulator.after(
+            calibration_.config_refresh_period,
+            guarded(alive_, [this, &channel]() { start_config_schedule(channel); }));
     }
 }
 
 void AcrClient::start_ingestion_schedule(Channel& channel) {
-    const std::uint64_t epoch = epoch_;
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 800'000));
     wiring_.simulator.after(
-        calibration_.ingestion_period + jitter, guarded(alive_, [this, &channel, epoch]() {
-            if (!epoch_valid(epoch)) return;
+        calibration_.ingestion_period + jitter, guarded(alive_, [this, &channel]() {
             // Recognition events (channel changes, content IDs) ride the
             // ingestion channel only when the backend is actually
             // recognizing content — unknown HDMI input produces none.

@@ -107,9 +107,6 @@ class AcrClient {
     void start_ingestion_schedule(Channel& channel);
 
     [[nodiscard]] Bytes padding(std::size_t size);
-    [[nodiscard]] bool epoch_valid(std::uint64_t epoch) const noexcept {
-        return running_ && epoch == epoch_;
-    }
     /// Whether the Wi-Fi link is currently usable (no scheduled outage).
     [[nodiscard]] bool link_up() const;
 
@@ -125,7 +122,6 @@ class AcrClient {
 
     bool running_ = false;
     AcrMode mode_ = AcrMode::kOff;
-    std::uint64_t epoch_ = 0;  // bumped on stop(); stale timers self-cancel
     ScreenProvider screen_;
     std::vector<std::unique_ptr<Channel>> channels_;
     sim::Simulator::TimerId capture_timer_ = 0;  // 0: none armed

@@ -635,13 +635,6 @@ TEST(VideoHashTest, DifferentScenesProduceDistantHashes) {
               12);
 }
 
-TEST(VideoHashTest, BlockhashHasBalancedBits) {
-    const VideoHash hash = blockhash(test_frame(17));
-    const int ones = std::popcount(hash);
-    EXPECT_GE(ones, 16);
-    EXPECT_LE(ones, 48);
-}
-
 TEST(VideoHashTest, DownsamplePreservesDimensionsAndRange) {
     const Frame grid = downsample(test_frame(19), 9, 8);
     EXPECT_EQ(grid.width, 9);

@@ -3,6 +3,7 @@
 // and the SmartTv device model end-to-end on a small testbed.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <utility>
 
 #include "sim/access_point.hpp"
@@ -507,6 +508,77 @@ TEST_F(TvFixture, MidRunOptOutStopsAcr) {
     EXPECT_TRUE(tv->acr().running());
     simulator.run_until(SimTime::minutes(11));
     EXPECT_GT(tv->acr().batches_uploaded(), uploads_before);
+}
+
+TEST_F(TvFixture, OptOutAndInAtOneInstantLeavesOneChainOfEach) {
+    // Restart the client while its capture timer and its upload, keep-alive
+    // and ingestion chains are all armed, with no event in between. The
+    // restarted client must run one chain of each, not its own plus the
+    // stopped one's. (Config is fetched once per start: no calibration
+    // refreshes it.)
+    tv->set_scenario(Scenario::kLinear);
+    tv->power_on();
+    const SimTime restart = SimTime::minutes(5);
+    simulator.run_until(restart);
+    ASSERT_EQ(tv->acr().mode(), AcrMode::kActive);
+
+    const auto profile = platform_profile(Brand::kSamsung, Country::kUk);
+    std::optional<net::Ipv4Address> keepalive_ip;
+    for (const auto& domain : profile.acr_domains) {
+        if (domain.role == AcrDomainRole::kKeepAlive) {
+            keepalive_ip = cloud.zone().resolve_a(dns::DomainName::parse(domain.name).value());
+        }
+    }
+    ASSERT_TRUE(keepalive_ip.has_value());
+    const net::Ipv4Address tv_ip = tv->station().ip();
+    // One request segment per keep-alive: count the TV's data-bearing
+    // segments to the keep-alive endpoint.
+    const auto keepalives_since = [&](std::size_t first_packet) {
+        std::uint64_t sent = 0;
+        for (std::size_t i = first_packet; i < capture.size(); ++i) {
+            const auto parsed = net::parse_packet(capture[i]);
+            if (parsed.ok() && parsed.value().tcp && parsed.value().ip &&
+                parsed.value().ip->source == tv_ip &&
+                parsed.value().ip->destination == *keepalive_ip &&
+                !parsed.value().payload.empty()) {
+                ++sent;
+            }
+        }
+        return sent;
+    };
+    ASSERT_GE(tv->acr().batches_uploaded(), 3U);
+    ASSERT_GE(keepalives_since(0), 1U);
+    ASSERT_GE(backend->telemetry_events(), 8U);
+
+    const auto uploads_before = tv->acr().batches_uploaded();
+    const auto captures_before = tv->acr().captures_taken();
+    const auto telemetry_before = backend->telemetry_events();
+    const std::size_t packets_before = capture.size();
+    tv->opt_out_all();
+    tv->opt_in_all();
+    ASSERT_TRUE(tv->acr().running());
+    const SimTime window = SimTime::minutes(12);
+    simulator.run_until(restart + window);
+
+    // Each chain re-arms from the reopened channel, a fraction of a second
+    // after the restart, and waits its period plus a sub-second jitter.
+    const auto schedule = acr_schedule(Brand::kSamsung);
+    const auto calibration = acr_calibration(Brand::kSamsung, Country::kUk);
+    const auto per_window = [&](SimTime period) {
+        return static_cast<std::uint64_t>(window / period);
+    };
+    const auto uploads = tv->acr().batches_uploaded() - uploads_before;
+    EXPECT_GE(uploads, per_window(schedule.upload_period) - 1);
+    EXPECT_LE(uploads, per_window(schedule.upload_period));
+    const auto captures = tv->acr().captures_taken() - captures_before;
+    EXPECT_GE(captures, per_window(schedule.capture_period) - 10);
+    EXPECT_LE(captures, per_window(schedule.capture_period));
+    const auto keepalives = keepalives_since(packets_before);
+    EXPECT_GE(keepalives, per_window(calibration.keepalive_period) - 1);
+    EXPECT_LE(keepalives, per_window(calibration.keepalive_period));
+    const auto telemetry = backend->telemetry_events() - telemetry_before;
+    EXPECT_GE(telemetry, per_window(calibration.ingestion_period) - 2);
+    EXPECT_LE(telemetry, per_window(calibration.ingestion_period));
 }
 
 TEST_F(TvFixture, LoginStatusDoesNotChangeAcrBehaviour) {
