@@ -1,23 +1,26 @@
-// bench_analyze — throughput/latency/memory benchmark for the streaming,
-// flow-sharded capture analysis pipeline against the serial in-memory path.
+// bench_analyze — throughput/latency/memory benchmark for the streaming
+// capture analysis pipeline against the serial in-memory path.
 //
 //   bench_analyze [--jobs N] [--out BENCH_analyze.json]
 //
 // The workload is a deterministic synthetic capture (seeded Rng; DNS
-// responses are injected mid-stream so late-born mappings exercise the
-// birth-index replay). It is generated in chunks and appended to a pcap
-// file on disk, so the generator itself never holds the full capture —
-// that keeps the peak-RSS proxy honest: the streaming pipeline runs first
-// and its ru_maxrss reading is unpolluted by a materialized packet vector.
+// responses are injected mid-stream, so remotes that send before their
+// mapping is born are attributed to "unresolved:<ip>" first). It is
+// generated in chunks and appended to a pcap file on disk, so the
+// generator itself never holds the full capture — that keeps the peak-RSS
+// proxy honest: the streaming pipeline runs first and its ru_maxrss
+// reading is unpolluted by a materialized packet vector.
 //
 // Two pipelines, same file, same device:
 //   baseline:  read file -> from_pcap_bytes materializes vector<Packet>
 //              -> serial CaptureAnalyzer::ingest_all
 //   streaming: net::PcapReader -> StreamingCaptureAnalyzer (zero-copy
-//              parse, sharded attribution on a ThreadPool)
+//              parse, each packet attributed as it is read; finish()
+//              only hands the result over)
 // Results must be byte-identical (the process exits non-zero otherwise);
 // throughput, per-stage p50/p95 latency and the RSS proxy land in a
-// machine-readable BENCH_*.json. Wall-clock readings here are benchmark
+// machine-readable BENCH_*.json. --jobs is accepted and recorded but has
+// no effect: attribution is one pass. Wall-clock readings here are benchmark
 // instrumentation, not simulation state — hence the lint allowances.
 #include <sys/resource.h>
 
@@ -35,7 +38,6 @@
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "dns/message.hpp"
 #include "net/pcap.hpp"
 
@@ -115,7 +117,8 @@ std::uint64_t generate_workload(const std::string& path, std::uint64_t total_pac
             ++next_dns;
             ++written;
         }
-        const auto d = static_cast<std::size_t>(rng.uniform(0, static_cast<std::int64_t>(domains) - 1));
+        const std::int64_t last_domain = static_cast<std::int64_t>(domains) - 1;
+        const auto d = static_cast<std::size_t>(rng.uniform(0, last_domain));
         const auto payload = static_cast<std::size_t>(rng.uniform(120, 1300));
         const bool up = rng.chance(0.45);
         const net::Endpoint device{kDevice, 50000};
@@ -203,13 +206,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(total), kDomains,
                 static_cast<double>(pcap_bytes) / 1e6);
 
-    common::ThreadPool pool(static_cast<std::size_t>(jobs));
-    analysis::StreamOptions options;
-    options.pool = jobs > 1 ? &pool : nullptr;
-    options.shards = static_cast<std::size_t>(jobs) * 2;
-
     // --- Streaming pipeline first (keeps the RSS peak meaningful) ----------
-    StageStats stream_pass1;
+    StageStats stream_ingest;
     StageStats stream_finish;
     StageStats stream_total;
     std::string stream_summary;
@@ -220,7 +218,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "open failed: %s\n", reader.error().message.c_str());
             return 1;
         }
-        analysis::StreamingCaptureAnalyzer analyzer(kDevice, options);
+        analysis::StreamingCaptureAnalyzer analyzer(kDevice);
         while (true) {
             auto record = reader.value().next();
             if (!record.ok()) {
@@ -233,7 +231,7 @@ int main(int argc, char** argv) {
         const double t1 = now_seconds();
         const auto result = analyzer.finish();
         const double t2 = now_seconds();
-        stream_pass1.ms.push_back((t1 - t0) * 1e3);
+        stream_ingest.ms.push_back((t1 - t0) * 1e3);
         stream_finish.ms.push_back((t2 - t1) * 1e3);
         stream_total.ms.push_back((t2 - t0) * 1e3);
         if (r == 0) stream_summary = summarize(result);
@@ -270,9 +268,8 @@ int main(int argc, char** argv) {
 
     std::printf("baseline:  %10.0f pkts/s  (materialize p50 %.1f ms, attribute p50 %.1f ms)\n",
                 base_pps, base_materialize.p50(), base_attribute.p50());
-    std::printf("streaming: %10.0f pkts/s  (pass1 p50 %.1f ms, finish p50 %.1f ms, "
-                "%ld jobs, %zu shards)\n",
-                stream_pps, stream_pass1.p50(), stream_finish.p50(), jobs, options.shards);
+    std::printf("streaming: %10.0f pkts/s  (ingest p50 %.1f ms, finish p50 %.1f ms, %ld jobs)\n",
+                stream_pps, stream_ingest.p50(), stream_finish.p50(), jobs);
     std::printf("speedup:   %.2fx   rss-proxy: %ld kB after streaming, %ld kB after baseline\n",
                 speedup, rss_after_stream, rss_after_baseline);
     std::printf("identical: %s\n", identical ? "yes" : "NO — STREAMING DIVERGED");
@@ -286,7 +283,6 @@ int main(int argc, char** argv) {
     json.key("pcap_bytes").value(static_cast<std::uint64_t>(pcap_bytes));
     json.end_object();
     json.key("jobs").value(static_cast<std::int64_t>(jobs));
-    json.key("shards").value(static_cast<std::uint64_t>(options.shards));
     json.key("repeats").value(repeats);
     json.key("baseline").begin_object();
     json.key("packets_per_sec").value(base_pps);
@@ -296,8 +292,8 @@ int main(int argc, char** argv) {
     json.end_object();
     json.key("streaming").begin_object();
     json.key("packets_per_sec").value(stream_pps);
-    write_stage(json, "pass1_ingest", stream_pass1);
-    write_stage(json, "pass2_finish", stream_finish);
+    write_stage(json, "ingest", stream_ingest);
+    write_stage(json, "finish", stream_finish);
     write_stage(json, "total", stream_total);
     json.end_object();
     json.key("speedup").value(speedup);

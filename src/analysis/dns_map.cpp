@@ -5,25 +5,12 @@
 namespace tvacr::analysis {
 
 void DnsMap::ingest(const net::ParsedPacket& packet) {
-    const std::uint64_t index = ingest_counter_++;
-    ingest_response(packet.udp && packet.udp->source_port == dns::kDnsPort, packet.payload,
-                    packet.timestamp, index);
+    if (packet.udp && packet.udp->source_port == dns::kDnsPort) {
+        ingest_payload(packet.payload, packet.timestamp);
+    }
 }
 
-void DnsMap::ingest(const net::PacketView& packet, std::uint64_t packet_index) {
-    if (packet_index >= ingest_counter_) ingest_counter_ = packet_index + 1;
-    ingest_response(packet.udp && packet.udp->source_port == dns::kDnsPort, packet.payload,
-                    packet.timestamp, packet_index);
-}
-
-void DnsMap::ingest_payload(BytesView payload, SimTime timestamp, std::uint64_t packet_index) {
-    if (packet_index >= ingest_counter_) ingest_counter_ = packet_index + 1;
-    ingest_response(true, payload, timestamp, packet_index);
-}
-
-void DnsMap::ingest_response(bool from_dns_port, BytesView payload, SimTime timestamp,
-                             std::uint64_t packet_index) {
-    if (!from_dns_port) return;
+void DnsMap::ingest_payload(BytesView payload, SimTime timestamp) {
     auto message = dns::DnsMessage::decode(payload);
     if (!message || !message.value().is_response) return;
     ++responses_seen_;
@@ -38,18 +25,18 @@ void DnsMap::ingest_response(bool from_dns_port, BytesView payload, SimTime time
     for (const auto& record : message.value().answers) {
         if (record.type != dns::RecordType::kA) continue;
         const auto address = std::get<net::Ipv4Address>(record.rdata);
-        by_address_.emplace(address, Mapping{queried, packet_index});  // first mapping wins
+        by_address_.emplace(address, queried);  // first mapping wins
         entry.addresses.push_back(address);
     }
 }
 
 std::optional<std::string> DnsMap::domain_of(net::Ipv4Address address) const {
-    const auto it = by_address_.find(address);
-    if (it == by_address_.end()) return std::nullopt;
-    return it->second.domain;
+    const std::string* domain = mapping_of(address);
+    if (domain == nullptr) return std::nullopt;
+    return *domain;
 }
 
-const DnsMap::Mapping* DnsMap::mapping_of(net::Ipv4Address address) const {
+const std::string* DnsMap::mapping_of(net::Ipv4Address address) const {
     const auto it = by_address_.find(address);
     return it == by_address_.end() ? nullptr : &it->second;
 }

@@ -22,34 +22,20 @@ class DnsMap {
     /// mappings, everything else is ignored.
     void ingest(const net::ParsedPacket& packet);
 
-    /// Zero-copy variant for the streaming path. `packet_index` is the
-    /// packet's position in capture order; it records *when* a mapping was
-    /// born so sharded attribution can replay the serial path's
-    /// mapping-known-yet decision for packets processed out of order.
-    void ingest(const net::PacketView& packet, std::uint64_t packet_index);
-
     /// Pre-extracted DNS payload (UDP datagram from the DNS source port),
-    /// for replay from a .tvcr event stream where the frame no longer
-    /// exists. Identical semantics to the PacketView overload for a
+    /// for the streaming path and for replay from a .tvcr event stream
+    /// where the frame no longer exists. Identical semantics to ingesting a
     /// DNS-port packet carrying `payload`.
-    void ingest_payload(BytesView payload, SimTime timestamp, std::uint64_t packet_index);
-
-    /// An address mapping plus the capture position that created it.
-    struct Mapping {
-        std::string domain;
-        std::uint64_t birth_index = 0;
-    };
+    void ingest_payload(BytesView payload, SimTime timestamp);
 
     /// Domain a server IP was resolved from, if seen. When several names
     /// resolved to one IP, the first seen wins (stable attribution).
     [[nodiscard]] std::optional<std::string> domain_of(net::Ipv4Address address) const;
 
-    /// The full mapping (domain + birth index), or nullptr if the address
-    /// was never resolved. A packet at capture position i sees the mapping
-    /// iff mapping->birth_index <= i — the DNS response packet itself
-    /// counts, because the serial analyzer harvests DNS before attributing
-    /// the same packet.
-    [[nodiscard]] const Mapping* mapping_of(net::Ipv4Address address) const;
+    /// domain_of without the copy: the mapped domain, or nullptr if the
+    /// address was never resolved. The pointer stays valid while the map
+    /// lives, since a mapping is never replaced.
+    [[nodiscard]] const std::string* mapping_of(net::Ipv4Address address) const;
 
     /// All names the device queried, with first-seen capture time.
     struct QueriedName {
@@ -63,13 +49,9 @@ class DnsMap {
     [[nodiscard]] std::uint64_t responses_seen() const noexcept { return responses_seen_; }
 
   private:
-    void ingest_response(bool from_dns_port, BytesView payload, SimTime timestamp,
-                         std::uint64_t packet_index);
-
-    std::unordered_map<net::Ipv4Address, Mapping> by_address_;
+    std::unordered_map<net::Ipv4Address, std::string> by_address_;
     std::map<std::string, QueriedName> by_name_;
     std::uint64_t responses_seen_ = 0;
-    std::uint64_t ingest_counter_ = 0;
 };
 
 }  // namespace tvacr::analysis

@@ -1,45 +1,61 @@
 #include "analysis/stream.hpp"
 
 #include <algorithm>
-#include <future>
 
-#include "common/arena.hpp"
-#include "common/rng.hpp"
 #include "net/fast_parse.hpp"
 #include "net/pcap.hpp"
 
 namespace tvacr::analysis {
 
-namespace {
+StreamingCaptureAnalyzer::StreamingCaptureAnalyzer(net::Ipv4Address device_ip,
+                                                   StreamOptions /*options*/)
+    : device_ip_(device_ip) {}
 
-std::size_t resolve_shards(const StreamOptions& options) {
-    if (options.shards > 0) return options.shards;
-    if (options.pool != nullptr) return options.pool->worker_count();
-    return 1;
+DomainStats& StreamingCaptureAnalyzer::bind(const std::string& domain, net::Ipv4Address remote) {
+    DomainStats& stats = domains_[domain];
+    stats.domain = domain;
+    if (std::find(stats.addresses.begin(), stats.addresses.end(), remote) ==
+        stats.addresses.end()) {
+        stats.addresses.push_back(remote);
+    }
+    return stats;
 }
 
-}  // namespace
-
-StreamingCaptureAnalyzer::StreamingCaptureAnalyzer(net::Ipv4Address device_ip,
-                                                   StreamOptions options)
-    : device_ip_(device_ip), pool_(options.pool), shards_(resolve_shards(options)) {}
-
-void StreamingCaptureAnalyzer::bucket_packet(std::uint64_t index, SimTime timestamp,
-                                             std::uint32_t frame_bytes, net::Ipv4Address source,
-                                             net::Ipv4Address destination) {
+void StreamingCaptureAnalyzer::attribute(SimTime timestamp, std::uint32_t frame_bytes,
+                                         net::Ipv4Address source, net::Ipv4Address destination) {
     const bool up = source == device_ip_;
     const bool down = destination == device_ip_;
     if (!up && !down) return;  // not the device's traffic (should not happen)
     const net::Ipv4Address remote = up ? destination : source;
-    // splitmix64 partitioning: deterministic across platforms and runs, and
-    // well-mixed even for adjacent addresses in one subnet.
-    const std::size_t shard =
-        static_cast<std::size_t>(splitmix64(remote.value()) % shards_.size());
-    shards_[shard].append(index, timestamp, frame_bytes, remote, up);
+
+    // A mapping is permanent once born (the first one wins), so a resolved
+    // route never needs DnsMap again; an unresolved one asks on every
+    // packet, since a DNS answer may have arrived since.
+    Route& route = routes_[remote];
+    DomainStats* stats = route.resolved;
+    if (stats == nullptr) {
+        if (const std::string* domain = dns_.mapping_of(remote)) {
+            stats = route.resolved = &bind(*domain, remote);
+        } else {
+            if (route.unresolved == nullptr) {
+                route.unresolved = &bind("unresolved:" + remote.to_string(), remote);
+            }
+            stats = route.unresolved;
+        }
+    }
+    if (stats->packets == 0) stats->first_seen = timestamp;
+    stats->packets += 1;
+    if (up) {
+        stats->bytes_up += frame_bytes;
+    } else {
+        stats->bytes_down += frame_bytes;
+    }
+    stats->last_seen = timestamp;
+    stats->events.push_back(PacketEvent{timestamp, frame_bytes, up});
 }
 
 void StreamingCaptureAnalyzer::ingest(BytesView frame, SimTime timestamp) {
-    const std::uint64_t index = packets_total_++;
+    ++packets_total_;
     // summarize_frame replicates parse_packet_view's accept/reject decisions
     // exactly (see net/fast_parse.hpp); `attributable` is the complement of
     // the serial path's unparseable bucket, and `dns_payload` is the UDP
@@ -49,185 +65,26 @@ void StreamingCaptureAnalyzer::ingest(BytesView frame, SimTime timestamp) {
         ++unparseable_;
         return;
     }
-    if (!summary.dns_payload.empty()) {
-        dns_.ingest_payload(summary.dns_payload, timestamp, index);
-    }
-    bucket_packet(index, timestamp, static_cast<std::uint32_t>(frame.size()), summary.source,
-                  summary.destination);
+    if (!summary.dns_payload.empty()) dns_.ingest_payload(summary.dns_payload, timestamp);
+    attribute(timestamp, static_cast<std::uint32_t>(frame.size()), summary.source,
+              summary.destination);
 }
 
 void StreamingCaptureAnalyzer::ingest(const DecodedRecord& record) {
-    const std::uint64_t index = packets_total_++;
+    ++packets_total_;
     if (!record.parseable) {
         ++unparseable_;
         return;
     }
-    if (!record.dns_payload.empty()) {
-        dns_.ingest_payload(record.dns_payload, record.timestamp, index);
-    }
-    bucket_packet(index, record.timestamp, record.frame_bytes, record.source,
-                  record.destination);
-}
-
-StreamingCaptureAnalyzer::ShardPartial StreamingCaptureAnalyzer::attribute_shard(
-    const PacketMetaColumns& metas) const {
-    ShardPartial partial;
-    // Per-remote route cache: the mapping lookup and the domain-slot binding
-    // happen once per (address, resolved-state), not once per packet. The
-    // table is open-addressing over arena storage — all entries die together
-    // when the shard's partial has been merged, so individual frees would be
-    // pure overhead (and the task-local arena keeps allocation off the
-    // global heap while shards run in parallel).
-    struct IpRoute {
-        std::uint32_t address = 0;
-        bool occupied = false;
-        const DnsMap::Mapping* mapping = nullptr;
-        PartialDomain* resolved = nullptr;
-        PartialDomain* unresolved = nullptr;
-    };
-    common::Arena arena;
-    std::span<IpRoute> routes = arena.make_zeroed_array<IpRoute>(64);
-    std::size_t route_count = 0;
-
-    const auto find_slot = [](std::span<IpRoute> table, std::uint32_t address) -> IpRoute& {
-        std::size_t slot = static_cast<std::size_t>(splitmix64(address)) & (table.size() - 1);
-        while (table[slot].occupied && table[slot].address != address) {
-            slot = (slot + 1) & (table.size() - 1);
-        }
-        return table[slot];
-    };
-
-    const std::size_t count = metas.size();
-    for (std::size_t i = 0; i < count; ++i) {
-        const std::uint32_t remote = metas.remote[i];
-        IpRoute* route = &find_slot(routes, remote);
-        if (!route->occupied) {
-            if ((route_count + 1) * 4 > routes.size() * 3) {
-                // Load factor 3/4: rehash into a table 4x the size. The old
-                // table stays in the arena until the partial is merged.
-                std::span<IpRoute> grown = arena.make_zeroed_array<IpRoute>(routes.size() * 4);
-                for (const IpRoute& old : routes) {
-                    if (old.occupied) find_slot(grown, old.address) = old;
-                }
-                routes = grown;
-                route = &find_slot(routes, remote);
-            }
-            ++route_count;
-            route->address = remote;
-            route->occupied = true;
-            route->mapping = dns_.mapping_of(net::Ipv4Address{remote});
-        }
-        // A mapping only exists for this packet if its DNS response appeared
-        // at or before this capture position (the response packet itself
-        // counts: the serial path harvests DNS before attributing).
-        const std::uint64_t index = metas.index[i];
-        const bool resolved = route->mapping != nullptr && route->mapping->birth_index <= index;
-        PartialDomain*& slot = resolved ? route->resolved : route->unresolved;
-        const net::Ipv4Address remote_ip{remote};
-        if (slot == nullptr) {
-            const std::string domain =
-                resolved ? route->mapping->domain : "unresolved:" + remote_ip.to_string();
-            slot = &partial[domain];
-            slot->addresses.emplace_back(remote_ip, index);
-        }
-        const std::uint32_t frame_bytes = metas.frame_bytes[i];
-        const bool up = metas.device_to_server[i] != 0;
-        slot->packets += 1;
-        if (up) {
-            slot->bytes_up += frame_bytes;
-        } else {
-            slot->bytes_down += frame_bytes;
-        }
-        slot->events.push_back(
-            PacketEvent{SimTime::micros(metas.timestamp_us[i]), frame_bytes, up});
-        slot->event_indices.push_back(index);
-    }
-    return partial;
-}
-
-std::map<std::string, DomainStats> StreamingCaptureAnalyzer::merge_attribution() const {
-    // Pass 2: attribute each shard, in parallel when a pool is available.
-    std::vector<ShardPartial> partials(shards_.size());
-    if (pool_ != nullptr && shards_.size() > 1) {
-        std::vector<std::future<ShardPartial>> futures;
-        futures.reserve(shards_.size());
-        for (const auto& metas : shards_) {
-            // tvacr-lint: allow(no-ref-capture-into-threadpool) every future is
-            // drained below before shards_ (or this) can go away
-            futures.push_back(pool_->submit([this, &metas] { return attribute_shard(metas); }));
-        }
-        for (std::size_t s = 0; s < futures.size(); ++s) partials[s] = futures[s].get();
-    } else {
-        for (std::size_t s = 0; s < shards_.size(); ++s) {
-            partials[s] = attribute_shard(shards_[s]);
-        }
-    }
-
-    // Deterministic merge: one domain can collect traffic in several shards
-    // (multiple resolved addresses); k-way merging on the global capture
-    // index restores exactly the serial ingest order.
-    std::map<std::string, std::vector<PartialDomain*>> by_domain;
-    for (auto& partial : partials) {
-        for (auto& [name, domain] : partial) by_domain[name].push_back(&domain);
-    }
-
-    std::map<std::string, DomainStats> merged;
-    for (auto& [name, parts] : by_domain) {
-        DomainStats stats;
-        stats.domain = name;
-        std::size_t total_events = 0;
-        for (const PartialDomain* part : parts) {
-            stats.packets += part->packets;
-            stats.bytes_up += part->bytes_up;
-            stats.bytes_down += part->bytes_down;
-            total_events += part->events.size();
-        }
-        stats.events.reserve(total_events);
-
-        // Addresses in global first-seen order. An address lives in exactly
-        // one shard, so the gathered pairs are already unique.
-        std::vector<std::pair<net::Ipv4Address, std::uint64_t>> addresses;
-        for (const PartialDomain* part : parts) {
-            addresses.insert(addresses.end(), part->addresses.begin(), part->addresses.end());
-        }
-        std::sort(addresses.begin(), addresses.end(),
-                  [](const auto& a, const auto& b) { return a.second < b.second; });
-        stats.addresses.reserve(addresses.size());
-        for (const auto& entry : addresses) stats.addresses.push_back(entry.first);
-
-        // K-way merge of the per-shard event streams by capture index.
-        // Within a shard the indices are strictly increasing, and indices
-        // are globally unique, so repeatedly taking the smallest head
-        // reproduces capture order. k is bounded by the shard count.
-        std::vector<std::size_t> cursor(parts.size(), 0);
-        for (std::size_t taken = 0; taken < total_events; ++taken) {
-            std::size_t best = parts.size();
-            std::uint64_t best_index = 0;
-            for (std::size_t k = 0; k < parts.size(); ++k) {
-                if (cursor[k] >= parts[k]->event_indices.size()) continue;
-                const std::uint64_t head = parts[k]->event_indices[cursor[k]];
-                if (best == parts.size() || head < best_index) {
-                    best = k;
-                    best_index = head;
-                }
-            }
-            stats.events.push_back(parts[best]->events[cursor[best]]);
-            ++cursor[best];
-        }
-        if (!stats.events.empty()) {
-            stats.first_seen = stats.events.front().timestamp;
-            stats.last_seen = stats.events.back().timestamp;
-        }
-        merged.emplace(name, std::move(stats));
-    }
-    return merged;
+    if (!record.dns_payload.empty()) dns_.ingest_payload(record.dns_payload, record.timestamp);
+    attribute(record.timestamp, record.frame_bytes, record.source, record.destination);
 }
 
 CaptureAnalyzer StreamingCaptureAnalyzer::finish() {
-    std::map<std::string, DomainStats> merged = merge_attribution();
-    CaptureAnalyzer analyzer(device_ip_, std::move(dns_), std::move(merged), packets_total_,
+    CaptureAnalyzer analyzer(device_ip_, std::move(dns_), std::move(domains_), packets_total_,
                              unparseable_);
-    for (auto& shard : shards_) shard.clear();
+    routes_.clear();
+    domains_.clear();
     dns_ = DnsMap{};
     packets_total_ = 0;
     unparseable_ = 0;
@@ -235,10 +92,7 @@ CaptureAnalyzer StreamingCaptureAnalyzer::finish() {
 }
 
 CaptureAnalyzer StreamingCaptureAnalyzer::snapshot() const {
-    // Same assembly as finish(), minus the drain: attribution reads the
-    // shard columns and DnsMap in place, and the analyzer gets its own
-    // DnsMap copy so later ingests cannot mutate the snapshot.
-    return CaptureAnalyzer(device_ip_, dns_, merge_attribution(), packets_total_, unparseable_);
+    return CaptureAnalyzer(device_ip_, dns_, domains_, packets_total_, unparseable_);
 }
 
 Result<CaptureAnalyzer> analyze_pcap_stream(const std::string& path, net::Ipv4Address device_ip,

@@ -1,32 +1,24 @@
-// Streaming, flow-sharded capture analysis.
+// Streaming capture analysis.
 //
 // The serial CaptureAnalyzer walks a fully materialized capture packet by
 // packet. This engine produces the *identical* analyzer — byte-for-byte on
-// every report and JSON output — while (a) consuming packets incrementally
-// (pair it with net::PcapReader so whole captures never sit in RAM) and
-// (b) parallelizing per-domain attribution across shards partitioned by
-// remote endpoint.
+// every report and JSON output — while consuming packets incrementally
+// (pair it with net::PcapReader so whole captures never sit in RAM) through
+// a zero-copy parse.
 //
-// How identity with the serial path is preserved:
-//   - Pass 1 (capture order, caller's thread): zero-copy parse, DNS
-//     harvesting, and direction/remote extraction. Each attributable packet
-//     is reduced to a compact PacketMeta and bucketed by a deterministic
-//     hash of its remote address. DnsMap records the capture index at which
-//     every IP->domain mapping was born.
-//   - Pass 2 (one task per shard, optionally on a ThreadPool): each shard
-//     attributes its packets using mapping_of() gated on birth_index, which
-//     replays the serial path's "was the mapping known yet?" decision even
-//     though shards run out of capture order.
-//   - Merge (caller's thread): per-domain partials from all shards are
-//     k-way merged on global packet index, restoring capture order for
-//     events, address first-seen order, and first/last-seen timestamps.
-// The result is invariant across shard counts and worker counts; the golden
-// capture tests enforce that byte-identity.
+// Each record is attributed as it is ingested, exactly as the serial path
+// does: DNS is harvested first, then the packet goes to its remote's
+// first mapping, or to "unresolved:<ip>" while there is none yet. A
+// per-remote route cache binds each remote to its domain slot once per
+// resolved state, so a resolved remote costs one cache lookup per packet.
+// A snapshot therefore costs a copy of what was attributed so far, never a
+// replay of the capture.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/traffic.hpp"
@@ -35,11 +27,10 @@
 
 namespace tvacr::analysis {
 
+/// Accepted for compatibility and ignored: attribution is one serial pass
+/// in capture order, and the result never depended on either field.
 struct StreamOptions {
-    /// Number of remote-endpoint partitions. 0 picks the pool's worker
-    /// count (or 1 without a pool). Any value yields identical results.
     std::size_t shards = 0;
-    /// Pool for the per-shard attribution tasks; nullptr runs them inline.
     common::ThreadPool* pool = nullptr;
 };
 
@@ -62,6 +53,13 @@ class StreamingCaptureAnalyzer {
   public:
     explicit StreamingCaptureAnalyzer(net::Ipv4Address device_ip, StreamOptions options = {});
 
+    // The route cache points into domains_: moving keeps those nodes alive,
+    // a copy would not.
+    StreamingCaptureAnalyzer(const StreamingCaptureAnalyzer&) = delete;
+    StreamingCaptureAnalyzer& operator=(const StreamingCaptureAnalyzer&) = delete;
+    StreamingCaptureAnalyzer(StreamingCaptureAnalyzer&&) = default;
+    StreamingCaptureAnalyzer& operator=(StreamingCaptureAnalyzer&&) = default;
+
     /// Ingests one captured frame (order must be capture order). The frame
     /// bytes are only borrowed for the duration of the call.
     void ingest(BytesView frame, SimTime timestamp);
@@ -69,93 +67,48 @@ class StreamingCaptureAnalyzer {
 
     /// Ingests one pre-decoded record (replay path). Mirrors the frame
     /// overload exactly: same unparseable accounting, DNS harvesting, and
-    /// shard bucketing, minus the parse.
+    /// attribution, minus the parse.
     void ingest(const DecodedRecord& record);
 
-    /// Runs the sharded attribution + deterministic merge and returns the
-    /// assembled analyzer. Call once; the builder is drained by the call.
+    /// Returns the assembled analyzer and leaves this one empty.
     [[nodiscard]] CaptureAnalyzer finish();
 
-    /// Incremental snapshot: the analyzer for everything ingested so far,
-    /// without draining the builder. snapshot() at position N is
-    /// byte-identical to finish() on a builder fed the same first N records
-    /// (same attribution + merge code path; the gateway's live SNAPSHOT verb
-    /// and its final report both rest on this). Costs a pass-2 run plus a
-    /// DnsMap copy; ingest may continue afterwards.
+    /// The analyzer for everything ingested so far, as a copy: snapshot() at
+    /// position N is byte-identical to finish() on an analyzer fed the same
+    /// first N records (the gateway's live SNAPSHOT verb and its final
+    /// report both rest on this). Ingest may continue afterwards.
     [[nodiscard]] CaptureAnalyzer snapshot() const;
 
-    [[nodiscard]] std::uint64_t packets_seen() const noexcept { return packets_total_; }
-    [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
-
   private:
-    /// Everything pass 2 needs about the shard's packets, laid out as
-    /// structure-of-arrays: pass 1 appends four scalar columns (no struct
-    /// padding — ~21 bytes/packet instead of 32), and pass 2's hot loop
-    /// walks the remote column with the other columns only touched on a
-    /// route hit. Column i across all five vectors describes one packet;
-    /// capture order is preserved, so `index` is strictly increasing.
-    struct PacketMetaColumns {
-        std::vector<std::uint64_t> index;        // capture position, globally unique
-        std::vector<std::int64_t> timestamp_us;  // SimTime::as_micros()
-        std::vector<std::uint32_t> frame_bytes;
-        std::vector<std::uint32_t> remote;  // Ipv4Address::value()
-        std::vector<std::uint8_t> device_to_server;
-
-        [[nodiscard]] std::size_t size() const noexcept { return index.size(); }
-        void append(std::uint64_t idx, SimTime ts, std::uint32_t bytes, net::Ipv4Address rem,
-                    bool up) {
-            index.push_back(idx);
-            timestamp_us.push_back(ts.as_micros());
-            frame_bytes.push_back(bytes);
-            remote.push_back(rem.value());
-            device_to_server.push_back(up ? 1 : 0);
-        }
-        void clear() noexcept {
-            index.clear();
-            timestamp_us.clear();
-            frame_bytes.clear();
-            remote.clear();
-            device_to_server.clear();
-        }
+    /// A remote's domain slots: `resolved` once its mapping is born,
+    /// `unresolved` for its traffic before that.
+    struct Route {
+        DomainStats* resolved = nullptr;
+        DomainStats* unresolved = nullptr;
     };
 
-    /// Per-shard, per-domain accumulation; merged across shards in finish().
-    struct PartialDomain {
-        std::vector<std::pair<net::Ipv4Address, std::uint64_t>> addresses;  // (addr, first idx)
-        std::uint64_t packets = 0;
-        std::uint64_t bytes_up = 0;
-        std::uint64_t bytes_down = 0;
-        std::vector<PacketEvent> events;          // capture order within the shard
-        std::vector<std::uint64_t> event_indices;  // parallel to events
-    };
-    using ShardPartial = std::map<std::string, PartialDomain>;
-
-    /// Shared pass-1 tail: buckets one attributable packet by its remote.
-    void bucket_packet(std::uint64_t index, SimTime timestamp, std::uint32_t frame_bytes,
-                       net::Ipv4Address source, net::Ipv4Address destination);
-
-    [[nodiscard]] ShardPartial attribute_shard(const PacketMetaColumns& metas) const;
-
-    /// Pass 2 + deterministic k-way merge over the current shard contents.
-    /// Const: shared verbatim by snapshot() and finish().
-    [[nodiscard]] std::map<std::string, DomainStats> merge_attribution() const;
+    /// Attributes one parseable packet (DNS already harvested).
+    void attribute(SimTime timestamp, std::uint32_t frame_bytes, net::Ipv4Address source,
+                   net::Ipv4Address destination);
+    /// The domain's stats with `remote` among its addresses.
+    DomainStats& bind(const std::string& domain, net::Ipv4Address remote);
 
     net::Ipv4Address device_ip_;
-    common::ThreadPool* pool_ = nullptr;
     DnsMap dns_;
-    std::vector<PacketMetaColumns> shards_;
+    std::map<std::string, DomainStats> domains_;
+    std::unordered_map<net::Ipv4Address, Route> routes_;
     std::uint64_t packets_total_ = 0;
     std::uint64_t unparseable_ = 0;
 };
 
-/// Streams a pcap file through the sharded analyzer. The capture is never
-/// fully materialized; peak memory is the reader's buffer plus the compact
-/// per-packet metadata.
+/// Streams a pcap file through the analyzer. The capture is never fully
+/// materialized; peak memory is the reader's buffer plus the attributed
+/// per-domain events.
 [[nodiscard]] Result<CaptureAnalyzer> analyze_pcap_stream(const std::string& path,
                                                           net::Ipv4Address device_ip,
                                                           StreamOptions options = {});
 
-/// Runs the sharded engine over an in-memory capture (same result as the
+/// Runs the streaming engine over an in-memory capture (same result as the
 /// serial CaptureAnalyzer::ingest_all, proven by the byte-identity tests).
 [[nodiscard]] CaptureAnalyzer analyze_packets(const std::vector<net::Packet>& packets,
                                               net::Ipv4Address device_ip,

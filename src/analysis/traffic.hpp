@@ -57,7 +57,7 @@ class CaptureAnalyzer {
     [[nodiscard]] std::uint64_t unparseable() const noexcept { return unparseable_; }
 
   private:
-    friend class StreamingCaptureAnalyzer;  // assembles analyzers from shard merges
+    friend class StreamingCaptureAnalyzer;  // hands over its attributed domains
 
     CaptureAnalyzer(net::Ipv4Address device_ip, DnsMap dns,
                     std::map<std::string, DomainStats> domains, std::uint64_t packets_total,

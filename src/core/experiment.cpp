@@ -11,14 +11,10 @@ std::string ExperimentSpec::name() const {
 }
 
 analysis::CaptureAnalyzer ExperimentResult::analyze() const {
-    // The sharded streaming engine, shard tasks run inline: experiments are
-    // already parallelized per-cell by MatrixRunner, so nesting a pool here
-    // would oversubscribe. The zero-copy parse still makes this the fast
-    // path, and the result is byte-identical to the serial analyzer (the
+    // The streaming engine: its zero-copy parse makes this the fast path,
+    // and the result is byte-identical to the serial analyzer (the
     // golden-trace tests enforce it).
-    analysis::StreamOptions options;
-    options.shards = 4;
-    return analysis::analyze_packets(capture, device_ip, options);
+    return analysis::analyze_packets(capture, device_ip);
 }
 
 Status ExperimentResult::record_tvcr(const std::string& path, bool keep_frames) const {
@@ -31,10 +27,11 @@ TestbedConfig ExperimentRunner::testbed_config(const ExperimentSpec& spec) {
     TestbedConfig config;
     config.brand = spec.brand;
     config.country = spec.country;
-    config.seed = derive_seed(spec.seed, splitmix64((static_cast<std::uint64_t>(spec.brand) << 8) ^
-                                                    (static_cast<std::uint64_t>(spec.country) << 4) ^
-                                                    (static_cast<std::uint64_t>(spec.scenario) << 2) ^
-                                                    static_cast<std::uint64_t>(spec.phase)));
+    const std::uint64_t cell = (static_cast<std::uint64_t>(spec.brand) << 8) ^
+                               (static_cast<std::uint64_t>(spec.country) << 4) ^
+                               (static_cast<std::uint64_t>(spec.scenario) << 2) ^
+                               static_cast<std::uint64_t>(spec.phase);
+    config.seed = derive_seed(spec.seed, splitmix64(cell));
     config.logged_in = tv::is_logged_in(spec.phase);
     // The rotating domain number varies between experiments, as observed.
     config.domain_rotation = static_cast<int>(derive_seed(config.seed, 0x207) % 10);

@@ -2,17 +2,6 @@
 
 namespace tvacr::gateway {
 
-namespace {
-
-analysis::StreamOptions stream_options(const GatewayOptions& options) {
-    analysis::StreamOptions stream;
-    stream.shards = options.workers > 0 ? options.workers * 2 : 0;
-    stream.pool = options.pool;
-    return stream;
-}
-
-}  // namespace
-
 const char* drop_reason_name(DropReason reason) noexcept {
     switch (reason) {
         case DropReason::kRingFull: return "ring_full";
@@ -23,7 +12,7 @@ const char* drop_reason_name(DropReason reason) noexcept {
 
 Gateway::Gateway(GatewayOptions options)
     : device_ip_(options.device_ip),
-      analyzer_(options.device_ip, stream_options(options)),
+      analyzer_(options.device_ip),
       slots_(options.ring_capacity > 0 ? options.ring_capacity : 1),
       m_offered_(registry_.counter("gateway.offered")),
       m_accepted_(registry_.counter("gateway.accepted")),

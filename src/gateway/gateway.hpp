@@ -11,17 +11,16 @@
 // where dropped is itemized per reason (ring_full, truncated) in both the
 // obs::Registry counters and a compact run-length drop ledger naming the
 // precise offer indices that were shed. The determinism contract follows:
-// at any worker count, with a ring large enough to avoid drops, the final
-// snapshot is byte-identical to the batch analyzer over the same stream;
-// under forced drops it is byte-identical to the batch analyzer over the
-// accepted-record subset (the ledger tells you which subset that was).
+// with a ring large enough to avoid drops, the final snapshot is
+// byte-identical to the batch analyzer over the same stream; under forced
+// drops it is byte-identical to the batch analyzer over the accepted-record
+// subset (the ledger tells you which subset that was).
 //
-// The gateway itself is single-threaded by design — one event loop offers
-// and drains in a fixed order, so a given input and knob setting replays to
-// the same accept/drop decisions every run. Parallelism lives where it is
-// provably deterministic already: inside the streaming analyzer's sharded
-// attribution (pass 2), driven by the same splitmix64-bucketing + k-way
-// merge the batch path uses.
+// The gateway is single-threaded by design — one event loop offers and
+// drains in a fixed order, so a given input and knob setting replays to the
+// same accept/drop decisions every run. The analyzer attributes each record
+// as it drains, so a snapshot copies what was attributed so far rather
+// than re-attributing the whole capture.
 #pragma once
 
 #include <cstdint>
@@ -58,10 +57,9 @@ struct GatewayOptions {
     /// Ring slots. Offers beyond a full ring are dropped (and ledgered),
     /// never blocked on: a vantage-point tap must keep up with the wire.
     std::size_t ring_capacity = 65536;
-    /// Attribution shards for the streaming analyzer (any value yields
-    /// byte-identical snapshots; more shards = more pass-2 parallelism).
+    /// Accepted for compatibility and ignored: the analyzer attributes in
+    /// one serial pass, and snapshots never depended on either field.
     std::size_t workers = 1;
-    /// Pool for pass-2 attribution; nullptr runs shards inline.
     common::ThreadPool* pool = nullptr;
 };
 

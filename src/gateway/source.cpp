@@ -15,13 +15,13 @@ namespace tvacr::gateway {
 
 namespace {
 
-/// Compaction threshold: once this many consumed bytes accumulate at the
-/// front of the source buffer, slide the unread tail down. Keeps tailing
-/// memory O(chunk + largest in-flight record/block), not O(stream).
-constexpr std::size_t kCompactAt = 1 << 20;
-
+/// Appends `bytes` after sliding the unread tail to the front whenever the
+/// consumed prefix is at least as long as the tail. Each slide copies no
+/// more bytes than were consumed since the last one, so copying stays
+/// linear in the stream, and the buffer holds O(chunk + largest in-flight
+/// record/block) bytes, not O(stream).
 void append_and_compact(Bytes& buffer, std::size_t& consumed, BytesView bytes) {
-    if (consumed >= kCompactAt) {
+    if (consumed > 0 && consumed >= buffer.size() - consumed) {
         buffer.erase(buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(consumed));
         consumed = 0;
     }

@@ -24,7 +24,7 @@ struct ReplayOptions {
     /// Drop records with timestamp < since (applied after from_block; the
     /// index prunes whole blocks, this filters within the first kept one).
     std::optional<SimTime> since;
-    /// Sharding/worker options passed straight to the streaming analyzer.
+    /// Passed straight to the streaming analyzer, which ignores it.
     analysis::StreamOptions stream;
 };
 

@@ -106,8 +106,7 @@ void AcrClient::start(ScreenProvider screen, AcrMode mode) {
                              guarded(alive_, [this, raw]() { start_keepalive_schedule(*raw); }));
                 break;
             case AcrDomainRole::kLogConfig:
-                open_channel(*raw,
-                             guarded(alive_, [this, raw]() { start_config_schedule(*raw); }));
+                open_channel(*raw, guarded(alive_, [this, raw]() { fetch_config(*raw); }));
                 break;
             case AcrDomainRole::kLogIngestion:
                 open_channel(*raw,
@@ -208,8 +207,6 @@ void AcrClient::schedule_upload(Channel& channel) {
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 400'000));
     wiring_.simulator.after(
         schedule_.upload_period + jitter, guarded(alive_, [this, &channel]() {
-            if (mode_ != AcrMode::kActive) return;
-
             // Paper-faithful degradation: when an upload tick finds the link
             // inside an outage window, nothing is discarded — captures keep
             // accumulating locally and the whole backlog flushes as one
@@ -287,7 +284,6 @@ void AcrClient::schedule_heartbeat(Channel& channel) {
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 300'000));
     wiring_.simulator.after(
         calibration_.heartbeat_period + jitter, guarded(alive_, [this, &channel]() {
-            if (mode_ != AcrMode::kSuppressed) return;
             std::size_t size = calibration_.heartbeat_size;
             if (calibration_.heartbeats_per_peak > 0 &&
                 ++heartbeats_since_peak_ >= calibration_.heartbeats_per_peak) {
@@ -305,7 +301,6 @@ void AcrClient::schedule_probe(Channel& channel) {
     const SimTime jitter = SimTime::micros(rng_.uniform(0, 2'000'000));
     wiring_.simulator.after(
         calibration_.probe_period + jitter, guarded(alive_, [this, &channel]() {
-            if (mode_ != AcrMode::kProbe) return;
             send_on(channel, AcrMessageType::kProbe, padding(calibration_.probe_size),
                     [](Bytes) {});
             m_probes_.add();
@@ -322,14 +317,9 @@ void AcrClient::start_keepalive_schedule(Channel& channel) {
         }));
 }
 
-void AcrClient::start_config_schedule(Channel& channel) {
+void AcrClient::fetch_config(Channel& channel) {
     send_on(channel, AcrMessageType::kConfigFetch, padding(calibration_.config_request),
             [](Bytes) {});
-    if (calibration_.config_refresh_period.as_micros() > 0) {
-        wiring_.simulator.after(
-            calibration_.config_refresh_period,
-            guarded(alive_, [this, &channel]() { start_config_schedule(channel); }));
-    }
 }
 
 void AcrClient::start_ingestion_schedule(Channel& channel) {

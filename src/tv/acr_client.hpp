@@ -103,7 +103,7 @@ class AcrClient {
     void schedule_heartbeat(Channel& channel);
     void schedule_probe(Channel& channel);
     void start_keepalive_schedule(Channel& channel);
-    void start_config_schedule(Channel& channel);
+    void fetch_config(Channel& channel);
     void start_ingestion_schedule(Channel& channel);
 
     [[nodiscard]] Bytes padding(std::size_t size);

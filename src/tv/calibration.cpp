@@ -96,7 +96,6 @@ AcrCalibration acr_calibration(Brand brand, Country country) {
 
     c.config_request = 350;
     c.config_response = 1800;
-    c.config_refresh_period = SimTime{};  // boot-time fetch only
 
     c.ingestion_period = SimTime::seconds(30);
     c.ingestion_base = country == Country::kUk ? 650 : 600;

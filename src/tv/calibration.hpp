@@ -83,7 +83,6 @@ struct AcrCalibration {
     // -- log-config channel ----------------------------------------------------
     std::size_t config_request = 0;
     std::size_t config_response = 0;
-    SimTime config_refresh_period;  // zero = boot-time fetch only
 
     // -- log-ingestion channel --------------------------------------------------
     SimTime ingestion_period;

@@ -12,7 +12,6 @@
 #include <string_view>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/bytes.hpp"
 #include "common/flags.hpp"
 #include "common/parse.hpp"
@@ -226,67 +225,6 @@ TEST(ByteLoads, LittleEndianHelpersMatchPcapOrder) {
     EXPECT_EQ(bytes::load_u32le(buf), 0xA1B2C3D4U);
     EXPECT_EQ(bytes::load_u16le(buf + 1), 0xB2C3U);
     EXPECT_EQ(bytes::load_u32le(buf + 1), 0x5AA1B2C3U);
-}
-
-// ----------------------------------------------------------------- Arena
-
-TEST(Arena, BumpAllocatesWithinOneChunk) {
-    common::Arena arena;
-    const auto a = arena.make_array<std::uint64_t>(8);
-    const auto b = arena.make_array<std::uint64_t>(8);
-    ASSERT_EQ(a.size(), 8U);
-    ASSERT_EQ(b.size(), 8U);
-    // Distinct, non-overlapping storage.
-    a[7] = 1;
-    b[0] = 2;
-    EXPECT_EQ(a[7], 1U);
-    EXPECT_EQ(b[0], 2U);
-    EXPECT_EQ(arena.bytes_allocated(), 2 * 8 * sizeof(std::uint64_t));
-    EXPECT_EQ(arena.bytes_reserved(), common::Arena::kDefaultChunkBytes);
-}
-
-TEST(Arena, RespectsAlignment) {
-    common::Arena arena;
-    (void)arena.allocate(1, 1);  // misalign the bump pointer
-    void* p = arena.allocate(8, 8);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 8, 0U);
-    void* q = arena.allocate(3, 64);
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0U);
-}
-
-TEST(Arena, OversizedRequestGetsDedicatedChunk) {
-    common::Arena arena(256);
-    const auto big = arena.make_zeroed_array<std::uint8_t>(10'000);
-    ASSERT_EQ(big.size(), 10'000U);
-    EXPECT_EQ(big[9'999], 0U);
-    EXPECT_GE(arena.bytes_reserved(), 10'000U);
-    // Small allocations still succeed afterwards.
-    const auto small = arena.make_array<std::uint32_t>(4);
-    EXPECT_EQ(small.size(), 4U);
-}
-
-TEST(Arena, ResetRetainsCapacityAndReusesChunks) {
-    common::Arena arena(256);
-    for (int i = 0; i < 50; ++i) (void)arena.make_array<std::uint64_t>(16);
-    const std::size_t reserved = arena.bytes_reserved();
-    EXPECT_GT(arena.bytes_allocated(), 0U);
-    arena.reset();
-    EXPECT_EQ(arena.bytes_allocated(), 0U);
-    EXPECT_EQ(arena.bytes_reserved(), reserved);
-    // A second identical population must not grow the reservation.
-    for (int i = 0; i < 50; ++i) (void)arena.make_array<std::uint64_t>(16);
-    EXPECT_EQ(arena.bytes_reserved(), reserved);
-}
-
-TEST(Arena, MakeConstructsInPlace) {
-    struct Route {
-        std::uint32_t address;
-        std::uint16_t hits;
-    };
-    common::Arena arena;
-    const Route* r = arena.make<Route>(Route{0xC0A80001U, 7});
-    EXPECT_EQ(r->address, 0xC0A80001U);
-    EXPECT_EQ(r->hits, 7U);
 }
 
 // ------------------------------------------------------------------- stats

@@ -182,6 +182,36 @@ TEST(GatewayDeterminism, ChunkBoundariesNeverChangeTheSnapshot) {
     }
 }
 
+TEST(GatewayDeterminism, EverySnapshotEqualsBatchOverTheDrainedPrefix) {
+    // The analyzer attributes each record as it drains, so a snapshot taken
+    // after any record must equal the batch analyzer over exactly the
+    // records drained so far. The fixture's ACR address sends before and
+    // after its DNS answer, so the prefixes cross that binding.
+    const auto capture = gateway_capture();
+    const Bytes wire = net::to_pcap_bytes(capture);
+    GatewayOptions options;
+    options.device_ip = kDevice;
+    Gateway gateway(options);
+    StreamSource source(std::make_unique<MemoryFeed>(wire));
+    std::vector<net::Packet> prefix;
+    bool ended = false;
+    while (!ended) {
+        const auto status = source.poll(gateway, 512);
+        ASSERT_TRUE(status.ok());
+        ended = status.value() == SourceStatus::kEnd;
+        while (gateway.drain(1) == 1) {
+            prefix.push_back(capture[prefix.size()]);
+            ASSERT_EQ(replay::canonical_report(gateway.snapshot()), batch_report(prefix))
+                << "after " << prefix.size() << " records";
+        }
+    }
+    ASSERT_TRUE(source.finalize(gateway).ok());
+    EXPECT_EQ(prefix.size(), capture.size());
+    const std::string final_report = replay::canonical_report(gateway.snapshot());
+    EXPECT_NE(final_report.find("unresolved:23.0.1.10 "), std::string::npos);
+    EXPECT_NE(final_report.find("acr-eu-prd.samsungcloud.tv "), std::string::npos);
+}
+
 // ------------------------------------------------------- forced backpressure
 
 TEST(GatewayBackpressure, SnapshotEqualsBatchOverAcceptedSubset) {
@@ -357,6 +387,52 @@ TEST(GatewaySource, CleanTvcrFinishHasNoTruncationAndSignalsEnd) {
     ASSERT_TRUE(source.finalize(gateway).ok());
     EXPECT_EQ(gateway.dropped_truncated(), 0U);
     EXPECT_EQ(gateway.offered(), capture.size());
+}
+
+TEST(GatewaySource, TvcrBlocksLargerThanAChunkSurviveCompaction) {
+    // Incompressible frames kept in the .tvcr make every block larger than
+    // a 16 KiB poll, so each block completes only after many polls and the
+    // source buffer slides its unread tail down between blocks.
+    const Ipv4Address acr(23, 0, 1, 10);
+    std::vector<net::Packet> capture;
+    capture.push_back(tcp_packet(kDevice, acr, SimTime::millis(5), 400));  // pre-birth
+    capture.push_back(dns_response_packet("acr-eu-prd.samsungcloud.tv", acr, SimTime::millis(10)));
+    Rng rng(0x5EED);
+    constexpr std::size_t kPayload = 1000;
+    for (int i = 0; i < 160; ++i) {
+        const SimTime t = SimTime::millis(20 + i);
+        net::Packet packet = i % 2 == 0 ? tcp_packet(kDevice, acr, t, kPayload)
+                                        : tcp_packet(acr, kDevice, t, kPayload);
+        for (std::size_t b = packet.data.size() - kPayload; b < packet.data.size(); ++b) {
+            packet.data[b] = static_cast<std::uint8_t>(rng());
+        }
+        capture.push_back(std::move(packet));
+    }
+    replay::TvcrOptions tvcr_options;
+    tvcr_options.keep_frames = true;
+    tvcr_options.block_records = 40;
+    const Bytes wire = replay::to_tvcr_bytes(capture, tvcr_options);
+
+    std::size_t largest_block = 0;
+    for (std::size_t offset = replay::kTvcrHeaderLen;
+         offset + replay::kTvcrBlockHeaderLen < wire.size();) {
+        const auto info = replay::parse_block_header(
+            BytesView(wire.data() + offset, replay::kTvcrBlockHeaderLen));
+        if (!info.ok()) break;  // reached the index
+        largest_block = std::max<std::size_t>(largest_block, info.value().compressed_len);
+        offset += replay::kTvcrBlockHeaderLen + info.value().compressed_len;
+    }
+    ASSERT_GT(largest_block, std::size_t{16 * 1024});
+
+    const std::string reference = batch_report(capture);
+    for (const std::size_t chunk : {std::size_t{7}, std::size_t{4096}, std::size_t{16384}}) {
+        GatewayOptions options;
+        options.device_ip = kDevice;
+        Gateway gateway(options);
+        EXPECT_EQ(run_stream(wire, gateway, chunk, 1000), reference) << "chunk=" << chunk;
+        EXPECT_EQ(gateway.offered(), capture.size());
+        EXPECT_EQ(gateway.dropped(), 0U);
+    }
 }
 
 TEST(GatewaySource, GarbageMagicIsAStructuralError) {

@@ -9,8 +9,7 @@
 // files under tests/golden/. Any intentional behaviour change must
 // regenerate them:
 //
-//   TVACR_UPDATE_GOLDEN=1 ./build/tests/test_regression \
-//       --gtest_filter='GoldenTrace.*'
+//   TVACR_UPDATE_GOLDEN=1 ./build/tests/test_regression --gtest_filter='GoldenTrace.*'
 //
 // and the regenerated files reviewed and committed alongside the change.
 #include <gtest/gtest.h>

@@ -13,11 +13,11 @@
 // magic is read as pcap and fails with the pcap reader's error.
 //
 // Plain pcap input is streamed: the capture is read incrementally through
-// net::PcapReader and analyzed by the flow-sharded engine, so peak memory
-// stays at the reader's buffer plus compact per-packet metadata no matter
-// how large the capture is. --jobs N attributes shards on N worker threads;
-// the output is byte-identical for every jobs value. pcapng input falls
-// back to the in-memory decoder (its block structure needs the whole file).
+// net::PcapReader and each packet is attributed as it is read, so the
+// capture's frames never sit in memory. --jobs N is accepted and has no
+// effect: attribution is one pass, and the output is byte-identical for
+// every jobs value. pcapng input falls back to the in-memory decoder (its
+// block structure needs the whole file).
 //
 // .tvcr input replays the indexed event stream instead of re-parsing
 // frames, and unlocks resumable analysis: --resume-from k restarts at block
@@ -31,7 +31,6 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <string>
 
 #include "analysis/acr_detect.hpp"
@@ -40,7 +39,6 @@
 #include "analysis/timeseries.hpp"
 #include "common/flags.hpp"
 #include "common/strings.hpp"
-#include "common/thread_pool.hpp"
 #include "net/pcapng.hpp"
 #include "replay/replay.hpp"
 
@@ -88,14 +86,6 @@ int main(int argc, char** argv) {
         return 2;
     }
 
-    std::unique_ptr<common::ThreadPool> pool;
-    analysis::StreamOptions options;
-    if (jobs > 1) {
-        pool = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(jobs));
-        options.pool = pool.get();
-    }
-    options.shards = static_cast<std::size_t>(jobs) * 2;
-
     Result<analysis::CaptureAnalyzer> analyzed = make_error("unreachable");
     if (format == replay::CaptureFormat::kTvcr) {
         auto engine = replay::ReplayEngine::open(capture_path);
@@ -107,7 +97,6 @@ int main(int argc, char** argv) {
         replay::ReplayOptions replay_options;
         replay_options.from_block = static_cast<std::size_t>(std::max(resume_from, 0LL));
         if (since_s >= 0) replay_options.since = SimTime::seconds(since_s);
-        replay_options.stream = options;
         analyzed = engine.value().run(device_ip.value(), replay_options);
         if (!analyzed.ok()) {
             std::fprintf(stderr, "cannot replay %s: %s\n", capture_path,
@@ -119,16 +108,16 @@ int main(int argc, char** argv) {
                     static_cast<unsigned long long>(stats.records_replayed), stats.blocks_read,
                     stats.blocks_skipped, capture_path);
     } else if (format == replay::CaptureFormat::kPcapng) {
-        // pcapng: materialize, then run the same sharded engine.
+        // pcapng: materialize, then run the same streaming engine.
         const auto packets = net::read_pcapng_file(capture_path);
         if (!packets.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", capture_path,
                          packets.error().message.c_str());
             return 1;
         }
-        analyzed = analysis::analyze_packets(packets.value(), device_ip.value(), options);
+        analyzed = analysis::analyze_packets(packets.value(), device_ip.value());
     } else {
-        analyzed = analysis::analyze_pcap_stream(capture_path, device_ip.value(), options);
+        analyzed = analysis::analyze_pcap_stream(capture_path, device_ip.value());
         if (!analyzed.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", capture_path,
                          analyzed.error().message.c_str());

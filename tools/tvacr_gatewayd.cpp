@@ -8,7 +8,8 @@
 // Continuously ingests a capture stream — a pcap/.tvcr file (tailed for
 // growth with --follow, so it may still be written) or raw pcap bytes on an
 // inherited descriptor ("fd:N") — through a fixed-size ring buffer into the
-// streaming attribution engine. Backpressure is explicit: when the ring is
+// streaming attribution engine (--jobs is accepted and has no effect: it
+// attributes in one pass). Backpressure is explicit: when the ring is
 // full, records are dropped and ledgered per reason, and the accounting
 // invariant offered == accepted + dropped holds exactly at all times (the
 // daemon verifies it at exit and fails loudly if violated).
@@ -32,7 +33,6 @@
 #include <chrono>
 #include <cstdio>
 #include <csignal>
-#include <memory>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -42,7 +42,6 @@
 #include "common/flags.hpp"
 #include "common/parse.hpp"
 #include "common/signal.hpp"
-#include "common/thread_pool.hpp"
 #include "gateway/control.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/source.hpp"
@@ -162,13 +161,6 @@ int main(int argc, char** argv) {
         return 2;
     }
     options.device_ip = device_ip.value();
-
-    std::unique_ptr<common::ThreadPool> pool;
-    if (jobs > 1) {
-        pool = std::make_unique<common::ThreadPool>(static_cast<std::size_t>(jobs));
-        options.pool = pool.get();
-    }
-    options.workers = static_cast<std::size_t>(jobs);
 
     auto source = [&]() -> Result<gateway::StreamSource> {
         if (source_arg.rfind("fd:", 0) == 0) {
