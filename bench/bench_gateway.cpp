@@ -1,7 +1,7 @@
 // bench_gateway — ingest throughput and live-snapshot latency for the
 // resident gateway, plus its determinism gate.
 //
-//   bench_gateway [--jobs N] [--out BENCH_gateway.json]
+//   bench_gateway [--out BENCH_gateway.json]
 //   TVACR_BENCH_PACKETS=N   workload size (default 200000)
 //
 // The workload is the same deterministic synthetic capture bench_analyze
@@ -31,7 +31,6 @@
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "dns/message.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/source.hpp"
@@ -119,31 +118,16 @@ std::uint64_t generate_workload(const std::string& path, std::uint64_t total_pac
     return written;
 }
 
-struct RunResult {
-    long jobs = 0;
-    double ingest_seconds = 0.0;
-    std::vector<double> snapshot_ms;
-    std::string report;
-    std::uint64_t records = 0;
-};
-
 int usage(const char* argv0) {
-    std::fprintf(stderr, "usage: %s [--jobs N] [--out BENCH_gateway.json]\n", argv0);
+    std::fprintf(stderr, "usage: %s [--out BENCH_gateway.json]\n", argv0);
     return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    long jobs = 4;
     std::string out_path = "BENCH_gateway.json";
-    const auto positionals = common::parse_flags(
-        argc, argv,
-        {
-            {"--jobs", jobs, 1, 1024},
-            {"--out", out_path},
-        },
-        usage);
+    const auto positionals = common::parse_flags(argc, argv, {{"--out", out_path}}, usage);
     if (!positionals.empty()) return usage(argv[0]);
     const std::uint64_t packets = static_cast<std::uint64_t>(
         common::parse_env_int("TVACR_BENCH_PACKETS", 200000, 1, 1LL << 40));
@@ -152,7 +136,7 @@ int main(int argc, char** argv) {
 
     const std::uint64_t total = generate_workload(pcap_path, packets, kDomains);
 
-    // Batch reference once: the determinism gate every run must hit.
+    // Batch reference: the determinism gate the gateway must hit.
     std::string reference;
     {
         auto loaded = net::read_pcap_file(pcap_path);
@@ -165,71 +149,54 @@ int main(int argc, char** argv) {
         reference = replay::canonical_report(analyzer);
     }
 
-    const std::vector<long> sweep = jobs > 1 ? std::vector<long>{1, jobs} : std::vector<long>{1};
-    std::vector<RunResult> runs;
-    for (const long run_jobs : sweep) {
-        common::ThreadPool pool(static_cast<std::size_t>(run_jobs));
-        gateway::GatewayOptions options;
-        options.device_ip = kDevice;
-        options.workers = static_cast<std::size_t>(run_jobs);
-        options.pool = run_jobs > 1 ? &pool : nullptr;
-        options.ring_capacity = 1 << 16;
-        gateway::Gateway gw(options);
+    gateway::GatewayOptions options;
+    options.device_ip = kDevice;
+    options.ring_capacity = 1 << 16;
+    gateway::Gateway gw(options);
 
-        auto source = gateway::StreamSource::open_file(pcap_path);
-        if (!source.ok()) {
-            std::fprintf(stderr, "open failed: %s\n", source.error().message.c_str());
-            return 1;
-        }
+    auto source = gateway::StreamSource::open_file(pcap_path);
+    if (!source.ok()) {
+        std::fprintf(stderr, "open failed: %s\n", source.error().message.c_str());
+        return 1;
+    }
 
-        RunResult run;
-        run.jobs = run_jobs;
-        const std::uint64_t snapshot_every = total / 10 + 1;
-        std::uint64_t next_snapshot = snapshot_every;
-        const double t0 = now_seconds();
-        while (true) {
-            const auto status = source.value().poll(gw, 1 << 20);
-            if (!status.ok()) {
-                std::fprintf(stderr, "poll failed: %s\n", status.error().message.c_str());
-                return 1;
-            }
-            gw.drain_all();
-            if (gw.drained() >= next_snapshot) {
-                const double s0 = now_seconds();
-                (void)gw.snapshot();
-                run.snapshot_ms.push_back((now_seconds() - s0) * 1e3);
-                next_snapshot += snapshot_every;
-            }
-            if (status.value() != gateway::SourceStatus::kProgress) break;
-        }
-        if (auto finalized = source.value().finalize(gw); !finalized.ok()) {
-            std::fprintf(stderr, "finalize failed: %s\n", finalized.error().message.c_str());
+    std::vector<double> snapshot_ms;
+    const std::uint64_t snapshot_every = total / 10 + 1;
+    std::uint64_t next_snapshot = snapshot_every;
+    const double t0 = now_seconds();
+    while (true) {
+        const auto status = source.value().poll(gw, 1 << 20);
+        if (!status.ok()) {
+            std::fprintf(stderr, "poll failed: %s\n", status.error().message.c_str());
             return 1;
         }
         gw.drain_all();
-        run.ingest_seconds = now_seconds() - t0;
-        run.report = replay::canonical_report(gw.snapshot());
-        run.records = gw.drained();
-
-        if (!gw.conservation_ok() || gw.dropped() != 0) {
-            std::fprintf(stderr, "accounting violated at jobs=%ld\n", run_jobs);
-            return 1;
+        if (gw.drained() >= next_snapshot) {
+            const double s0 = now_seconds();
+            (void)gw.snapshot();
+            snapshot_ms.push_back((now_seconds() - s0) * 1e3);
+            next_snapshot += snapshot_every;
         }
-        std::printf("jobs=%ld: %.2fs ingest, %.0f records/s, snapshot p50 %.1f ms p95 %.1f ms\n",
-                    run_jobs, run.ingest_seconds,
-                    static_cast<double>(run.records) / run.ingest_seconds,
-                    percentile(run.snapshot_ms, 0.5), percentile(run.snapshot_ms, 0.95));
-        runs.push_back(std::move(run));
+        if (status.value() != gateway::SourceStatus::kProgress) break;
     }
+    if (auto finalized = source.value().finalize(gw); !finalized.ok()) {
+        std::fprintf(stderr, "finalize failed: %s\n", finalized.error().message.c_str());
+        return 1;
+    }
+    gw.drain_all();
+    const double ingest_seconds = now_seconds() - t0;
+    const double records_per_sec = static_cast<double>(gw.drained()) / ingest_seconds;
 
-    bool identical = true;
-    for (const auto& run : runs) {
-        if (run.report != reference) {
-            identical = false;
-            std::fprintf(stderr, "DIVERGENCE: gateway snapshot at jobs=%ld != batch report\n",
-                         run.jobs);
-        }
+    if (!gw.conservation_ok() || gw.dropped() != 0) {
+        std::fprintf(stderr, "accounting violated\n");
+        return 1;
     }
+    std::printf("%.2fs ingest, %.0f records/s, snapshot p50 %.1f ms p95 %.1f ms\n",
+                ingest_seconds, records_per_sec, percentile(snapshot_ms, 0.5),
+                percentile(snapshot_ms, 0.95));
+
+    const bool identical = replay::canonical_report(gw.snapshot()) == reference;
+    if (!identical) std::fprintf(stderr, "DIVERGENCE: gateway snapshot != batch report\n");
 
     analysis::JsonWriter json;
     json.begin_object();
@@ -239,25 +206,16 @@ int main(int argc, char** argv) {
     json.key("domains").value(static_cast<std::uint64_t>(kDomains));
     json.end_object();
     json.key("identical").value(identical);
-    json.key("runs");
-    json.begin_array();
-    for (const auto& run : runs) {
-        json.begin_object();
-        json.key("jobs").value(static_cast<std::int64_t>(run.jobs));
-        json.key("ingest_seconds").value(run.ingest_seconds);
-        json.key("records_per_sec")
-            .value(static_cast<double>(run.records) / run.ingest_seconds);
-        json.key("snapshot_p50_ms").value(percentile(run.snapshot_ms, 0.5));
-        json.key("snapshot_p95_ms").value(percentile(run.snapshot_ms, 0.95));
-        json.end_object();
-    }
-    json.end_array();
+    json.key("ingest_seconds").value(ingest_seconds);
+    json.key("records_per_sec").value(records_per_sec);
+    json.key("snapshot_p50_ms").value(percentile(snapshot_ms, 0.5));
+    json.key("snapshot_p95_ms").value(percentile(snapshot_ms, 0.95));
     json.end_object();
     std::ofstream out(out_path, std::ios::binary);
     out << std::move(json).take() << "\n";
+    std::remove(pcap_path.c_str());
 
     if (!identical) return 1;
-    std::printf("gateway snapshots byte-identical to batch across %zu worker configs\n",
-                runs.size());
+    std::printf("gateway snapshot byte-identical to batch\n");
     return 0;
 }

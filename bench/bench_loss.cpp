@@ -32,8 +32,9 @@ int main() {
         spec.seed = 2024;
         spec.faults.loss = loss;
 
-        const auto result = core::ExperimentRunner::run(spec);
-        const auto trace = core::trace_of(result);
+        const auto run = core::ExperimentRunner::run_analyzed(spec);
+        const auto& result = run.result;
+        const auto trace = core::trace_of(result, run.analysis);
         // tvacr-lint: allow(no-float-equality) loss iterates literal grid values; 0.0 is exact
         if (loss == 0.0) clean_kb = trace.total_acr_kb;
         std::printf("%7.0f%% %14.1f %14llu %14llu %11.2fx\n", loss * 100, trace.total_acr_kb,

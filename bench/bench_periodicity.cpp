@@ -28,8 +28,7 @@ int main() {
         spec.phase = tv::Phase::kLInOIn;
         spec.duration = duration;
         spec.seed = 2024;
-        const auto result = core::ExperimentRunner::run(spec);
-        const auto analyzer = result.analyze();
+        const auto analyzer = core::ExperimentRunner::run_analyzed(spec).analysis;
 
         for (const auto* stats : analyzer.domains_by_bytes()) {
             const auto bursts = analysis::find_bursts(stats->events, SimTime::seconds(5));

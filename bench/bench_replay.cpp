@@ -1,7 +1,7 @@
 // bench_replay — transcode throughput, compression ratio, and cold-vs-resumed
 // replay latency for the indexed .tvcr record/replay format.
 //
-//   bench_replay [--jobs N] [--out BENCH_replay.json]
+//   bench_replay [--out BENCH_replay.json]
 //
 // The workload is the same deterministic synthetic capture bench_analyze
 // uses (seeded Rng, 48 domains, DNS responses staggered through the first
@@ -34,7 +34,6 @@
 #include "common/parse.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/thread_pool.hpp"
 #include "dns/message.hpp"
 #include "net/pcap.hpp"
 #include "replay/replay.hpp"
@@ -136,22 +135,15 @@ void write_stage(analysis::JsonWriter& json, const char* name, const StageStats&
 }
 
 int usage(const char* argv0) {
-    std::fprintf(stderr, "usage: %s [--jobs N] [--out BENCH_replay.json]\n", argv0);
+    std::fprintf(stderr, "usage: %s [--out BENCH_replay.json]\n", argv0);
     return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    long jobs = 4;
     std::string out_path = "BENCH_replay.json";
-    const auto positionals = common::parse_flags(
-        argc, argv,
-        {
-            {"--jobs", jobs, 1, 1024},
-            {"--out", out_path},
-        },
-        usage);
+    const auto positionals = common::parse_flags(argc, argv, {{"--out", out_path}}, usage);
     if (!positionals.empty()) return usage(argv[0]);
     const std::uint64_t packets = static_cast<std::uint64_t>(
         common::parse_env_int("TVACR_BENCH_PACKETS", 200000, 1, 1LL << 40));
@@ -200,11 +192,6 @@ int main(int argc, char** argv) {
                 events_ratio, static_cast<unsigned long long>(frames_stats.value().output_bytes),
                 frames_ratio);
 
-    common::ThreadPool pool(static_cast<std::size_t>(jobs));
-    analysis::StreamOptions stream;
-    stream.pool = jobs > 1 ? &pool : nullptr;
-    stream.shards = static_cast<std::size_t>(jobs) * 2;
-
     // --- Cold replay: open + full run, every repeat from scratch -----------
     StageStats cold_ms;
     std::string replay_report;
@@ -215,9 +202,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "open failed: %s\n", engine.error().message.c_str());
             return 1;
         }
-        replay::ReplayOptions options;
-        options.stream = stream;
-        auto result = engine.value().run(kDevice, options);
+        auto result = engine.value().run(kDevice);
         const double t1 = now_seconds();
         if (!result.ok()) {
             std::fprintf(stderr, "replay failed: %s\n", result.error().message.c_str());
@@ -240,7 +225,6 @@ int main(int argc, char** argv) {
     for (int r = 0; r < repeats; ++r) {
         replay::ReplayOptions options;
         options.from_block = resume_block;
-        options.stream = stream;
         const double t0 = now_seconds();
         auto result = resumed_engine.value().run(kDevice, options);
         const double t1 = now_seconds();
@@ -253,7 +237,7 @@ int main(int argc, char** argv) {
     }
 
     // --- Determinism gate: cold replay == batch analysis of the pcap -------
-    auto batch = analysis::analyze_pcap_stream(pcap_path, kDevice, stream);
+    auto batch = analysis::analyze_pcap_stream(pcap_path, kDevice);
     if (!batch.ok()) {
         std::fprintf(stderr, "batch analysis failed: %s\n", batch.error().message.c_str());
         return 1;
@@ -261,8 +245,8 @@ int main(int argc, char** argv) {
     const bool identical = replay_report == replay::canonical_report(batch.value());
 
     const double cold_pps = static_cast<double>(total) / (cold_ms.p50() / 1e3);
-    std::printf("cold:      %10.0f pkts/s  (p50 %.1f ms over %zu blocks, %ld jobs)\n", cold_pps,
-                cold_ms.p50(), blocks, jobs);
+    std::printf("cold:      %10.0f pkts/s  (p50 %.1f ms over %zu blocks)\n", cold_pps,
+                cold_ms.p50(), blocks);
     std::printf("resumed:   p50 %.1f ms from block %zu/%zu (%llu records, %.1fx less latency)\n",
                 resumed_ms.p50(), resume_block, blocks,
                 static_cast<unsigned long long>(resumed_records),
@@ -277,7 +261,6 @@ int main(int argc, char** argv) {
     json.key("domains").value(static_cast<std::uint64_t>(kDomains));
     json.key("pcap_bytes").value(static_cast<std::uint64_t>(events_stats.input_bytes));
     json.end_object();
-    json.key("jobs").value(static_cast<std::int64_t>(jobs));
     json.key("repeats").value(repeats);
     json.key("transcode").begin_object();
     json.key("mb_per_sec").value(transcode_mbps);

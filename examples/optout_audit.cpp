@@ -9,7 +9,6 @@
 #include <cstdio>
 #include <iostream>
 
-#include "analysis/stream.hpp"
 #include "core/experiment.hpp"
 
 using namespace tvacr;
@@ -26,6 +25,7 @@ double acr_kb_with_single_optout(tv::Brand brand, const std::string& toggle_name
     spec.seed = 11;
 
     core::Testbed bed(core::ExperimentRunner::testbed_config(spec));
+    bed.analyze_at_tap();
     if (!toggle_name.empty()) {
         const bool found = bed.tv().set_privacy_toggle(toggle_name, flip_to);
         if (!found) std::printf("  (toggle not found: %s)\n", toggle_name.c_str());
@@ -36,7 +36,7 @@ double acr_kb_with_single_optout(tv::Brand brand, const std::string& toggle_name
     bed.plug().schedule_cycle(SimTime::seconds(1), SimTime::seconds(1) + spec.duration);
     bed.simulator().run_until(SimTime::seconds(10) + spec.duration);
 
-    const auto analyzer = analysis::analyze_packets(bed.capture(), bed.tv().station().ip());
+    const auto analyzer = bed.finish_analysis();
     double kb = 0.0;
     for (const auto& domain : bed.tv().acr().domain_names()) {
         kb += analyzer.kilobytes_for(domain);

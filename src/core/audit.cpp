@@ -29,20 +29,23 @@ AuditReport AuditPipeline::run(const AuditConfig& config) {
     // config allows a second job.
     ExperimentSpec opted_out = opted_in;
     opted_out.phase = tv::Phase::kLInOOut;
+    // Both runs are analyzed at the tap: neither stores a frame.
     std::optional<common::ThreadPool> pool;
-    std::future<ExperimentResult> out_future;
+    std::future<AnalyzedExperiment> out_future;
     if (config.jobs > 1) {
         pool.emplace(1);
-        out_future = pool->submit([opted_out]() { return ExperimentRunner::run(opted_out); });
+        out_future =
+            pool->submit([opted_out]() { return ExperimentRunner::run_analyzed(opted_out); });
     }
 
     Testbed bed(ExperimentRunner::testbed_config(opted_in));
+    bed.analyze_at_tap();
     const ExperimentResult in_result = ExperimentRunner::run_on(bed, opted_in);
-    const ExperimentResult out_result =
-        out_future.valid() ? out_future.get() : ExperimentRunner::run(opted_out);
-
-    const auto in_analysis = in_result.analyze();
-    const auto out_analysis = out_result.analyze();
+    const auto in_analysis = bed.finish_analysis();
+    const AnalyzedExperiment out_run =
+        out_future.valid() ? out_future.get() : ExperimentRunner::run_analyzed(opted_out);
+    const ExperimentResult& out_result = out_run.result;
+    const auto& out_analysis = out_run.analysis;
 
     const analysis::AcrDomainIdentifier identifier;
     report.findings = identifier.identify(in_analysis, &out_analysis, config.duration);

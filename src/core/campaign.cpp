@@ -25,13 +25,13 @@ std::string display_domain(const std::string& domain) {
     return domain;
 }
 
-ScenarioTrace trace_of(const ExperimentResult& result) {
+ScenarioTrace trace_of(const ExperimentResult& result,
+                       const analysis::CaptureAnalyzer& analyzer) {
     ScenarioTrace trace;
     trace.spec = result.spec;
     trace.metrics = result.metrics;
     trace.trace_events = result.trace_events;
 
-    const auto analyzer = result.analyze();
     for (const auto& true_domain : result.true_acr_domains) {
         const analysis::DomainStats* stats = analyzer.find(true_domain);
         const std::string display = display_domain(true_domain);
@@ -51,6 +51,10 @@ ScenarioTrace trace_of(const ExperimentResult& result) {
                   return a.timestamp < b.timestamp;
               });
     return trace;
+}
+
+ScenarioTrace trace_of(const ExperimentResult& result) {
+    return trace_of(result, result.analyze());
 }
 
 obs::Registry merged_metrics(const std::vector<ScenarioTrace>& traces) {

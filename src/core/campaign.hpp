@@ -29,7 +29,11 @@ struct ScenarioTrace {
 /// "eu-acr3.alphonso.tv" -> "eu-acrX.alphonso.tv".
 [[nodiscard]] std::string display_domain(const std::string& domain);
 
-/// Extracts the ACR-domain traffic from an experiment result.
+/// Extracts the ACR-domain traffic from an experiment result, given the
+/// analysis of its capture.
+[[nodiscard]] ScenarioTrace trace_of(const ExperimentResult& result,
+                                     const analysis::CaptureAnalyzer& analyzer);
+/// trace_of(result, result.analyze()) for a result that stored its frames.
 [[nodiscard]] ScenarioTrace trace_of(const ExperimentResult& result);
 
 /// Merges per-cell registries in input (matrix) order. Because each cell is

@@ -45,6 +45,13 @@ ExperimentResult ExperimentRunner::run(const ExperimentSpec& spec) {
     return run_on(bed, spec);
 }
 
+AnalyzedExperiment ExperimentRunner::run_analyzed(const ExperimentSpec& spec) {
+    Testbed bed(testbed_config(spec));
+    bed.analyze_at_tap();
+    ExperimentResult result = run_on(bed, spec);
+    return {std::move(result), bed.finish_analysis()};
+}
+
 ExperimentResult ExperimentRunner::run_on(Testbed& bed, const ExperimentSpec& spec) {
     // Configure the TV for the phase and scenario before the power cycle
     // (the paper's scripts set state, then run the capture workflow).

@@ -64,10 +64,23 @@ struct ExperimentResult {
     [[nodiscard]] Status record_tvcr(const std::string& path, bool keep_frames = false) const;
 };
 
+/// One experiment analyzed at the capture tap: the run's counters, metrics
+/// and trace with an empty capture, and the analysis of every tapped frame.
+struct AnalyzedExperiment {
+    ExperimentResult result;
+    analysis::CaptureAnalyzer analysis;
+};
+
 class ExperimentRunner {
   public:
     /// Runs one experiment on a fresh testbed.
     [[nodiscard]] static ExperimentResult run(const ExperimentSpec& spec);
+
+    /// run() for callers that only analyze the cell: the same workflow
+    /// (run_on), with the bed's tap feeding the streaming analyzer instead
+    /// of the frame store (Testbed::analyze_at_tap), so no frame is kept.
+    /// `analysis` equals run(spec).analyze().
+    [[nodiscard]] static AnalyzedExperiment run_analyzed(const ExperimentSpec& spec);
 
     /// Builds the testbed configuration an experiment would use (exposed so
     /// callers that need the live testbed afterwards — e.g. the audit

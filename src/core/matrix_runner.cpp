@@ -147,7 +147,8 @@ std::vector<ExperimentResult> MatrixRunner::run_experiments(
 std::vector<ScenarioTrace> MatrixRunner::run_traces(
     const std::vector<ExperimentSpec>& specs) const {
     return run_in_order(specs, jobs_, profile_, [](const ExperimentSpec& spec) {
-        return trace_of(ExperimentRunner::run(spec));
+        const AnalyzedExperiment run = ExperimentRunner::run_analyzed(spec);
+        return trace_of(run.result, run.analysis);
     });
 }
 

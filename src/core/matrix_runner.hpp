@@ -61,8 +61,9 @@ class MatrixRunner {
     [[nodiscard]] std::vector<ExperimentResult> run_experiments(
         const std::vector<ExperimentSpec>& specs) const;
 
-    /// Runs every spec and reduces each result to its ScenarioTrace inside
-    /// the worker (the capture is dropped there), in input order.
+    /// Runs every spec analyzed at the tap (ExperimentRunner::run_analyzed:
+    /// no cell stores a frame) and reduces each to its ScenarioTrace inside
+    /// the worker, in input order.
     [[nodiscard]] std::vector<ScenarioTrace> run_traces(
         const std::vector<ExperimentSpec>& specs) const;
 

@@ -43,7 +43,6 @@ Testbed::Testbed(const TestbedConfig& config)
                               sim::LatencyModel{SimTime::millis(9), SimTime::millis(2)});
         }
     }
-    access_point_->set_capturing(config.capture);
     access_point_->set_tap([this](const net::Packet& packet) { capture_.push_back(packet); });
     if (config.mitm) {
         access_point_->set_mitm_tap([this](const sim::AccessPoint::MitmRecord& record) {
@@ -153,6 +152,11 @@ void Testbed::populate_internet() {
     }
     register_server(tv::kOttCdnDomain, uk ? london : san_jose, "cache-edge.ottvideo.net");
     register_server(tv::kCastHelperDomain, uk ? dublin : seattle, "cast.ottvideo.net");
+}
+
+void Testbed::analyze_at_tap() {
+    tap_analyzer_.emplace(tv_->station().ip());
+    access_point_->set_tap([this](const net::Packet& packet) { tap_analyzer_->ingest(packet); });
 }
 
 std::optional<net::Ipv4Address> Testbed::address_of(const std::string& domain) const {

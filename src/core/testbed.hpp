@@ -6,9 +6,11 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/stream.hpp"
 #include "fault/impairment.hpp"
 #include "fp/library.hpp"
 #include "geo/ground_truth.hpp"
@@ -28,8 +30,6 @@ struct TestbedConfig {
     bool logged_in = true;
     /// Rotation number in effect for eu-acrX/tkacrX domains this boot.
     int domain_rotation = 7;
-    /// When false the tap discards frames (used by long warmups).
-    bool capture = true;
     /// Record sim-time trace spans in the simulator's obs scope.
     bool trace = false;
     /// Enables the lab TLS-interception proxy (paper §6 future work): the
@@ -63,7 +63,19 @@ class Testbed {
     /// Captured frames so far (tap order). Move out with take_capture().
     [[nodiscard]] const std::vector<net::Packet>& capture() const noexcept { return capture_; }
     [[nodiscard]] std::vector<net::Packet> take_capture() { return std::move(capture_); }
-    void clear_capture() { capture_.clear(); }
+
+    /// Points the tap at a streaming analyzer for the TV's address instead
+    /// of the frame store, for callers that only analyze the cell: each
+    /// frame is attributed as it is tapped and none is kept, so capture()
+    /// stays empty. Tap order is capture order, so finish_analysis() equals
+    /// analyze_packets() over the frames the store would have held. Call it
+    /// before the run.
+    void analyze_at_tap();
+    /// The analysis of every frame tapped since analyze_at_tap(); leaves the
+    /// analyzer empty.
+    [[nodiscard]] analysis::CaptureAnalyzer finish_analysis() {
+        return tap_analyzer_.value().finish();
+    }
 
     /// Intercepted plaintext records (only populated when config.mitm).
     [[nodiscard]] const std::vector<sim::AccessPoint::MitmRecord>& mitm_records() const noexcept {
@@ -95,6 +107,7 @@ class Testbed {
     std::unique_ptr<sim::SmartPlug> plug_;
     const geo::City* vantage_ = nullptr;
     std::vector<net::Packet> capture_;
+    std::optional<analysis::StreamingCaptureAnalyzer> tap_analyzer_;
     std::vector<sim::AccessPoint::MitmRecord> mitm_records_;
     std::uint32_t next_server_block_ = 0;
 };

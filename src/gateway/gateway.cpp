@@ -1,5 +1,7 @@
 #include "gateway/gateway.hpp"
 
+#include <algorithm>
+
 namespace tvacr::gateway {
 
 const char* drop_reason_name(DropReason reason) noexcept {
@@ -13,7 +15,7 @@ const char* drop_reason_name(DropReason reason) noexcept {
 Gateway::Gateway(GatewayOptions options)
     : device_ip_(options.device_ip),
       analyzer_(options.device_ip),
-      slots_(options.ring_capacity > 0 ? options.ring_capacity : 1),
+      capacity_(options.ring_capacity > 0 ? options.ring_capacity : 1),
       m_offered_(registry_.counter("gateway.offered")),
       m_accepted_(registry_.counter("gateway.accepted")),
       m_drained_(registry_.counter("gateway.drained")),
@@ -21,7 +23,7 @@ Gateway::Gateway(GatewayOptions options)
       m_dropped_truncated_(registry_.counter("gateway.dropped.truncated")),
       m_snapshots_(registry_.counter("gateway.snapshots")) {
     m_ring_occupancy_ = registry_.gauge("gateway.ring_occupancy");
-    registry_.gauge("gateway.ring_capacity").set(static_cast<double>(slots_.size()));
+    registry_.gauge("gateway.ring_capacity").set(static_cast<double>(capacity_));
 }
 
 void Gateway::ledger_drop(std::uint64_t first_offer, std::uint64_t count, DropReason reason) {
@@ -38,15 +40,23 @@ void Gateway::ledger_drop(std::uint64_t first_offer, std::uint64_t count, DropRe
     ledger_.push_back(DropRun{first_offer, count, reason});
 }
 
+void Gateway::grow_ring() {
+    std::rotate(slots_.begin(), slots_.begin() + static_cast<std::ptrdiff_t>(ring_head_),
+                slots_.end());
+    ring_head_ = 0;
+    slots_.resize(std::min(capacity_, std::max<std::size_t>(slots_.size() * 2, 1)));
+}
+
 bool Gateway::offer(analysis::DecodedRecord record) {
     const std::uint64_t offer_index = offered_++;
     m_offered_.add();
-    if (ring_size_ == slots_.size()) {
+    if (ring_size_ == capacity_) {
         ++dropped_ring_full_;
         m_dropped_ring_full_.add();
         ledger_drop(offer_index, 1, DropReason::kRingFull);
         return false;
     }
+    if (ring_size_ == slots_.size()) grow_ring();
     slots_[(ring_head_ + ring_size_) % slots_.size()] = std::move(record);
     ++ring_size_;
     ++accepted_;

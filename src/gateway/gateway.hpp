@@ -100,7 +100,7 @@ class Gateway {
         return dropped_ring_full_ + dropped_truncated_;
     }
     [[nodiscard]] std::size_t ring_occupancy() const noexcept { return ring_size_; }
-    [[nodiscard]] std::size_t ring_capacity() const noexcept { return slots_.size(); }
+    [[nodiscard]] std::size_t ring_capacity() const noexcept { return capacity_; }
     [[nodiscard]] bool conservation_ok() const noexcept {
         return offered_ == accepted_ + dropped() && accepted_ == drained_ + ring_size_;
     }
@@ -120,7 +120,15 @@ class Gateway {
     net::Ipv4Address device_ip_;
     analysis::StreamingCaptureAnalyzer analyzer_;
 
-    // Fixed-capacity ring: slots_ never reallocates after construction.
+    /// Makes room for one more record in a full ring below capacity_:
+    /// unwraps the ring so its oldest record sits in slot 0, then doubles
+    /// the slots (capped at capacity_).
+    void grow_ring();
+
+    // The ring holds at most capacity_ records. slots_ grows with the
+    // occupancy instead of being allocated in full up front, so a ring
+    // that never fills costs only its peak.
+    std::size_t capacity_;
     std::vector<analysis::DecodedRecord> slots_;
     std::size_t ring_head_ = 0;  // index of the oldest queued record
     std::size_t ring_size_ = 0;

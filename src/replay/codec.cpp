@@ -99,20 +99,30 @@ void put_sequence(ByteWriter& out, const std::uint8_t* literals, std::size_t lit
 
 }  // namespace
 
-Bytes lz_compress(BytesView input) {
+Bytes lz_compress(BytesView input) { return LzCompressor().compress(input); }
+
+Bytes LzCompressor::compress(BytesView input) {
     ByteWriter out(input.size() / 2 + 16);
     const std::uint8_t* base = input.data();
     const std::size_t n = input.size();
-    std::vector<std::uint32_t> table(std::size_t{1} << kHashBits, 0xFFFFFFFFU);
+    // Table entries are positions offset by base_; one below base_ is empty.
+    // Once the offsets would wrap, clear the table and start over at 1.
+    if (table_.empty() || n > 0xFFFFFFFFU - base_) {
+        table_.assign(std::size_t{1} << kHashBits, 0);
+        base_ = 1;
+    }
+    const std::uint32_t block_base = base_;
+    base_ += static_cast<std::uint32_t>(n);
 
     std::size_t anchor = 0;
     std::size_t pos = 0;
     while (n >= kMinMatch && pos + kMinMatch <= n) {
         const std::uint32_t word = read32(base + pos);
         const std::uint32_t slot = lz_hash(word);
-        const std::uint32_t candidate = table[slot];
-        table[slot] = static_cast<std::uint32_t>(pos);
-        if (candidate != 0xFFFFFFFFU && pos - candidate <= kMaxOffset &&
+        const std::uint32_t entry = table_[slot];
+        table_[slot] = block_base + static_cast<std::uint32_t>(pos);
+        const std::size_t candidate = entry - block_base;  // valid iff entry >= block_base
+        if (entry >= block_base && pos - candidate <= kMaxOffset &&
             read32(base + candidate) == word) {
             std::size_t length = kMinMatch;
             while (pos + length < n && base[candidate + length] == base[pos + length]) ++length;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "common/bytes.hpp"
 
@@ -32,6 +33,20 @@ void put_varint(ByteWriter& out, std::uint64_t value);
 /// references with 16-bit offsets, minimum match 4). Self-contained — no
 /// external compression library — and deterministic byte-for-byte.
 [[nodiscard]] Bytes lz_compress(BytesView input);
+
+/// lz_compress with a match table that outlives one call, for a writer that
+/// compresses block after block. Each call stores positions above a fresh
+/// base and treats entries below it as empty, so no block sees another's
+/// matches and compress(x) is byte-identical to lz_compress(x), without
+/// allocating and clearing the 256 KiB table per block.
+class LzCompressor {
+  public:
+    [[nodiscard]] Bytes compress(BytesView input);
+
+  private:
+    std::vector<std::uint32_t> table_;
+    std::uint32_t base_ = 1;  // 0, the table's fill, is below every base
+};
 
 /// Decompresses a lz_compress stream. Every read is bounds-checked and the
 /// output is capped at `uncompressed_len`: corrupt or adversarial input

@@ -130,6 +130,8 @@ struct TvcrWriter::Impl {
     std::unordered_map<std::uint32_t, std::uint32_t> address_domain;
     std::uint64_t shard_mask = 0;
     std::uint64_t domain_bloom = 0;
+    /// One match table for every block this writer compresses.
+    LzCompressor lz;
 };
 
 TvcrWriter::TvcrWriter(std::ostream& out, TvcrOptions options)
@@ -249,7 +251,7 @@ void TvcrWriter::flush_block() {
     }
 
     const Bytes& uncompressed = payload.bytes();
-    Bytes compressed = lz_compress(uncompressed);
+    Bytes compressed = impl_->lz.compress(uncompressed);
     const bool use_lz = compressed.size() < uncompressed.size();
     const Bytes& stored = use_lz ? compressed : uncompressed;
 

@@ -15,9 +15,12 @@
 #include "core/audit.hpp"
 #include "core/campaign.hpp"
 #include "core/experiment.hpp"
+#include "core/matrix_runner.hpp"
 #include "core/paper.hpp"
 #include "core/validation.hpp"
+#include "fault/spec.hpp"
 #include "fp/video_fp.hpp"
+#include "replay/replay.hpp"
 
 namespace tvacr::core {
 namespace {
@@ -349,6 +352,135 @@ TEST(CampaignTest, SweepCoversGridAndRendersTable) {
     const std::string rendered = table.render();
     EXPECT_NE(rendered.find("eu-acrX.alphonso.tv"), std::string::npos);
     EXPECT_NE(rendered.find("Antenna"), std::string::npos);
+}
+
+// ------------------------------------------------------ analysis at the tap
+
+/// Both brands x six scenarios x {clean, canonical faults} x {opted in,
+/// opted out}, traced so the trace events are compared too. Clean cells run
+/// 3 minutes. Faulted cells run 1 minute, which covers the canonical DNS
+/// outage, loss, duplication and reordering: after the canonical link
+/// outage at 60 s the OTT CDN flow retransmits without end (1.7 million
+/// frames, 1.36 GB in 3 minutes), and the stored-frames reference would
+/// hold all of it.
+std::vector<ExperimentSpec> tap_grid() {
+    std::vector<ExperimentSpec> specs;
+    for (const bool faults : {false, true}) {
+        for (const tv::Phase phase : {tv::Phase::kLInOIn, tv::Phase::kLInOOut}) {
+            for (const tv::Scenario scenario : tv::kAllScenarios) {
+                for (const tv::Brand brand : {tv::Brand::kLg, tv::Brand::kSamsung}) {
+                    ExperimentSpec spec =
+                        quick_spec(brand, tv::Country::kUk, scenario, phase, faults ? 1 : 3);
+                    spec.trace = true;
+                    if (faults) spec.faults = fault::canonical_fault_spec();
+                    specs.push_back(spec);
+                }
+            }
+        }
+    }
+    return specs;
+}
+
+std::string events_text(const std::vector<analysis::PacketEvent>& events) {
+    std::string text;
+    for (const auto& event : events) {
+        text += std::to_string(event.timestamp.as_micros()) + " " +
+                std::to_string(event.frame_bytes) + (event.device_to_server ? " up\n" : " down\n");
+    }
+    return text;
+}
+
+std::string trace_events_text(const std::vector<obs::TraceEvent>& events) {
+    std::string text;
+    for (const auto& event : events) {
+        text += event.name + " " + event.category + " " + event.phase + " " +
+                std::to_string(event.ts_us) + " " + std::to_string(event.dur_us) + " " +
+                std::to_string(event.pid) + " " + std::to_string(event.tid);
+        for (const auto& [key, value] : event.args) text += " " + key + "=" + value;
+        text += "\n";
+    }
+    return text;
+}
+
+/// Field-for-field equality of two ScenarioTraces.
+void expect_same_trace(const ScenarioTrace& actual, const ScenarioTrace& expected) {
+    const std::string cell = expected.spec.name();
+    EXPECT_EQ(actual.spec.name(), cell);
+    EXPECT_EQ(actual.spec.faults, expected.spec.faults) << cell;
+    EXPECT_EQ(actual.spec.duration, expected.spec.duration) << cell;
+    EXPECT_EQ(actual.spec.seed, expected.spec.seed) << cell;
+    EXPECT_EQ(events_text(actual.acr_events), events_text(expected.acr_events)) << cell;
+    ASSERT_EQ(actual.per_domain.size(), expected.per_domain.size()) << cell;
+    for (const auto& [domain, events] : expected.per_domain) {
+        const auto it = actual.per_domain.find(domain);
+        ASSERT_NE(it, actual.per_domain.end()) << cell << " " << domain;
+        EXPECT_EQ(events_text(it->second), events_text(events)) << cell << " " << domain;
+    }
+    // Exact: both sides sum the same stats in the same order.
+    EXPECT_EQ(actual.kb_per_domain, expected.kb_per_domain) << cell;
+    EXPECT_EQ(actual.total_acr_kb, expected.total_acr_kb) << cell;
+    EXPECT_EQ(actual.metrics.to_json(), expected.metrics.to_json()) << cell;
+    EXPECT_EQ(trace_events_text(actual.trace_events), trace_events_text(expected.trace_events))
+        << cell;
+}
+
+/// The whole analysis, every domain included: the canonical report plus each
+/// domain's events.
+void expect_same_analysis(const analysis::CaptureAnalyzer& actual,
+                          const analysis::CaptureAnalyzer& expected, const std::string& cell) {
+    EXPECT_EQ(replay::canonical_report(actual), replay::canonical_report(expected)) << cell;
+    for (const analysis::DomainStats* stats : expected.domains_by_bytes()) {
+        const analysis::DomainStats* other = actual.find(stats->domain);
+        ASSERT_NE(other, nullptr) << cell << " " << stats->domain;
+        EXPECT_EQ(events_text(other->events), events_text(stats->events))
+            << cell << " " << stats->domain;
+    }
+}
+
+TEST(TapAnalysisTest, EveryCellEqualsTheStoredCapture) {
+    const auto specs = tap_grid();
+    ASSERT_EQ(specs.size(), 48U);
+    bool saw_acr = false;
+    bool saw_trace = false;
+    for (const auto& spec : specs) {
+        const AnalyzedExperiment run = ExperimentRunner::run_analyzed(spec);
+        const ExperimentResult stored = ExperimentRunner::run(spec);
+        const ScenarioTrace stored_trace = trace_of(stored);
+        expect_same_trace(trace_of(run.result, run.analysis), stored_trace);
+        expect_same_analysis(run.analysis, stored.analyze(), spec.name());
+        saw_acr = saw_acr || !stored_trace.acr_events.empty();
+        saw_trace = saw_trace || !stored_trace.trace_events.empty();
+    }
+    EXPECT_TRUE(saw_acr);
+    EXPECT_TRUE(saw_trace);
+}
+
+TEST(TapAnalysisTest, RunTracesIsIdenticalAtOneAndFourJobs) {
+    const auto specs = tap_grid();
+    const auto serial = MatrixRunner(1).run_traces(specs);
+    const auto parallel = MatrixRunner(4).run_traces(specs);
+    ASSERT_EQ(serial.size(), specs.size());
+    ASSERT_EQ(parallel.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) expect_same_trace(parallel[i], serial[i]);
+}
+
+TEST(TapAnalysisTest, StreamingPathStoresNoFrames) {
+    const ExperimentSpec spec =
+        quick_spec(tv::Brand::kSamsung, tv::Country::kUk, tv::Scenario::kOtt, tv::Phase::kLInOIn,
+                   3);
+    const auto run = ExperimentRunner::run_analyzed(spec);
+    const std::uint64_t frames = run.result.metrics.counter_value("ap.frames");
+    EXPECT_GT(frames, 0U);
+    EXPECT_TRUE(run.result.capture.empty());
+    EXPECT_EQ(run.analysis.packets_total(), frames);
+
+    // The same through a bed the caller keeps, as the audit does.
+    Testbed bed(ExperimentRunner::testbed_config(spec));
+    bed.analyze_at_tap();
+    const auto result = ExperimentRunner::run_on(bed, spec);
+    EXPECT_TRUE(bed.capture().empty());
+    EXPECT_TRUE(result.capture.empty());
+    EXPECT_EQ(bed.finish_analysis().packets_total(), frames);
 }
 
 // -------------------------------------------------------------------- paper

@@ -288,6 +288,87 @@ TEST(GatewayBackpressure, ConservationHoldsOverRandomizedLoadPatterns) {
     }
 }
 
+TEST(GatewayBackpressure, GrownRingDropsLikeAFullRing) {
+    // The ring's slots grow with its occupancy. Offer/drain bursts make it
+    // grow while wrapped and then offer past its small capacity: it must
+    // shed exactly the offers a ring allocated in full sheds (accept while
+    // fewer than `capacity` records wait), ledger them the same way and
+    // drain in offer order.
+    const auto capture = gateway_capture();
+    constexpr std::size_t kCapacity = 6;
+    GatewayOptions options;
+    options.device_ip = kDevice;
+    options.ring_capacity = kCapacity;
+    Gateway gateway(options);
+
+    std::size_t waiting = 0;  // the full ring's occupancy
+    std::vector<DropRun> ledger;
+    std::vector<net::Packet> accepted;
+    // {records offered, records drained} per step, cycled.
+    constexpr std::size_t kSteps[][2] = {{3, 2}, {4, 0}, {3, 4}, {7, 1}, {2, 6}, {5, 3}};
+    std::size_t next = 0;
+    for (std::size_t step = 0; next < capture.size(); ++step) {
+        const std::size_t burst = kSteps[step % std::size(kSteps)][0];
+        const std::size_t take = kSteps[step % std::size(kSteps)][1];
+        for (std::size_t i = 0; i < burst && next < capture.size(); ++i, ++next) {
+            const auto view = net::summarize_frame(capture[next].data);
+            analysis::DecodedRecord record;
+            record.timestamp = capture[next].timestamp;
+            record.frame_bytes = static_cast<std::uint32_t>(capture[next].data.size());
+            record.parseable = view.attributable;
+            record.source = view.source;
+            record.destination = view.destination;
+            record.dns_payload.assign(view.dns_payload.begin(), view.dns_payload.end());
+            const bool expect_accept = waiting < kCapacity;
+            ASSERT_EQ(gateway.offer(std::move(record)), expect_accept) << "offer " << next;
+            if (expect_accept) {
+                ++waiting;
+                accepted.push_back(capture[next]);
+            } else if (!ledger.empty() &&
+                       ledger.back().first_offer + ledger.back().count == next) {
+                ++ledger.back().count;
+            } else {
+                ledger.push_back(DropRun{next, 1, DropReason::kRingFull});
+            }
+        }
+        const std::size_t drained = gateway.drain(take);
+        EXPECT_EQ(drained, std::min(take, waiting));
+        waiting -= drained;
+        ASSERT_EQ(gateway.ring_occupancy(), waiting);
+        ASSERT_EQ(gateway.ring_capacity(), kCapacity);
+        ASSERT_TRUE(gateway.conservation_ok());
+    }
+    gateway.drain_all();
+
+    std::string expected_ledger;
+    std::uint64_t expected_drops = 0;
+    for (const DropRun& run : ledger) {
+        expected_ledger += "drop " + std::to_string(run.first_offer) + " " +
+                           std::to_string(run.count) + " ring_full\n";
+        expected_drops += run.count;
+    }
+    ASSERT_GT(expected_drops, 0U);
+    EXPECT_EQ(gateway.dropped_ring_full(), expected_drops);
+    EXPECT_EQ(gateway.ledger_text(), expected_ledger);
+    EXPECT_EQ(gateway.metrics().gauge_value("gateway.ring_capacity"),
+              static_cast<double>(kCapacity));
+
+    // Drain order is offer order: every domain's events match the batch
+    // analyzer's over the accepted subset, one by one.
+    const auto snapshot = gateway.snapshot();
+    const auto batch = analysis::analyze_packets(accepted, kDevice);
+    EXPECT_EQ(replay::canonical_report(snapshot), replay::canonical_report(batch));
+    for (const analysis::DomainStats* stats : batch.domains_by_bytes()) {
+        const analysis::DomainStats* streamed = snapshot.find(stats->domain);
+        ASSERT_NE(streamed, nullptr) << stats->domain;
+        ASSERT_EQ(streamed->events.size(), stats->events.size()) << stats->domain;
+        for (std::size_t i = 0; i < stats->events.size(); ++i) {
+            EXPECT_EQ(streamed->events[i].timestamp, stats->events[i].timestamp);
+            EXPECT_EQ(streamed->events[i].frame_bytes, stats->events[i].frame_bytes);
+        }
+    }
+}
+
 TEST(GatewayBackpressure, GracefulShutdownUnderLoadKeepsTheSnapshotExact) {
     const auto capture = gateway_capture();
     const Bytes wire = net::to_pcap_bytes(capture);

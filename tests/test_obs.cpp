@@ -146,7 +146,7 @@ TEST(RegistryTest, CsvHasOneRowPerInstrument) {
 TEST(RegistryTest, EmptyRegistry) {
     Registry registry;
     EXPECT_TRUE(registry.empty());
-    registry.counter("x");
+    (void)registry.counter("x");
     EXPECT_FALSE(registry.empty());
 }
 

@@ -120,6 +120,26 @@ TEST(CodecTest, LzRoundTripsVariedInputs) {
     EXPECT_LT(lz_compress(repeats).size(), repeats.size() / 4);
 }
 
+TEST(CodecTest, ReusedLzTableCompressesEachBlockAsAFreshOne) {
+    // One LzCompressor across blocks that repeat each other: a table entry
+    // left by an earlier block must read as empty, so every block's bytes
+    // equal lz_compress on its own.
+    Bytes repeats;
+    for (int i = 0; i < 300; ++i) {
+        const std::string chunk = "domain" + std::to_string(i % 12) + ".example.com|";
+        repeats.insert(repeats.end(), chunk.begin(), chunk.end());
+    }
+    std::vector<Bytes> blocks = {repeats, repeats, pseudo_random_bytes(5000, 7), Bytes{}};
+    blocks.push_back(Bytes{0x42});
+    blocks.push_back(Bytes(10000, 0xEE));
+    blocks.push_back(Bytes(repeats.begin(), repeats.begin() + 700));
+    blocks.push_back(repeats);
+    LzCompressor compressor;
+    for (std::size_t i = 0; i < blocks.size(); ++i) {
+        EXPECT_EQ(compressor.compress(blocks[i]), lz_compress(blocks[i])) << "block " << i;
+    }
+}
+
 TEST(CodecTest, LzDecompressRejectsCorruptStreams) {
     const Bytes input(1000, 0xAB);
     const Bytes packed = lz_compress(input);
