@@ -8,10 +8,12 @@
 // indexed, then a fixed population of fingerprint batches is synthesized —
 // clean aligned, noisy (≤3 flips per hash, inside the provable region of
 // the engine-equality contract: a <4-bit nearest neighbour cannot straddle
-// all four bands), and unknown-content batches. Both engines answer every
-// batch; the run *fails* (non-zero exit) if any answer differs, so the
-// published queries/sec figure is certified byte-identical to the scalar
-// semantics. Throughput for both engines plus the speedup ratio land in a
+// all four bands), and unknown-content batches. The same mix runs against
+// a duplicated catalog that registers every content twice, where each
+// match must name the lower id. Both engines answer every batch; the run
+// *fails* (non-zero exit) if any answer differs, so the published
+// queries/sec figure is certified byte-identical to the scalar semantics.
+// Throughput for both engines plus the speedup ratio land in a
 // machine-readable BENCH_match.json.
 //
 // Wall-clock readings here are benchmark instrumentation, not simulation
@@ -76,6 +78,46 @@ fp::FingerprintBatch noisy_batch(std::span<const fp::VideoHash> track, std::size
     return batch;
 }
 
+/// The deterministic query mix over `library`'s `catalog`: per round, a
+/// clean aligned and a noisy (≤3 flips) batch per content, then one batch
+/// of an unregistered stream.
+std::vector<fp::FingerprintBatch> make_queries(const fp::ContentLibrary& library,
+                                               const std::vector<fp::ContentInfo>& catalog,
+                                               Rng& rng) {
+    std::vector<fp::FingerprintBatch> queries;
+    for (int round = 0; round < 4; ++round) {
+        for (const auto& info : catalog) {
+            const auto track = library.reference_hashes(info.id);
+            if (track.size() < 40) continue;
+            const std::size_t base = static_cast<std::size_t>(rng() % (track.size() - 35));
+            queries.push_back(noisy_batch(track, base, 30, 0, rng));
+            queries.push_back(noisy_batch(track, base, 30, 3, rng));
+        }
+        // Unknown content: hashes from an unregistered stream.
+        fp::ContentInfo unknown;
+        unknown.seed = 0xDEAD0000ULL + static_cast<std::uint64_t>(round);
+        unknown.dynamics = fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast);
+        const fp::ContentStream stream(unknown.seed, unknown.dynamics);
+        fp::FingerprintBatch miss;
+        miss.device_id = 2;
+        miss.capture_period_ms = 500;
+        for (int i = 0; i < 30; ++i) {
+            fp::CaptureRecord record;
+            record.offset_ms = static_cast<std::uint32_t>(500 * i);
+            record.video = fp::dhash(stream.frame_at(SimTime::millis(500 * i)));
+            miss.records.push_back(record);
+        }
+        queries.push_back(miss);
+    }
+    return queries;
+}
+
+/// One query and the server that answers it.
+struct Query {
+    const fp::MatchServer* server;
+    fp::FingerprintBatch batch;
+};
+
 int usage(const char* argv0) {
     std::fprintf(stderr, "usage: %s [--out BENCH_match.json]\n", argv0);
     return 2;
@@ -97,36 +139,43 @@ int main(int argc, char** argv) {
     const auto catalog = fp::builtin_catalog(/*seed=*/555);
     for (const auto& info : catalog) library.add(info);
     const fp::MatchServer server(library);
-    std::printf("library: %zu contents, %zu reference hashes indexed\n", library.size(),
-                server.indexed_hashes());
+    std::printf("library: %zu contents, %zu reference hashes indexed, %zu postings\n",
+                library.size(), server.indexed_hashes(), server.postings());
+
+    // The duplicated catalog registers every content a second time under a
+    // higher id, so every reference hash has two owners. The deduplicated
+    // index must post no more than for the plain catalog, and every match
+    // must name the lower id (the engines' (distance, content_id, position)
+    // tie-break).
+    constexpr std::uint64_t kTwinIdOffset = 1'000'000;
+    fp::ContentLibrary duplicated;
+    std::vector<fp::ContentInfo> twins;
+    for (const auto& info : catalog) {
+        fp::ContentInfo twin = info;
+        twin.id += kTwinIdOffset;
+        duplicated.add(twin);
+        duplicated.add(info);
+        twins.push_back(twin);
+    }
+    const fp::MatchServer duplicated_server(duplicated);
+    std::printf("duplicated: %zu contents, %zu reference hashes indexed, %zu postings\n",
+                duplicated.size(), duplicated_server.indexed_hashes(),
+                duplicated_server.postings());
+    if (duplicated_server.postings() != server.postings()) {
+        std::fprintf(stderr, "DUPLICATED CATALOG POSTS %zu, NOT %zu\n",
+                     duplicated_server.postings(), server.postings());
+        return 1;
+    }
 
     // ---- workload: a deterministic mix of query batches --------------------
     Rng rng(0xACB9E9C4ULL);
-    std::vector<fp::FingerprintBatch> queries;
-    for (int round = 0; round < 4; ++round) {
-        for (const auto& info : catalog) {
-            const auto track = library.reference_hashes(info.id);
-            if (track.size() < 40) continue;
-            const std::size_t base = static_cast<std::size_t>(rng() % (track.size() - 35));
-            // Clean aligned batch, then a noisy one (≤3 flips per hash).
-            queries.push_back(noisy_batch(track, base, 30, 0, rng));
-            queries.push_back(noisy_batch(track, base, 30, 3, rng));
-        }
-        // Unknown content: hashes from an unregistered stream.
-        fp::ContentInfo unknown;
-        unknown.seed = 0xDEAD0000ULL + static_cast<std::uint64_t>(round);
-        unknown.dynamics = fp::ContentDynamics::for_kind(fp::ContentKind::kLiveBroadcast);
-        const fp::ContentStream stream(unknown.seed, unknown.dynamics);
-        fp::FingerprintBatch miss;
-        miss.device_id = 2;
-        miss.capture_period_ms = 500;
-        for (int i = 0; i < 30; ++i) {
-            fp::CaptureRecord record;
-            record.offset_ms = static_cast<std::uint32_t>(500 * i);
-            record.video = fp::dhash(stream.frame_at(SimTime::millis(500 * i)));
-            miss.records.push_back(record);
-        }
-        queries.push_back(miss);
+    std::vector<Query> queries;
+    for (auto& batch : make_queries(library, catalog, rng)) {
+        queries.push_back({&server, std::move(batch)});
+    }
+    // Queries from the twin ids, so the lower id wins only by the tie-break.
+    for (auto& batch : make_queries(duplicated, twins, rng)) {
+        queries.push_back({&duplicated_server, std::move(batch)});
     }
     std::printf("workload: %zu query batches\n", queries.size());
 
@@ -134,11 +183,17 @@ int main(int argc, char** argv) {
     std::vector<std::optional<fp::MatchResult>> expected;
     expected.reserve(queries.size());
     std::size_t hits = 0;
-    for (const auto& batch : queries) {
-        auto reference = server.match_reference(batch);
-        const auto banded = server.match(batch);
+    for (const auto& query : queries) {
+        auto reference = query.server->match_reference(query.batch);
+        const auto banded = query.server->match(query.batch);
         if (!same_result(banded, reference)) {
             std::fprintf(stderr, "ENGINE DIVERGENCE on query %zu\n", expected.size());
+            return 1;
+        }
+        if (banded.has_value() && query.server == &duplicated_server &&
+            banded->content_id >= kTwinIdOffset) {
+            std::fprintf(stderr, "TIE-BREAK CHOSE THE HIGHER ID on query %zu\n",
+                         expected.size());
             return 1;
         }
         if (banded.has_value()) ++hits;
@@ -150,7 +205,7 @@ int main(int argc, char** argv) {
     // ---- timed runs --------------------------------------------------------
     const auto time_engine = [&](auto&& run) {
         // Warmup pass, then the best-of-three timed passes.
-        for (const auto& batch : queries) (void)run(batch);
+        for (const auto& query : queries) (void)run(query);
         double best = 1e300;
         for (int pass = 0; pass < 3; ++pass) {
             const double t0 = now_seconds();
@@ -166,9 +221,9 @@ int main(int argc, char** argv) {
         return static_cast<double>(queries.size()) / best;
     };
     const double banded_qps =
-        time_engine([&](const fp::FingerprintBatch& b) { return server.match(b); });
+        time_engine([&](const Query& q) { return q.server->match(q.batch); });
     const double reference_qps =
-        time_engine([&](const fp::FingerprintBatch& b) { return server.match_reference(b); });
+        time_engine([&](const Query& q) { return q.server->match_reference(q.batch); });
     std::printf("banded:    %.1f queries/s\n", banded_qps);
     std::printf("reference: %.1f queries/s\n", reference_qps);
     std::printf("speedup:   %.2fx\n", banded_qps / reference_qps);
@@ -178,6 +233,12 @@ int main(int argc, char** argv) {
     json.key("bench").value("match");
     json.key("contents").value(static_cast<std::uint64_t>(library.size()));
     json.key("indexed_hashes").value(static_cast<std::uint64_t>(server.indexed_hashes()));
+    json.key("postings").value(static_cast<std::uint64_t>(server.postings()));
+    json.key("duplicated_contents").value(static_cast<std::uint64_t>(duplicated.size()));
+    json.key("duplicated_indexed_hashes")
+        .value(static_cast<std::uint64_t>(duplicated_server.indexed_hashes()));
+    json.key("duplicated_postings")
+        .value(static_cast<std::uint64_t>(duplicated_server.postings()));
     json.key("query_batches").value(static_cast<std::uint64_t>(queries.size()));
     json.key("records_per_batch").value(30);
     json.key("banded_queries_per_s").value(banded_qps);

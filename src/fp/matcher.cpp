@@ -1,7 +1,9 @@
 #include "fp/matcher.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <unordered_map>
+#include <utility>
 
 #include "fp/swar.hpp"
 #include "fp/video_fp.hpp"
@@ -30,6 +32,35 @@ struct Candidate {
             valid = true;
         }
     }
+};
+
+/// Fixed-capacity open-addressing set of 64-bit hashes (linear probing),
+/// sized for at least `max_size` inserts at a load of at most one half.
+/// Slot value 0 marks an empty slot, so the hash 0 is tracked by a flag.
+class HashSet {
+  public:
+    explicit HashSet(std::size_t max_size)
+        : slots_(std::bit_ceil(std::max<std::size_t>(2 * max_size, 2)), 0),
+          shift_(64 - std::countr_zero(slots_.size())) {}
+
+    /// True when `hash` was not in the set before.
+    bool insert(VideoHash hash) {
+        if (hash == 0) return !std::exchange(has_zero_, true);
+        const std::size_t mask = slots_.size() - 1;
+        // Fibonacci hashing: the multiply's top bits spread clustered keys.
+        for (std::size_t i = (hash * 0x9E3779B97F4A7C15ULL) >> shift_;; i = (i + 1) & mask) {
+            if (slots_[i] == hash) return false;
+            if (slots_[i] == 0) {
+                slots_[i] = hash;
+                return true;
+            }
+        }
+    }
+
+  private:
+    std::vector<VideoHash> slots_;
+    int shift_;
+    bool has_zero_ = false;
 };
 
 /// Voting + winner selection + audio corroboration, shared verbatim by the
@@ -159,10 +190,10 @@ MatchServer::MatchServer(const ContentLibrary& library, Options options)
 void MatchServer::reindex() {
     indexed_hashes_ = 0;
 
-    // Deterministic build order — content ids ascending — so the postings
-    // within every bucket come out sorted by (content_id, position) no
-    // matter how the library's hash map is laid out. Reading a track
-    // builds it on first use (ContentLibrary::reference_hashes).
+    // Deterministic build order — content ids ascending — so the walk below
+    // visits reference hashes in (content_id, position) order no matter how
+    // the library's hash map is laid out. Reading a track builds it on first
+    // use (ContentLibrary::reference_hashes).
     std::vector<std::uint64_t> content_ids;
     content_ids.reserve(library_.entries().size());
     std::size_t total_hashes = 0;
@@ -172,17 +203,37 @@ void MatchServer::reindex() {
     }
     std::sort(content_ids.begin(), content_ids.end());
 
-    // Counting sort into the flat two-level layout: size every (band, value)
-    // bucket, prefix-sum into offsets, then place postings. Placement order
-    // follows the sorted content walk, so within-bucket order is already
-    // (content_id, position).
-    std::vector<std::uint32_t> counts(kBucketCount, 0);
-    for (const std::uint64_t content_id : content_ids) {
-        for (const VideoHash hash : library_.reference_hashes(content_id)) {
-            for (int band = 0; band < kBands; ++band) {
-                const auto value = static_cast<std::uint16_t>(hash >> (band * 16));
-                ++counts[(static_cast<std::size_t>(band) << 16) | value];
+    // Keep each distinct hash once, at its first — least — (content_id,
+    // position): the only one of its equals match() could choose (see the
+    // header).
+    struct Posting {
+        VideoHash hash;
+        std::uint64_t content_id;
+        std::uint32_t position;
+    };
+    std::vector<Posting> distinct;
+    {
+        HashSet seen(total_hashes);
+        for (const std::uint64_t content_id : content_ids) {
+            const auto hashes = library_.reference_hashes(content_id);
+            for (std::size_t position = 0; position < hashes.size(); ++position) {
+                if (seen.insert(hashes[position])) {
+                    distinct.push_back(
+                        {hashes[position], content_id, static_cast<std::uint32_t>(position)});
+                }
             }
+            indexed_hashes_ += hashes.size();
+        }
+    }
+
+    // Counting sort into the flat two-level layout: size every (band, value)
+    // bucket, prefix-sum into offsets, then place postings. Placement follows
+    // the (content_id, position) walk, so within-bucket order is too.
+    std::vector<std::uint32_t> counts(kBucketCount, 0);
+    for (const Posting& posting : distinct) {
+        for (int band = 0; band < kBands; ++band) {
+            const auto value = static_cast<std::uint16_t>(posting.hash >> (band * 16));
+            ++counts[(static_cast<std::size_t>(band) << 16) | value];
         }
     }
     bucket_start_.assign(kBucketCount + 1, 0);
@@ -193,24 +244,19 @@ void MatchServer::reindex() {
     }
     bucket_start_[kBucketCount] = running;
 
-    const std::size_t total_postings = total_hashes * kBands;
+    const std::size_t total_postings = distinct.size() * kBands;
     posting_hash_.assign(total_postings, 0);
     posting_content_.assign(total_postings, 0);
     posting_position_.assign(total_postings, 0);
     std::vector<std::uint32_t> cursor(bucket_start_.begin(), bucket_start_.end() - 1);
-    for (const std::uint64_t content_id : content_ids) {
-        const auto hashes = library_.reference_hashes(content_id);
-        for (std::size_t position = 0; position < hashes.size(); ++position) {
-            const VideoHash hash = hashes[position];
-            for (int band = 0; band < kBands; ++band) {
-                const auto value = static_cast<std::uint16_t>(hash >> (band * 16));
-                const std::size_t bucket = (static_cast<std::size_t>(band) << 16) | value;
-                const std::uint32_t at = cursor[bucket]++;
-                posting_hash_[at] = hash;
-                posting_content_[at] = content_id;
-                posting_position_[at] = static_cast<std::uint32_t>(position);
-            }
-            ++indexed_hashes_;
+    for (const Posting& posting : distinct) {
+        for (int band = 0; band < kBands; ++band) {
+            const auto value = static_cast<std::uint16_t>(posting.hash >> (band * 16));
+            const std::size_t bucket = (static_cast<std::size_t>(band) << 16) | value;
+            const std::uint32_t at = cursor[bucket]++;
+            posting_hash_[at] = posting.hash;
+            posting_content_[at] = posting.content_id;
+            posting_position_[at] = posting.position;
         }
     }
 }

@@ -11,6 +11,12 @@
 // kernels in fp/swar.hpp. Verified candidates vote for (content, time
 // offset); the best-aligned content wins when enough records agree.
 //
+// Each distinct hash is posted once, at its least (content id, position).
+// A scene's hash repeats at every reference step of the scene, and equal
+// hashes have equal distance to any query and share all four buckets, so
+// under the (distance, content_id, position) order below only the least of
+// them can ever be chosen. Dropping the rest is exact.
+//
 // match_reference() is the retained scalar engine: brute force over every
 // reference hash with std::popcount and no index. Its result is the
 // specification. Equality guarantee: whenever a record's nearest reference
@@ -84,7 +90,10 @@ class MatchServer {
     /// index. Slow, obviously correct; the equivalence contract for match().
     [[nodiscard]] std::optional<MatchResult> match_reference(const FingerprintBatch& batch) const;
 
+    /// Reference hashes read from the library by the last reindex().
     [[nodiscard]] std::size_t indexed_hashes() const noexcept { return indexed_hashes_; }
+    /// Band postings in the index: four per distinct reference hash.
+    [[nodiscard]] std::size_t postings() const noexcept { return posting_hash_.size(); }
 
   private:
     static constexpr int kBands = 4;

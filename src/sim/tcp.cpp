@@ -395,8 +395,10 @@ void TcpConnection::on_stream_ack(bool from_client, std::uint32_t ack_number) {
     }
     if (acked_bytes == tx.acked && tx.acked < tx.data.size()) {
         // Duplicate ACK: the receiver is missing the segment at `acked`.
+        // Only the third duplicate retransmits: the counter runs on until a
+        // new ACK or an RTO resets it, so one loss event is one fast
+        // retransmit, not one per three duplicates of the resent window.
         if (++tx.duplicate_acks == 3) {
-            tx.duplicate_acks = 0;
             tx.ssthresh = std::max<std::size_t>(tx.cwnd / 2, 2);
             tx.cwnd = std::max(tx.cwnd / 2, config_.initial_cwnd);
             tx.next_offset = tx.acked;  // fast retransmit (Go-Back-N)

@@ -357,20 +357,16 @@ TEST(CampaignTest, SweepCoversGridAndRendersTable) {
 // ------------------------------------------------------ analysis at the tap
 
 /// Both brands x six scenarios x {clean, canonical faults} x {opted in,
-/// opted out}, traced so the trace events are compared too. Clean cells run
-/// 3 minutes. Faulted cells run 1 minute, which covers the canonical DNS
-/// outage, loss, duplication and reordering: after the canonical link
-/// outage at 60 s the OTT CDN flow retransmits without end (1.7 million
-/// frames, 1.36 GB in 3 minutes), and the stored-frames reference would
-/// hold all of it.
+/// opted out}, 3 minutes each, traced so the trace events are compared
+/// too. The faulted cells cover the canonical DNS outage, loss,
+/// duplication, reordering and the 60-75 s link outage.
 std::vector<ExperimentSpec> tap_grid() {
     std::vector<ExperimentSpec> specs;
     for (const bool faults : {false, true}) {
         for (const tv::Phase phase : {tv::Phase::kLInOIn, tv::Phase::kLInOOut}) {
             for (const tv::Scenario scenario : tv::kAllScenarios) {
                 for (const tv::Brand brand : {tv::Brand::kLg, tv::Brand::kSamsung}) {
-                    ExperimentSpec spec =
-                        quick_spec(brand, tv::Country::kUk, scenario, phase, faults ? 1 : 3);
+                    ExperimentSpec spec = quick_spec(brand, tv::Country::kUk, scenario, phase, 3);
                     spec.trace = true;
                     if (faults) spec.faults = fault::canonical_fault_spec();
                     specs.push_back(spec);

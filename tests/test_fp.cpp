@@ -1279,6 +1279,156 @@ TEST(MatcherTieBreakTest, EqualVotesPreferEarliestAlignmentBucket) {
     expect_same_result(match, server.match_reference(batch));
 }
 
+// ------------------------------------------------- deduplicated band index
+
+/// Two contents with one seed and one set of dynamics, registered high id
+/// first: every reference hash occurs under both ids. Desktop dynamics give
+/// long, often fully static scenes, whose hash repeats at every step.
+ContentInfo register_twins(ContentLibrary& library) {
+    ContentInfo twin = single_content_info();
+    twin.dynamics = ContentDynamics::for_kind(ContentKind::kHdmiDesktop);
+    twin.id = 300;
+    library.add(twin);
+    twin.id = 100;
+    library.add(twin);
+    return twin;
+}
+
+/// A 30-record, 500 ms batch lifted from `track` at `base` with up to
+/// `max_flips` random bit flips per record.
+FingerprintBatch flipped_batch(std::span<const VideoHash> track, std::size_t base, int max_flips,
+                               Rng& rng) {
+    FingerprintBatch batch;
+    batch.device_id = 1;
+    batch.capture_period_ms = 500;
+    for (int i = 0; i < 30; ++i) {
+        CaptureRecord record;
+        record.offset_ms = static_cast<std::uint32_t>(500 * i);
+        VideoHash hash = track[(base + static_cast<std::size_t>(i)) % track.size()];
+        const int flips = static_cast<int>(rng() % static_cast<std::uint64_t>(max_flips + 1));
+        for (int f = 0; f < flips; ++f) hash ^= 1ULL << (rng() % 64);
+        record.video = hash;
+        batch.records.push_back(record);
+    }
+    return batch;
+}
+
+TEST(MatcherDedupTest, PostsEachDistinctHashOnce) {
+    ContentLibrary library;
+    const ContentInfo twin = register_twins(library);
+    const auto track = library.reference_hashes(twin.id);
+    const std::set<VideoHash> distinct(track.begin(), track.end());
+    ASSERT_LT(distinct.size() * 2, track.size());  // static scenes repeat their hash
+
+    const MatchServer server(library);
+    EXPECT_EQ(server.indexed_hashes(), 2 * track.size());  // every hash read
+    EXPECT_EQ(server.postings(), 4 * distinct.size());     // each distinct one posted once
+}
+
+TEST(MatcherDedupTest, TwinContentsMatchTheReferenceAndTheLowestId) {
+    // The provable region (at most 3 flips per record): the engines agree
+    // byte for byte, and every match goes to the lower of the twin ids.
+    ContentLibrary library;
+    const ContentInfo twin = register_twins(library);
+    const auto track = library.reference_hashes(twin.id);
+    const MatchServer server(library);
+    Rng rng(0x7D1D0E5ULL);
+    int matched = 0;
+    for (int trial = 0; trial < 40; ++trial) {
+        const auto batch =
+            flipped_batch(track, static_cast<std::size_t>(rng() % track.size()), 3, rng);
+        const auto match = server.match(batch);
+        expect_same_result(match, server.match_reference(batch));
+        if (!match.has_value()) continue;
+        ++matched;
+        EXPECT_EQ(match->content_id, 100U) << "trial " << trial;
+    }
+    EXPECT_GT(matched, 20);
+}
+
+TEST(MatcherDedupTest, RepeatedHashAlignsAtItsEarliestPosition) {
+    // Query the last step of the longest static run. With a one-step
+    // alignment bucket the answer's offset is the candidate position, which
+    // must be the hash's first step in the lower twin, not a later repeat.
+    ContentLibrary library;
+    const ContentInfo twin = register_twins(library);
+    const auto track = library.reference_hashes(twin.id);
+    std::size_t run_start = 0;
+    std::size_t run_end = 0;
+    for (std::size_t begin = 0, p = 1; p <= track.size(); ++p) {
+        if (p == track.size() || track[p] != track[begin]) {
+            if (p - begin > run_end - run_start) {
+                run_start = begin;
+                run_end = p;
+            }
+            begin = p;
+        }
+    }
+    ASSERT_GE(run_end - run_start, 8U);
+    const VideoHash hash = track[run_end - 1];
+    const auto first = static_cast<std::size_t>(
+        std::find(track.begin(), track.end(), hash) - track.begin());
+
+    MatchOptions exact;
+    exact.offset_tolerance = ContentLibrary::kReferencePeriod;
+    exact.min_distinct_evidence = 1;
+    const MatchServer server(library, exact);
+    FingerprintBatch batch;
+    batch.device_id = 1;
+    batch.capture_period_ms = 500;
+    batch.records.assign(4, CaptureRecord{});
+    for (auto& record : batch.records) record.video = hash;
+
+    const auto match = server.match(batch);
+    ASSERT_TRUE(match.has_value());
+    EXPECT_EQ(match->content_id, 100U);
+    EXPECT_EQ(match->content_offset,
+              ContentLibrary::kReferencePeriod * static_cast<std::int64_t>(first));
+    expect_same_result(match, server.match_reference(batch));
+}
+
+TEST(MatcherDedupTest, NoisyTwinQueriesKeepTheirPinnedResults) {
+    // Up to 10 flips per record, outside the provable region: whatever the
+    // banded engine answers there, deduplication must not change it. The
+    // lines were recorded from the index that posted every hash.
+    ContentLibrary library;
+    const ContentInfo twin = register_twins(library);
+    const auto track = library.reference_hashes(twin.id);
+    const MatchServer server(library);
+    Rng rng(0xD0ED0E5ULL);
+    std::string text;
+    for (int trial = 0; trial < 16; ++trial) {
+        const auto batch =
+            flipped_batch(track, static_cast<std::size_t>(rng() % track.size()), 10, rng);
+        const auto match = server.match(batch);
+        if (!match.has_value()) {
+            text += "none\n";
+            continue;
+        }
+        text += std::to_string(match->content_id) + " " +
+                std::to_string(match->content_offset.as_micros()) + " " +
+                std::to_string(match->votes) + "\n";
+    }
+    const std::string pinned =
+        "100 1176000000 21\n"
+        "none\n"
+        "none\n"
+        "100 1496000000 13\n"
+        "100 672000000 18\n"
+        "100 440000000 13\n"
+        "100 1184000000 14\n"
+        "100 720000000 11\n"
+        "100 1080000000 17\n"
+        "none\n"
+        "100 200000000 13\n"
+        "none\n"
+        "100 1616000000 12\n"
+        "100 32000000 13\n"
+        "100 16000000 12\n"
+        "none\n";
+    EXPECT_EQ(text, pinned);
+}
+
 TEST(MatcherEdgeTest, MinDistinctEvidenceBoundary) {
     // A batch dwelling on one scene: many votes, one distinct hash. The
     // default gate (2) rejects it; relaxing the gate to 1 on the same batch

@@ -955,6 +955,39 @@ TEST(TcpFaultTest, DuplicateStormDoesNotCorruptTheStream) {
     EXPECT_GT(model.duplicated(), 0U);
 }
 
+TEST(TcpFaultTest, OneLostSegmentCostsOneFastRetransmit) {
+    // One data segment lost early in a long response: every later segment
+    // of the flight brings a duplicate ACK, but only the third one resends.
+    // Resetting the count there resent the window again for every three
+    // more duplicates, and each resent window brought more of them.
+    Testbed bed;
+    fault::FaultSpec spec;
+    spec.drop_downlink_frames = {12};
+    fault::ImpairmentModel model(spec, 3, 1);
+    bed.ap.set_impairment(&model);
+
+    const net::Endpoint server{Ipv4Address(20, 30, 40, 50), 443};
+    TcpConnection conn(bed.sim, bed.tv, bed.cloud, server, [](BytesView) {
+        Bytes response(60000);
+        for (std::size_t i = 0; i < response.size(); ++i) {
+            response[i] = static_cast<std::uint8_t>(i * 7);
+        }
+        return response;
+    });
+    Bytes response;
+    conn.connect([&]() {
+        conn.exchange(Bytes(300, 0xAA), [&](Bytes r) { response = std::move(r); });
+    });
+    bed.sim.run_all();
+
+    EXPECT_EQ(model.dropped(), 1U);
+    ASSERT_EQ(response.size(), 60000U);
+    for (std::size_t i = 0; i < response.size(); ++i) {
+        ASSERT_EQ(response[i], static_cast<std::uint8_t>(i * 7)) << i;
+    }
+    EXPECT_EQ(conn.retransmitted_segments(), 1U);
+}
+
 TEST(TcpFaultTest, HandshakeGivesUpCleanlyWhenLinkNeverComesBack) {
     // The link is down for the whole run: every SYN dies, the retry budget
     // is spent with full exponential backoff, and the connection reports a
