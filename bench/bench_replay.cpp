@@ -1,5 +1,5 @@
 // bench_replay — transcode throughput, compression ratio, and cold-vs-resumed
-// replay latency for the indexed .tvcr record/replay format.
+// replay latency for the .tvcr record/replay format.
 //
 //   bench_replay [--out BENCH_replay.json]
 //
@@ -14,8 +14,8 @@
 //   cold       open the .tvcr and replay the whole capture (block 0) into
 //              the streaming analyzer.
 //   resumed    replay only the last ~10% of blocks from an open reader —
-//              the "analysis woke up mid-capture" path the footer index
-//              exists for.
+//              the "analysis woke up mid-capture" path block-granular
+//              resume exists for.
 // The cold replay's canonical report must equal the batch engine's report
 // over the original pcap byte-for-byte (exit non-zero otherwise): the same
 // determinism contract tests/test_replay.cpp and the CI replay job enforce.

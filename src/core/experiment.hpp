@@ -58,7 +58,7 @@ struct ExperimentResult {
     /// Builds the per-domain analysis of this capture.
     [[nodiscard]] analysis::CaptureAnalyzer analyze() const;
 
-    /// Persists the capture as an indexed .tvcr record (events mode by
+    /// Persists the capture as a .tvcr record (events mode by
     /// default; keep_frames for a lossless pcap round-trip). Replaying the
     /// file reproduces analyze()'s result byte-for-byte.
     [[nodiscard]] Status record_tvcr(const std::string& path, bool keep_frames = false) const;

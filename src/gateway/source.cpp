@@ -51,7 +51,7 @@ namespace {
 
 /// Tails a regular file: remembers its read offset and re-polls for
 /// growth, so a capture being written streams in as it lands. Never
-/// reports kEnd — end-of-data is signaled by the format (tvcr index magic)
+/// reports kEnd — end-of-data is signaled by the format (the .tvcr end record)
 /// or decided by the caller (non-follow mode treats kIdle as done).
 class FileFeed final : public ByteFeed {
   public:
@@ -171,45 +171,35 @@ Status StreamSource::decode_tvcr(Gateway& gateway) {
         tvcr_ = header.value();
         consumed_ += replay::kTvcrHeaderLen;
     }
-    while (!tvcr_finished_ && pending().size() >= 4) {
-        const std::uint32_t magic = bytes::load_u32be(pending().data());
-        if (magic == replay::kTvcrIndexMagic) {
-            // The writer's finish() ran: every record is accounted for and
-            // the remaining bytes are index + trailer, already covered by
-            // the per-block validation done on the way in.
-            tvcr_finished_ = true;
-            break;
+    while (!tvcr_walk_.ended) {
+        auto step = replay::walk_tvcr(tvcr_walk_, pending());
+        if (!step.ok()) return step.error();
+        const std::optional<replay::TvcrBlockInfo>& block = step.value().block;
+        if (!block && !tvcr_walk_.ended) return Status::success();  // wait for the rest
+        if (block) {
+            const BytesView stored =
+                pending().subspan(replay::kTvcrBlockHeaderLen, block->compressed_len);
+            auto records = replay::decode_block_payload(*block, stored, tvcr_->has_frames,
+                                                        tvcr_->snaplen);
+            if (!records.ok()) return records.error();
+            for (replay::TvcrRecord& record : records.value()) {
+                offer(gateway, replay::to_decoded_record(std::move(record)));
+            }
         }
-        if (magic != replay::kTvcrBlockMagic) {
-            return make_error("tvcr: bad block magic (stream corrupt?)");
-        }
-        if (pending().size() < replay::kTvcrBlockHeaderLen) break;
-        auto info = replay::parse_block_header(pending().first(replay::kTvcrBlockHeaderLen));
-        if (!info.ok()) return info.error();
-        const std::size_t need = replay::kTvcrBlockHeaderLen + info.value().compressed_len;
-        if (pending().size() < need) break;  // wait for the payload
-        const BytesView stored =
-            pending().subspan(replay::kTvcrBlockHeaderLen, info.value().compressed_len);
-        auto records = replay::decode_block_payload(info.value(), stored, tvcr_->has_frames,
-                                                    tvcr_->snaplen);
-        if (!records.ok()) return records.error();
-        for (replay::TvcrRecord& record : records.value()) {
-            offer(gateway, replay::to_decoded_record(std::move(record)));
-        }
-        consumed_ += need;
+        consumed_ += step.value().size;
     }
     return Status::success();
 }
 
 Result<SourceStatus> StreamSource::poll(Gateway& gateway, std::size_t max_bytes) {
-    if (finalized_ || feed_ended_ || tvcr_finished_) return SourceStatus::kEnd;
+    if (finalized_ || feed_ended_ || tvcr_walk_.ended) return SourceStatus::kEnd;
     Bytes chunk;
     auto status = feed_->read_some(chunk, max_bytes > 0 ? max_bytes : 1);
     if (!status.ok()) return status.error();
     if (status.value() == SourceStatus::kProgress) {
         append_and_compact(buffer_, consumed_, chunk);
         if (auto decoded = decode(gateway); !decoded.ok()) return decoded.error();
-        return tvcr_finished_ ? SourceStatus::kEnd : SourceStatus::kProgress;
+        return tvcr_walk_.ended ? SourceStatus::kEnd : SourceStatus::kProgress;
     }
     if (status.value() == SourceStatus::kEnd) feed_ended_ = true;
     return status.value();
@@ -217,17 +207,18 @@ Result<SourceStatus> StreamSource::poll(Gateway& gateway, std::size_t max_bytes)
 
 Result<std::uint64_t> StreamSource::torn_records() const {
     const BytesView tail = pending();
-    if (tail.empty() || tvcr_finished_) return std::uint64_t{0};
     if (format_ == replay::CaptureFormat::kTvcr) {
         if (!tvcr_) return replay::parse_tvcr_file_header(tail).error();
-        // A torn block with a readable header declares how many records
-        // died with it; anything shorter is a single torn record at minimum.
+        if (tvcr_walk_.ended) return std::uint64_t{0};
+        // No end record: at least one record is lost. A torn block with a
+        // readable header declares how many died with it.
         if (tail.size() >= replay::kTvcrBlockHeaderLen) {
             auto info = replay::parse_block_header(tail.first(replay::kTvcrBlockHeaderLen));
             if (info.ok()) return std::uint64_t{info.value().records};
         }
         return std::uint64_t{1};
     }
+    if (tail.empty()) return std::uint64_t{0};
     // Fewer than four bytes name no format; like the batch tools, read
     // them as pcap.
     if (!pcap_) return net::parse_pcap_file_header(tail).error();

@@ -2,7 +2,7 @@
 //
 // Batch readers (net::PcapReader, replay::TvcrReader) assume a finished
 // file: they seal at EOF, and the .tvcr reader refuses a file with no
-// trailer outright. A resident gateway instead watches a capture *while it
+// end record outright. A resident gateway instead watches a capture *while it
 // is being written* — a file that grows between polls, or raw bytes on a
 // pipe — so this source is incremental: bytes are fed as they
 // arrive, complete records are decoded and offered to the gateway, and a
@@ -12,10 +12,9 @@
 // The format is named from the first four bytes by replay's one sniffer,
 // and every record is decoded by the format's one decoder — the same code
 // the batch readers run: net::decode_pcap_record for pcap, and
-// replay::parse_block_header + decode_block_payload for a growing .tvcr,
-// which has no index/trailer yet, so its block headers are walked forward.
-// The index magic, when it finally appears, is the writer's explicit
-// end-of-stream marker.
+// replay::walk_tvcr + decode_block_payload for .tvcr, the block walk
+// TvcrReader runs too. The .tvcr end record, when it finally appears, is
+// the writer's explicit end-of-stream marker.
 #pragma once
 
 #include <cstdint>
@@ -34,7 +33,7 @@ namespace tvacr::gateway {
 enum class SourceStatus {
     kProgress,  // new bytes were consumed (records may have been offered)
     kIdle,      // no new bytes right now; the stream may still grow
-    kEnd,       // definite end: fd EOF, or .tvcr index magic (writer done)
+    kEnd,       // definite end: fd EOF, or the .tvcr end record (writer done)
 };
 
 /// A byte feed the source polls: file tail or pipe/fd.
@@ -71,7 +70,9 @@ class StreamSource {
     /// Marks true end-of-stream. Call exactly once, after the final poll,
     /// before the final snapshot. A torn tail is accounted as truncated
     /// drops: 1 for a partial pcap record, the declared record count for a
-    /// .tvcr block cut mid-payload (1 when its header is cut too). A stream
+    /// .tvcr block cut mid-payload, and 1 for any other .tvcr stream that
+    /// ends without its end record (a cut block header, a cut end record,
+    /// or a cut at a block boundary). A stream
     /// that ends inside its file header fails with the batch reader's
     /// "truncated file header" error; a stream that delivered no bytes at
     /// all is an empty capture, since a daemon may start before its writer.
@@ -99,7 +100,7 @@ class StreamSource {
     replay::CaptureFormat format_ = replay::CaptureFormat::kUnknown;  // until 4 bytes arrive
     std::optional<net::PcapFileHeader> pcap_;
     std::optional<replay::TvcrFileHeader> tvcr_;
-    bool tvcr_finished_ = false;  // index magic seen: the writer called finish()
+    replay::TvcrWalk tvcr_walk_;  // ended once the writer's end record arrived
     bool feed_ended_ = false;
     bool finalized_ = false;
     std::uint64_t records_offered_ = 0;

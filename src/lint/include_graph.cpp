@@ -73,7 +73,7 @@ const std::map<std::string, std::set<std::string>>& layering_contract() {
         {"sim", {"common", "dns", "fault", "net", "obs"}},
         {"analysis", {"common", "dns", "net"}},
         {"tv", {"common", "fp", "sim"}},
-        {"replay", {"analysis", "common", "dns", "net"}},
+        {"replay", {"analysis", "common", "net"}},
         {"gateway", {"analysis", "common", "net", "obs", "replay"}},
         {"fleet", {"analysis", "common", "dns", "fault", "net", "obs", "replay", "tv"}},
         {"core", {"analysis", "common", "fault", "fp", "geo", "obs", "replay", "sim", "tv"}},

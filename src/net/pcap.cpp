@@ -23,35 +23,41 @@ std::uint32_t load_u32(const std::uint8_t* p, bool swapped) noexcept {
     return swapped ? bytes::load_u32be(p) : bytes::load_u32le(p);
 }
 
-void append_global_header(ByteWriter& out) {
-    out.u32le(kPcapMagicMicros);
-    out.u16le(2);  // version major
-    out.u16le(4);  // version minor
-    out.u32le(0);  // thiszone
-    out.u32le(0);  // sigfigs
-    out.u32le(kPcapSnapLen);
-    out.u32le(kPcapLinkTypeEthernet);
-}
-
 void append_record(ByteWriter& out, const Packet& packet) {
-    const std::int64_t micros = packet.timestamp.as_micros();
     // Frames longer than the snaplen are truncated on write, as libpcap
     // does: incl_len is capped, orig_len preserves the true size. (The
     // reader rejects incl_len > snaplen, so an uncapped writer would
     // produce captures it could never read back.)
     const std::size_t incl = std::min<std::size_t>(packet.data.size(), kPcapSnapLen);
-    out.u32le(static_cast<std::uint32_t>(micros / 1'000'000));
-    out.u32le(static_cast<std::uint32_t>(micros % 1'000'000));
-    out.u32le(static_cast<std::uint32_t>(incl));
-    out.u32le(static_cast<std::uint32_t>(packet.data.size()));
-    out.raw(BytesView(packet.data.data(), incl));
+    append_pcap_record(out, packet.timestamp, BytesView(packet.data.data(), incl),
+                       static_cast<std::uint32_t>(packet.data.size()));
 }
 
 }  // namespace
 
+void append_pcap_file_header(ByteWriter& out, std::uint32_t snaplen) {
+    out.u32le(kPcapMagicMicros);
+    out.u16le(2);  // version major
+    out.u16le(4);  // version minor
+    out.u32le(0);  // thiszone
+    out.u32le(0);  // sigfigs
+    out.u32le(snaplen);
+    out.u32le(kPcapLinkTypeEthernet);
+}
+
+void append_pcap_record(ByteWriter& out, SimTime timestamp, BytesView frame,
+                        std::uint32_t orig_len) {
+    const std::int64_t micros = timestamp.as_micros();
+    out.u32le(static_cast<std::uint32_t>(micros / 1'000'000));
+    out.u32le(static_cast<std::uint32_t>(micros % 1'000'000));
+    out.u32le(static_cast<std::uint32_t>(frame.size()));
+    out.u32le(orig_len);
+    out.raw(frame);
+}
+
 PcapWriter::PcapWriter(std::ostream& out) : out_(out) {
     ByteWriter header;
-    append_global_header(header);
+    append_pcap_file_header(header);
     out_.write(reinterpret_cast<const char*>(header.view().data()),
                static_cast<std::streamsize>(header.size()));
     if (!out_.good()) failed_ = true;
@@ -80,7 +86,7 @@ Status PcapWriter::finish() {
 
 Bytes to_pcap_bytes(const std::vector<Packet>& packets) {
     ByteWriter out;
-    append_global_header(out);
+    append_pcap_file_header(out);
     for (const auto& packet : packets) append_record(out, packet);
     return std::move(out).take();
 }

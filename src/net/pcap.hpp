@@ -56,6 +56,15 @@ class PcapWriter {
     bool failed_ = false;
 };
 
+/// Appends a pcap file header declaring `snaplen` (microsecond timestamps,
+/// LINKTYPE_ETHERNET, little-endian): the header every writer here emits.
+void append_pcap_file_header(ByteWriter& out, std::uint32_t snaplen = kPcapSnapLen);
+
+/// Appends one record: `frame` as captured (incl_len = frame.size()) and
+/// `orig_len` as the frame's length on the wire.
+void append_pcap_record(ByteWriter& out, SimTime timestamp, BytesView frame,
+                        std::uint32_t orig_len);
+
 /// In-memory pcap serialization of a packet list (used heavily by tests and
 /// by the capture tap when persisting experiment traces).
 [[nodiscard]] Bytes to_pcap_bytes(const std::vector<Packet>& packets);

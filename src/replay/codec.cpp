@@ -47,8 +47,8 @@ std::uint32_t read32(const std::uint8_t* p) noexcept {
 
 }  // namespace
 
-std::uint32_t crc32(BytesView data) {
-    std::uint32_t crc = 0xFFFFFFFFU;
+std::uint32_t crc32(BytesView data, std::uint32_t previous) {
+    std::uint32_t crc = previous ^ 0xFFFFFFFFU;
     for (const std::uint8_t byte : data) crc = kCrcTable[(crc ^ byte) & 0xFF] ^ (crc >> 8);
     return crc ^ 0xFFFFFFFFU;
 }

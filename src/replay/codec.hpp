@@ -27,7 +27,9 @@ void put_varint(ByteWriter& out, std::uint64_t value);
 }
 
 /// CRC-32 (IEEE 802.3, reflected, init/final 0xFFFFFFFF) over a byte span.
-[[nodiscard]] std::uint32_t crc32(BytesView data);
+/// Passing the CRC of the bytes before `data` as `previous` continues it:
+/// crc32(b, crc32(a)) == crc32(a followed by b).
+[[nodiscard]] std::uint32_t crc32(BytesView data, std::uint32_t previous = 0);
 
 /// Greedy LZ77 compressor (LZ4-style token stream: literal runs + back
 /// references with 16-bit offsets, minimum match 4). Self-contained — no

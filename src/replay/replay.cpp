@@ -25,8 +25,9 @@ Result<analysis::CaptureAnalyzer> ReplayEngine::run(net::Ipv4Address device_ip,
 
     std::size_t first_block = options.from_block;
     if (options.since.has_value()) {
-        // The index prunes whole blocks strictly before the cutoff; the
-        // per-record filter below handles the straddling first block.
+        // Whole blocks strictly before the cutoff are skipped by their
+        // time range; the per-record filter below handles the straddling
+        // first block.
         const std::size_t since_block = reader_.first_block_at_or_after(*options.since);
         if (since_block > first_block) {
             stats_.blocks_skipped += since_block - first_block;
@@ -56,7 +57,7 @@ Result<TranscodeStats> transcode_pcap_to_tvcr(const std::string& pcap_path,
     options.snaplen = reader.value().declared_snaplen();
 
     TranscodeStats stats;
-    // Finalized write: the output path only appears once the trailer landed.
+    // Finalized write: the output path only appears once the end record landed.
     auto written = common::write_file_finalized(tvcr_path, [&](std::ostream& out) -> Status {
         TvcrWriter writer(out, options);
         while (true) {
@@ -86,15 +87,18 @@ Result<Bytes> export_tvcr_to_pcap(TvcrReader& reader, std::size_t from_block) {
     if (from_block > reader.blocks().size()) {
         return make_error("replay: export block out of range");
     }
-    std::vector<net::Packet> packets;
+    // The header's snaplen and each record's orig_len, so a capture that
+    // was snapped on the wire comes back byte for byte.
+    ByteWriter out;
+    net::append_pcap_file_header(out, reader.snaplen());
     for (std::size_t b = from_block; b < reader.blocks().size(); ++b) {
         auto records = reader.read_block(b);
         if (!records) return records.error();
-        for (auto& record : records.value()) {
-            packets.push_back(net::Packet{record.timestamp, std::move(record.frame)});
+        for (const TvcrRecord& record : records.value()) {
+            net::append_pcap_record(out, record.timestamp, record.frame, record.orig_len);
         }
     }
-    return net::to_pcap_bytes(packets);
+    return std::move(out).take();
 }
 
 namespace {

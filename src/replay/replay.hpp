@@ -21,8 +21,9 @@ namespace tvacr::replay {
 struct ReplayOptions {
     /// First block to feed (0 = whole capture). Out-of-range is an error.
     std::size_t from_block = 0;
-    /// Drop records with timestamp < since (applied after from_block; the
-    /// index prunes whole blocks, this filters within the first kept one).
+    /// Drop records with timestamp < since (applied after from_block; whole
+    /// blocks are skipped by their time range, this filters within the
+    /// first kept one).
     std::optional<SimTime> since;
     /// Passed straight to the streaming analyzer, which ignores it.
     analysis::StreamOptions stream;
@@ -69,6 +70,8 @@ struct TranscodeStats {
 
 /// Exports a frames-mode .tvcr back to pcap bytes, optionally from an
 /// interior block (the suffix export the resume tests compare against).
+/// The pcap declares the .tvcr header's snaplen and each record keeps its
+/// orig_len, so a pcap transcoded in frames mode comes back byte for byte.
 /// Events-mode input is an error.
 [[nodiscard]] Result<Bytes> export_tvcr_to_pcap(TvcrReader& reader, std::size_t from_block = 0);
 

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
+#include <limits>
 #include <ostream>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/file_io.hpp"
-#include "common/rng.hpp"
-#include "dns/message.hpp"
 #include "net/fast_parse.hpp"
 #include "net/pcapng.hpp"
 #include "replay/codec.hpp"
@@ -18,62 +16,19 @@ namespace tvacr::replay {
 
 namespace {
 
-inline constexpr std::size_t kBlockHeaderLen = kTvcrBlockHeaderLen;
 inline constexpr std::uint8_t kCodecStored = 0;
 inline constexpr std::uint8_t kCodecLz = 1;
 inline constexpr std::uint8_t kKindUnparseable = 0;
 inline constexpr std::uint8_t kKindIp = 1;
 inline constexpr std::uint8_t kKindIpDns = 2;
+/// The CRC is the last field of the block header and of the end record.
+inline constexpr std::size_t kCrcLen = 4;
 
-std::uint64_t slot_bit(std::uint64_t key) {
-    return std::uint64_t{1} << (splitmix64(key) % kTvcrMaskSlots);
-}
-
-void append_block_fields(ByteWriter& out, const TvcrBlockInfo& info) {
-    out.u32(info.records);
-    out.u64(info.first_index);
-    out.u64(static_cast<std::uint64_t>(info.first_ts.as_micros()));
-    out.u64(static_cast<std::uint64_t>(info.last_ts.as_micros()));
-    out.u64(info.shard_mask);
-    out.u64(info.domain_bloom);
-    out.u32(info.uncompressed_len);
-    out.u32(info.compressed_len);
-    out.u8(info.codec);
-    out.u32(info.payload_crc);
-}
-
-Result<TvcrBlockInfo> read_block_fields(ByteReader& in) {
-    TvcrBlockInfo info;
-    auto records = in.u32();
-    auto first_index = in.u64();
-    auto first_ts = in.u64();
-    auto last_ts = in.u64();
-    auto shard_mask = in.u64();
-    auto domain_bloom = in.u64();
-    auto uncompressed = in.u32();
-    auto compressed = in.u32();
-    auto codec = in.u8();
-    auto crc = in.u32();
-    if (!records || !first_index || !first_ts || !last_ts || !shard_mask || !domain_bloom ||
-        !uncompressed || !compressed || !codec || !crc) {
-        return make_error("tvcr: truncated block metadata");
-    }
-    info.records = records.value();
-    info.first_index = first_index.value();
-    info.first_ts = SimTime::micros(static_cast<std::int64_t>(first_ts.value()));
-    info.last_ts = SimTime::micros(static_cast<std::int64_t>(last_ts.value()));
-    info.shard_mask = shard_mask.value();
-    info.domain_bloom = domain_bloom.value();
-    info.uncompressed_len = uncompressed.value();
-    info.compressed_len = compressed.value();
-    info.codec = codec.value();
-    info.payload_crc = crc.value();
-    if (info.codec > kCodecLz) return make_error("tvcr: unknown block codec");
-    if (info.uncompressed_len > kTvcrMaxBlockPayload ||
-        info.compressed_len > kTvcrMaxBlockPayload) {
-        return make_error("tvcr: block payload length exceeds structural maximum");
-    }
-    return info;
+/// The CRC a whole block (header + stored payload) must carry: over the
+/// header fields before the CRC, continued over the stored payload.
+std::uint32_t block_crc(BytesView block) {
+    return crc32(block.subspan(kTvcrBlockHeaderLen),
+                 crc32(block.first(kTvcrBlockHeaderLen - kCrcLen)));
 }
 
 }  // namespace
@@ -123,13 +78,6 @@ analysis::DecodedRecord to_decoded_record(TvcrRecord&& record) {
 
 struct TvcrWriter::Impl {
     std::vector<TvcrRecord> pending;
-    /// Domain table in first-harvest order; ids are positions.
-    std::vector<std::string> domains;
-    std::unordered_map<std::string, std::uint32_t> domain_ids;
-    /// First-mapping-wins, mirroring DnsMap's attribution rule.
-    std::unordered_map<std::uint32_t, std::uint32_t> address_domain;
-    std::uint64_t shard_mask = 0;
-    std::uint64_t domain_bloom = 0;
     /// One match table for every block this writer compresses.
     LzCompressor lz;
 };
@@ -147,7 +95,6 @@ TvcrWriter::TvcrWriter(std::ostream& out, TvcrOptions options)
     out_.write(reinterpret_cast<const char*>(header.view().data()),
                static_cast<std::streamsize>(header.size()));
     if (!out_.good()) failed_ = true;
-    bytes_emitted_ = header.size();
     impl_->pending.reserve(options_.block_records);
 }
 
@@ -157,7 +104,8 @@ void TvcrWriter::add(BytesView frame, SimTime timestamp, std::uint32_t orig_len)
     TvcrRecord record;
     record.timestamp = timestamp;
     record.frame_bytes = static_cast<std::uint32_t>(frame.size());
-    record.orig_len = orig_len == 0 ? record.frame_bytes : orig_len;
+    // The stored difference orig_len - frame_bytes must not wrap.
+    record.orig_len = std::max(orig_len, record.frame_bytes);
     if (options_.keep_frames) record.frame.assign(frame.begin(), frame.end());
 
     const net::FrameSummary summary = net::summarize_frame(frame);
@@ -165,34 +113,7 @@ void TvcrWriter::add(BytesView frame, SimTime timestamp, std::uint32_t orig_len)
         record.parseable = true;
         record.source = summary.source;
         record.destination = summary.destination;
-        impl_->shard_mask |= slot_bit(record.source.value());
-        impl_->shard_mask |= slot_bit(record.destination.value());
-        if (!summary.dns_payload.empty()) {
-            record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
-            // Harvest A records for the domain index, first mapping wins —
-            // the same rule DnsMap applies during analysis, so the bloom
-            // reflects what the analyzer will attribute.
-            if (auto message = dns::DnsMessage::decode(record.dns_payload);
-                message.ok() && message.value().is_response &&
-                !message.value().questions.empty()) {
-                const std::string name = message.value().questions.front().name.to_string();
-                for (const auto& answer : message.value().answers) {
-                    if (answer.type != dns::RecordType::kA) continue;
-                    const auto* address = std::get_if<net::Ipv4Address>(&answer.rdata);
-                    if (address == nullptr) continue;
-                    auto [it, inserted] = impl_->domain_ids.try_emplace(
-                        name, static_cast<std::uint32_t>(impl_->domains.size()));
-                    if (inserted) impl_->domains.push_back(name);
-                    impl_->address_domain.try_emplace(address->value(), it->second);
-                }
-            }
-        }
-        for (const net::Ipv4Address address : {record.source, record.destination}) {
-            const auto it = impl_->address_domain.find(address.value());
-            if (it != impl_->address_domain.end()) {
-                impl_->domain_bloom |= slot_bit(it->second);
-            }
-        }
+        record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
     }
 
     impl_->pending.push_back(std::move(record));
@@ -255,69 +176,40 @@ void TvcrWriter::flush_block() {
     const bool use_lz = compressed.size() < uncompressed.size();
     const Bytes& stored = use_lz ? compressed : uncompressed;
 
-    TvcrBlockInfo info;
-    info.offset = bytes_emitted_;
-    info.records = static_cast<std::uint32_t>(records.size());
-    info.first_index = records_total_ - records.size();
-    info.first_ts = records.front().timestamp;
-    info.last_ts = records.back().timestamp;
-    info.shard_mask = impl_->shard_mask;
-    info.domain_bloom = impl_->domain_bloom;
-    info.uncompressed_len = static_cast<std::uint32_t>(uncompressed.size());
-    info.compressed_len = static_cast<std::uint32_t>(stored.size());
-    info.codec = use_lz ? kCodecLz : kCodecStored;
-    info.payload_crc = crc32(stored);
-
     ByteWriter block;
     block.u32(kTvcrBlockMagic);
-    append_block_fields(block, info);
+    block.u32(static_cast<std::uint32_t>(records.size()));
+    block.u64(records_total_ - records.size());  // first_index
+    block.u64(static_cast<std::uint64_t>(records.front().timestamp.as_micros()));
+    block.u64(static_cast<std::uint64_t>(records.back().timestamp.as_micros()));
+    block.u32(static_cast<std::uint32_t>(uncompressed.size()));
+    block.u32(static_cast<std::uint32_t>(stored.size()));
+    block.u8(use_lz ? kCodecLz : kCodecStored);
+    block.u32(crc32(stored, crc32(block.view())));
     block.raw(BytesView(stored));
     if (!failed_) {
         out_.write(reinterpret_cast<const char*>(block.view().data()),
                    static_cast<std::streamsize>(block.size()));
         if (!out_.good()) failed_ = true;
     }
-    bytes_emitted_ += block.size();
 
-    blocks_.push_back(info);
+    ++blocks_written_;
     impl_->pending.clear();
-    impl_->shard_mask = 0;
-    impl_->domain_bloom = 0;
 }
 
 Status TvcrWriter::finish() {
     if (finished_) return make_error("tvcr: finish() called twice");
     finished_ = true;
     flush_block();
-    // A latched block-write failure means index offsets would point at bytes
-    // that never landed; don't emit an index that certifies a torn file.
+    // After a failed block write, an end record would certify a torn file.
     if (failed_) return status();
 
-    ByteWriter index;
-    index.u32(kTvcrIndexMagic);
-    index.u64(records_total_);
-    put_varint(index, impl_->domains.size());
-    for (const std::string& domain : impl_->domains) {
-        put_varint(index, domain.size());
-        index.raw(domain);
-    }
-    put_varint(index, blocks_.size());
-    for (const TvcrBlockInfo& info : blocks_) {
-        index.u64(info.offset);
-        append_block_fields(index, info);
-    }
-
-    ByteWriter trailer;
-    trailer.u64(bytes_emitted_);  // index offset
-    trailer.u32(static_cast<std::uint32_t>(index.size()));
-    trailer.u32(crc32(index.view()));
-    trailer.u32(0);  // reserved
-    trailer.u32(kTvcrTrailerMagic);
-
-    out_.write(reinterpret_cast<const char*>(index.view().data()),
-               static_cast<std::streamsize>(index.size()));
-    out_.write(reinterpret_cast<const char*>(trailer.view().data()),
-               static_cast<std::streamsize>(trailer.size()));
+    ByteWriter end;
+    end.u32(kTvcrEndMagic);
+    end.u64(records_total_);
+    end.u32(crc32(end.view()));
+    out_.write(reinterpret_cast<const char*>(end.view().data()),
+               static_cast<std::streamsize>(end.size()));
     out_.flush();
     if (!out_.good()) failed_ = true;
     return status();
@@ -349,137 +241,132 @@ Result<TvcrReader> TvcrReader::from_bytes(BytesView data) {
     return reader;
 }
 
-Result<Bytes> TvcrReader::read_at(std::uint64_t offset, std::size_t length) {
+Result<BytesView> TvcrReader::read_at(std::uint64_t offset, std::size_t length,
+                                      Bytes& buffer) {
     if (offset + length > file_size_) return make_error("tvcr: read past end of file");
-    if (file_ == nullptr) {
-        return Bytes(memory_.begin() + static_cast<std::ptrdiff_t>(offset),
-                     memory_.begin() + static_cast<std::ptrdiff_t>(offset + length));
-    }
+    if (file_ == nullptr) return memory_.subspan(static_cast<std::size_t>(offset), length);
     file_->clear();
     file_->seekg(static_cast<std::streamoff>(offset));
-    Bytes buffer(length);
+    buffer.resize(length);
     file_->read(reinterpret_cast<char*>(buffer.data()), static_cast<std::streamsize>(length));
     if (static_cast<std::size_t>(file_->gcount()) != length) {
-        return make_error("tvcr: short read (file truncated under the index?)");
+        return make_error("tvcr: short read (file changed while open?)");
     }
-    return buffer;
+    return BytesView(buffer);
 }
 
 Status TvcrReader::load(std::uint64_t file_size) {
     file_size_ = file_size;
-    auto header_bytes = read_at(0, std::min<std::uint64_t>(file_size, kTvcrHeaderLen));
+    Bytes buffer;
+    auto header_bytes = read_at(0, std::min<std::uint64_t>(file_size, kTvcrHeaderLen), buffer);
     if (!header_bytes) return header_bytes.error();
     auto header = parse_tvcr_file_header(header_bytes.value());
     if (!header) return header.error();
     header_ = header.value();
-    if (file_size < kTvcrHeaderLen + kTvcrTrailerLen) {
-        return make_error("tvcr: file too small for header and trailer");
-    }
 
-    auto trailer_bytes = read_at(file_size_ - kTvcrTrailerLen, kTvcrTrailerLen);
-    if (!trailer_bytes) return trailer_bytes.error();
-    ByteReader trailer(trailer_bytes.value());
-    auto index_offset = trailer.u64();
-    auto index_len = trailer.u32();
-    auto index_crc = trailer.u32();
-    auto reserved = trailer.u32();
-    auto trailer_magic = trailer.u32();
-    if (!index_offset || !index_len || !index_crc || !reserved || !trailer_magic) {
-        return make_error("tvcr: truncated trailer");
-    }
-    if (trailer_magic.value() != kTvcrTrailerMagic) {
-        return make_error("tvcr: bad trailer magic (file truncated?)");
-    }
-    if (index_offset.value() < kTvcrHeaderLen ||
-        index_offset.value() + index_len.value() > file_size_ - kTvcrTrailerLen) {
-        return make_error("tvcr: index location out of bounds");
-    }
-
-    auto index_bytes = read_at(index_offset.value(), index_len.value());
-    if (!index_bytes) return index_bytes.error();
-    if (crc32(index_bytes.value()) != index_crc.value()) {
-        return make_error("tvcr: index checksum mismatch");
-    }
-
-    ByteReader index(index_bytes.value());
-    auto index_magic = index.u32();
-    if (!index_magic || index_magic.value() != kTvcrIndexMagic) {
-        return make_error("tvcr: bad index magic");
-    }
-    auto total = index.u64();
-    if (!total) return make_error("tvcr: truncated index");
-    total_records_ = total.value();
-
-    auto domain_count = get_varint(index);
-    if (!domain_count) return domain_count.error();
-    if (domain_count.value() > index.remaining()) {
-        return make_error("tvcr: domain table larger than index");
-    }
-    domains_.reserve(static_cast<std::size_t>(domain_count.value()));
-    for (std::uint64_t d = 0; d < domain_count.value(); ++d) {
-        auto length = get_varint(index);
-        if (!length) return length.error();
-        auto name = index.view(static_cast<std::size_t>(length.value()));
-        if (!name) return make_error("tvcr: truncated domain table");
-        domains_.emplace_back(name.value().begin(), name.value().end());
-    }
-
-    auto block_count = get_varint(index);
-    if (!block_count) return block_count.error();
-    if (block_count.value() > index.remaining()) {
-        return make_error("tvcr: block table larger than index");
-    }
-    blocks_.reserve(static_cast<std::size_t>(block_count.value()));
-    std::uint64_t expected_index = 0;
-    for (std::uint64_t b = 0; b < block_count.value(); ++b) {
-        auto offset = index.u64();
-        if (!offset) return make_error("tvcr: truncated block table");
-        auto info = read_block_fields(index);
-        if (!info) return info.error();
-        info.value().offset = offset.value();
-        if (info.value().offset < kTvcrHeaderLen ||
-            info.value().offset + kBlockHeaderLen + info.value().compressed_len >
-                index_offset.value()) {
-            return make_error("tvcr: block extent out of bounds");
+    // The gateway's walk, over a file whose size is known: a step that
+    // needs more bytes than are left means the end record never landed.
+    TvcrWalk walk;
+    std::size_t want = kTvcrBlockHeaderLen;
+    while (!walk.ended) {
+        const std::uint64_t left = file_size_ - walk.offset;
+        const auto length = static_cast<std::size_t>(std::min<std::uint64_t>(want, left));
+        auto data = read_at(walk.offset, length, buffer);
+        if (!data) return data.error();
+        auto step = walk_tvcr(walk, data.value());
+        if (!step) return step.error();
+        const bool waiting = !step.value().block && !walk.ended;
+        if (waiting && step.value().size > left) {
+            return make_error("tvcr: file ends before its end record (truncated?)");
         }
-        if (info.value().first_index != expected_index || info.value().records == 0) {
-            return make_error("tvcr: block record indices not contiguous");
-        }
-        expected_index += info.value().records;
-        blocks_.push_back(info.value());
+        if (step.value().block) blocks_.push_back(*step.value().block);
+        want = waiting ? step.value().size : kTvcrBlockHeaderLen;
     }
-    if (expected_index != total_records_) {
-        return make_error("tvcr: block record counts disagree with trailer total");
-    }
+    if (walk.offset != file_size_) return make_error("tvcr: bytes after the end record");
+    total_records_ = walk.records;
     return Status{};
 }
 
 Result<std::vector<TvcrRecord>> TvcrReader::read_block(std::size_t block) {
     if (block >= blocks_.size()) return make_error("tvcr: block number out of range");
     const TvcrBlockInfo& info = blocks_[block];
-
-    auto raw = read_at(info.offset, kBlockHeaderLen + info.compressed_len);
+    // Checked again: a file-backed reader reads the bytes anew.
+    Bytes buffer;
+    auto raw = read_at(info.offset, kTvcrBlockHeaderLen + info.compressed_len, buffer);
     if (!raw) return raw.error();
-    auto on_disk = parse_block_header(BytesView(raw.value().data(), kBlockHeaderLen));
-    if (!on_disk) return on_disk.error();
-    if (on_disk.value().records != info.records ||
-        on_disk.value().compressed_len != info.compressed_len ||
-        on_disk.value().uncompressed_len != info.uncompressed_len ||
-        on_disk.value().codec != info.codec || on_disk.value().payload_crc != info.payload_crc) {
-        return make_error("tvcr: block header disagrees with index");
-    }
-
-    const BytesView stored(raw.value().data() + kBlockHeaderLen, info.compressed_len);
-    return decode_block_payload(info, stored, has_frames(), snaplen());
+    if (block_crc(raw.value()) != info.crc) return make_error("tvcr: block checksum mismatch");
+    return decode_block_payload(info, raw.value().subspan(kTvcrBlockHeaderLen), has_frames(),
+                                snaplen());
 }
 
 Result<TvcrBlockInfo> parse_block_header(BytesView bytes) {
     ByteReader header(bytes);
     auto magic = header.u32();
     if (!magic || magic.value() != kTvcrBlockMagic) {
-        return make_error("tvcr: bad block magic (offset corrupt?)");
+        return make_error("tvcr: bad block magic (stream corrupt?)");
     }
-    return read_block_fields(header);
+    auto records = header.u32();
+    auto first_index = header.u64();
+    auto first_ts = header.u64();
+    auto last_ts = header.u64();
+    auto uncompressed = header.u32();
+    auto compressed = header.u32();
+    auto codec = header.u8();
+    auto crc = header.u32();
+    if (!records || !first_index || !first_ts || !last_ts || !uncompressed || !compressed ||
+        !codec || !crc) {
+        return make_error("tvcr: truncated block header");
+    }
+    TvcrBlockInfo info;
+    info.records = records.value();
+    info.first_index = first_index.value();
+    info.first_ts = SimTime::micros(static_cast<std::int64_t>(first_ts.value()));
+    info.last_ts = SimTime::micros(static_cast<std::int64_t>(last_ts.value()));
+    info.uncompressed_len = uncompressed.value();
+    info.compressed_len = compressed.value();
+    info.codec = codec.value();
+    info.crc = crc.value();
+    if (info.records == 0) return make_error("tvcr: empty block");
+    if (info.codec > kCodecLz) return make_error("tvcr: unknown block codec");
+    if (info.uncompressed_len > kTvcrMaxBlockPayload ||
+        info.compressed_len > kTvcrMaxBlockPayload) {
+        return make_error("tvcr: block payload length exceeds structural maximum");
+    }
+    return info;
+}
+
+Result<TvcrStep> walk_tvcr(TvcrWalk& walk, BytesView data) {
+    if (data.size() < 4) return TvcrStep{std::nullopt, 4};
+    const std::uint32_t magic = bytes::load_u32be(data.data());
+    if (magic == kTvcrEndMagic) {
+        if (data.size() < kTvcrEndLen) return TvcrStep{std::nullopt, kTvcrEndLen};
+        if (crc32(data.first(kTvcrEndLen - kCrcLen)) !=
+            bytes::load_u32be(data.data() + kTvcrEndLen - kCrcLen)) {
+            return make_error("tvcr: end record checksum mismatch");
+        }
+        if (bytes::load_u64be(data.data() + 4) != walk.records) {
+            return make_error("tvcr: end record total disagrees with the blocks");
+        }
+        walk.offset += kTvcrEndLen;
+        walk.ended = true;
+        return TvcrStep{std::nullopt, kTvcrEndLen};
+    }
+    if (magic != kTvcrBlockMagic) return make_error("tvcr: bad block magic (stream corrupt?)");
+    if (data.size() < kTvcrBlockHeaderLen) return TvcrStep{std::nullopt, kTvcrBlockHeaderLen};
+    auto info = parse_block_header(data.first(kTvcrBlockHeaderLen));
+    if (!info) return info.error();
+    const std::size_t size = kTvcrBlockHeaderLen + info.value().compressed_len;
+    if (data.size() < size) return TvcrStep{std::nullopt, size};
+    if (block_crc(data.first(size)) != info.value().crc) {
+        return make_error("tvcr: block checksum mismatch");
+    }
+    if (info.value().first_index != walk.records) {
+        return make_error("tvcr: block record indices not contiguous");
+    }
+    info.value().offset = walk.offset;
+    walk.offset += size;
+    walk.records += info.value().records;
+    return TvcrStep{info.value(), size};
 }
 
 Result<std::vector<TvcrRecord>> decode_block_payload(const TvcrBlockInfo& info, BytesView stored,
@@ -487,7 +374,6 @@ Result<std::vector<TvcrRecord>> decode_block_payload(const TvcrBlockInfo& info, 
     if (stored.size() != info.compressed_len) {
         return make_error("tvcr: stored block length mismatch");
     }
-    if (crc32(stored) != info.payload_crc) return make_error("tvcr: block checksum mismatch");
 
     Bytes decompressed;
     if (info.codec == kCodecLz) {
@@ -518,7 +404,12 @@ Result<std::vector<TvcrRecord>> decode_block_payload(const TvcrBlockInfo& info, 
     for (std::size_t i = 0; i < n; ++i) {
         auto delta = get_varint(payload);
         if (!delta) return delta.error();
-        previous_ts += zigzag_decode(delta.value());
+        const std::int64_t step = zigzag_decode(delta.value());
+        if (step > 0 ? previous_ts > std::numeric_limits<std::int64_t>::max() - step
+                     : previous_ts < std::numeric_limits<std::int64_t>::min() - step) {
+            return make_error("tvcr: timestamp delta overflows");
+        }
+        previous_ts += step;
         records[i].timestamp = SimTime::micros(previous_ts);
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -532,6 +423,9 @@ Result<std::vector<TvcrRecord>> decode_block_payload(const TvcrBlockInfo& info, 
     for (std::size_t i = 0; i < n; ++i) {
         auto extra = get_varint(payload);
         if (!extra) return extra.error();
+        if (extra.value() > std::numeric_limits<std::uint32_t>::max() - records[i].frame_bytes) {
+            return make_error("tvcr: original frame length overflows");
+        }
         records[i].orig_len = records[i].frame_bytes + static_cast<std::uint32_t>(extra.value());
     }
 
@@ -582,35 +476,6 @@ Result<std::vector<TvcrRecord>> decode_block_payload(const TvcrBlockInfo& info, 
     return records;
 }
 
-std::vector<std::size_t> TvcrReader::blocks_in_range(SimTime from, SimTime to) const {
-    std::vector<std::size_t> out;
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        if (blocks_[b].last_ts >= from && blocks_[b].first_ts <= to) out.push_back(b);
-    }
-    return out;
-}
-
-std::vector<std::size_t> TvcrReader::blocks_for_address(net::Ipv4Address address) const {
-    const std::uint64_t bit = std::uint64_t{1} << (splitmix64(address.value()) % kTvcrMaskSlots);
-    std::vector<std::size_t> out;
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        if ((blocks_[b].shard_mask & bit) != 0) out.push_back(b);
-    }
-    return out;
-}
-
-std::vector<std::size_t> TvcrReader::blocks_for_domain(const std::string& domain) const {
-    const auto it = std::find(domains_.begin(), domains_.end(), domain);
-    if (it == domains_.end()) return {};
-    const auto id = static_cast<std::uint64_t>(it - domains_.begin());
-    const std::uint64_t bit = std::uint64_t{1} << (splitmix64(id) % kTvcrMaskSlots);
-    std::vector<std::size_t> out;
-    for (std::size_t b = 0; b < blocks_.size(); ++b) {
-        if ((blocks_[b].domain_bloom & bit) != 0) out.push_back(b);
-    }
-    return out;
-}
-
 std::size_t TvcrReader::first_block_at_or_after(SimTime since) const {
     for (std::size_t b = 0; b < blocks_.size(); ++b) {
         if (blocks_[b].last_ts >= since) return b;
@@ -651,7 +516,7 @@ Result<std::vector<net::Packet>> from_tvcr_bytes(BytesView data) {
 
 Status write_tvcr_file(const std::string& path, const std::vector<net::Packet>& packets,
                        TvcrOptions options) {
-    // Finalized write: `path` only appears once finish() wrote the trailer,
+    // Finalized write: `path` only appears once finish() wrote the end record,
     // so a partially-written .tvcr can never be mistaken for a capture.
     return common::write_file_finalized(path, [&](std::ostream& file) -> Status {
         TvcrWriter writer(file, options);

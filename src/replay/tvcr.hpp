@@ -1,25 +1,23 @@
-// The .tvcr indexed record/replay capture format.
+// The .tvcr record/replay capture format.
 //
 // Pcap is write-once, scan-everything: re-running an analysis means
 // re-reading and re-parsing every frame. A .tvcr file instead stores the
 // *decoded event stream* the analyzer actually consumes — per-record
 // timestamp, frame length, endpoint addresses and (for DNS responses) the
-// raw DNS payload — in per-block-compressed columns, with a footer index
-// keyed by (time range, flow shard, domain id) so analysis can start at any
-// block boundary instead of byte zero. An optional frames mode additionally
-// keeps the raw frame bytes, making the file losslessly round-trippable to
-// pcap at the cost of compression ratio.
+// raw DNS payload — in per-block-compressed columns, so analysis can start
+// at any block boundary instead of byte zero. An optional frames mode
+// additionally keeps the raw frame bytes, making the file losslessly
+// round-trippable to pcap at the cost of compression ratio.
 //
 // File layout (all fixed-width fields big-endian via ByteWriter):
 //   header   "TVCR" magic, version, flags (bit0 = frames kept), snaplen
-//   block*   block header (magic, counts, time range, shard/domain masks,
-//            codec, payload CRC) + per-block-compressed columnar payload
-//   index    domain string table + one entry per block (mirrors the block
-//            headers plus the absolute file offset), CRC-protected
-//   trailer  fixed 24 bytes at EOF pointing back at the index
-// The trailer-last layout means writing is a pure forward stream (no
-// seeking), and reading starts by loading only trailer + index — random
-// block access never touches unrelated bytes.
+//   block*   block header (magic, counts, time range, lengths, codec, CRC)
+//            + per-block-compressed columnar payload; the CRC covers the
+//            header fields and the stored payload
+//   end      "TVEN" magic, total records, CRC: written by finish() only
+// Writing is a pure forward stream (no seeking). Every reader walks the
+// blocks forward with one step (walk_tvcr), so the batch reader and the
+// gateway's tailing source see the same fields and fail the same way.
 //
 // Determinism contract: encoding is byte-stable (same records + options in,
 // same file bytes out, any platform), and replaying the event stream through
@@ -31,6 +29,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,20 +41,17 @@
 
 namespace tvacr::replay {
 
-inline constexpr std::uint32_t kTvcrMagic = 0x54564352;         // "TVCR"
-inline constexpr std::uint32_t kTvcrBlockMagic = 0x5456424B;    // "TVBK"
-inline constexpr std::uint32_t kTvcrIndexMagic = 0x54564958;    // "TVIX"
-inline constexpr std::uint32_t kTvcrTrailerMagic = 0x54564345;  // "TVCE"
-inline constexpr std::uint16_t kTvcrVersion = 1;
+inline constexpr std::uint32_t kTvcrMagic = 0x54564352;       // "TVCR"
+inline constexpr std::uint32_t kTvcrBlockMagic = 0x5456424B;  // "TVBK"
+inline constexpr std::uint32_t kTvcrEndMagic = 0x5456454E;    // "TVEN"
+inline constexpr std::uint16_t kTvcrVersion = 2;
 inline constexpr std::uint16_t kTvcrFlagFrames = 0x0001;
 inline constexpr std::size_t kTvcrHeaderLen = 20;
-inline constexpr std::size_t kTvcrBlockHeaderLen = 61;  // magic + block fields
-inline constexpr std::size_t kTvcrTrailerLen = 24;
+inline constexpr std::size_t kTvcrBlockHeaderLen = 45;  // magic + block fields + CRC
+inline constexpr std::size_t kTvcrEndLen = 16;          // magic + total records + CRC
 /// Hard cap on a single block's uncompressed payload; a corrupt length
 /// field cannot demand a giant allocation.
 inline constexpr std::uint32_t kTvcrMaxBlockPayload = 256 * 1024 * 1024;
-/// Slots in the per-block flow-shard membership mask and domain bloom.
-inline constexpr std::size_t kTvcrMaskSlots = 64;
 
 /// Capture formats tvacr reads, as told apart by their first four bytes.
 enum class CaptureFormat { kUnknown, kPcap, kPcapng, kTvcr };
@@ -111,46 +107,40 @@ struct TvcrRecord {
 /// StreamingCaptureAnalyzer. The DNS payload is moved, not copied.
 [[nodiscard]] analysis::DecodedRecord to_decoded_record(TvcrRecord&& record);
 
-/// Per-block index entry: everything a reader needs to decide whether a
-/// block is relevant (time range, flow shards, domains) and to fetch and
-/// verify it (offset, lengths, codec, CRC) without touching other bytes.
+/// One block header, plus where the walk found it: everything a reader
+/// needs to fetch, verify and decode the block without touching other
+/// bytes.
 struct TvcrBlockInfo {
     std::uint64_t offset = 0;  // absolute file offset of the block header
     std::uint32_t records = 0;
     std::uint64_t first_index = 0;  // global record index of the first record
     SimTime first_ts;
     SimTime last_ts;
-    /// Bit splitmix64(addr) % 64 is set for every endpoint address seen in
-    /// the block — a block-level bloom over flow shards, superset semantics.
-    std::uint64_t shard_mask = 0;
-    /// Bit splitmix64(domain_id) % 64 per domain with attributed traffic in
-    /// the block (ids index the footer's domain table). Superset semantics.
-    std::uint64_t domain_bloom = 0;
     std::uint32_t uncompressed_len = 0;
     std::uint32_t compressed_len = 0;
     std::uint8_t codec = 0;  // 0 = stored, 1 = lz
-    std::uint32_t payload_crc = 0;
+    std::uint32_t crc = 0;   // over the header fields before it and the stored payload
 };
 
-/// Streams records into a .tvcr byte stream (forward-only; the index and
-/// trailer are emitted by finish()). The ostream must outlive the writer.
+/// Streams records into a .tvcr byte stream (forward-only; the end record
+/// is emitted by finish()). The ostream must outlive the writer.
 class TvcrWriter {
   public:
     explicit TvcrWriter(std::ostream& out, TvcrOptions options = {});
     ~TvcrWriter();
     TvcrWriter(TvcrWriter&&) = delete;
 
-    /// Appends one captured frame. The frame is decoded here (endpoints,
-    /// DNS harvest for the domain index) so readers never re-parse.
-    /// `orig_len` 0 means "frame.size()".
+    /// Appends one captured frame. The frame is reduced here (endpoints,
+    /// DNS payload) so readers never re-parse. An `orig_len` below
+    /// frame.size(), 0 included, means "frame.size()".
     void add(BytesView frame, SimTime timestamp, std::uint32_t orig_len = 0);
     void add(const net::Packet& packet) { add(packet.data, packet.timestamp); }
 
-    /// Flushes the open block and writes index + trailer. Must be called
+    /// Flushes the open block and writes the end record. Must be called
     /// exactly once; add() is invalid afterwards. Reports any stream
     /// failure latched since construction — a .tvcr whose finish() failed
-    /// (or was never called) has no trailer and is a hard read error, never
-    /// a silently short capture.
+    /// (or was never called) has no end record and is a hard read error,
+    /// never a silently short capture.
     Status finish();
 
     /// Latched stream state: ok until the first failed write. Checked on
@@ -160,7 +150,7 @@ class TvcrWriter {
     }
 
     [[nodiscard]] std::uint64_t records_written() const noexcept { return records_total_; }
-    [[nodiscard]] std::uint64_t blocks_written() const noexcept { return blocks_.size(); }
+    [[nodiscard]] std::uint64_t blocks_written() const noexcept { return blocks_written_; }
 
   private:
     struct Impl;
@@ -169,17 +159,16 @@ class TvcrWriter {
     std::ostream& out_;
     TvcrOptions options_;
     std::unique_ptr<Impl> impl_;
-    std::vector<TvcrBlockInfo> blocks_;
     std::uint64_t records_total_ = 0;
-    std::uint64_t bytes_emitted_ = 0;
+    std::uint64_t blocks_written_ = 0;
     bool finished_ = false;
     bool failed_ = false;
 };
 
-/// Random-access .tvcr reader: loads header + trailer + index up front,
-/// decodes blocks on demand. Every structural field is validated and every
-/// payload CRC-checked — truncated files, bit flips, and an index pointing
-/// past EOF all fail with a clean Error (the corruption suite enforces it).
+/// Random-access .tvcr reader: walks every block once when opened (header,
+/// CRC, record numbering, end record), then decodes blocks on demand. A
+/// file without its end record, a bit flip or a dropped or repeated block
+/// fails with a clean Error (the corruption suite enforces it).
 class TvcrReader {
   public:
     /// File-backed reader (seeks per block; memory stays O(one block)).
@@ -188,8 +177,6 @@ class TvcrReader {
     [[nodiscard]] static Result<TvcrReader> from_bytes(BytesView data);
 
     [[nodiscard]] const std::vector<TvcrBlockInfo>& blocks() const noexcept { return blocks_; }
-    /// Domain table harvested at record time; ids are positions.
-    [[nodiscard]] const std::vector<std::string>& domains() const noexcept { return domains_; }
     [[nodiscard]] std::uint64_t total_records() const noexcept { return total_records_; }
     [[nodiscard]] bool has_frames() const noexcept { return header_.has_frames; }
     [[nodiscard]] std::uint32_t snaplen() const noexcept { return header_.snaplen; }
@@ -197,11 +184,6 @@ class TvcrReader {
     /// Decodes one block into records (CRC + structure validated).
     [[nodiscard]] Result<std::vector<TvcrRecord>> read_block(std::size_t block);
 
-    /// Index queries, all superset-semantics (a returned block may contain
-    /// other traffic too; a block never silently goes missing).
-    [[nodiscard]] std::vector<std::size_t> blocks_in_range(SimTime from, SimTime to) const;
-    [[nodiscard]] std::vector<std::size_t> blocks_for_address(net::Ipv4Address address) const;
-    [[nodiscard]] std::vector<std::size_t> blocks_for_domain(const std::string& domain) const;
     /// First block whose time range reaches `since` (blocks_.size() if none).
     [[nodiscard]] std::size_t first_block_at_or_after(SimTime since) const;
 
@@ -211,7 +193,10 @@ class TvcrReader {
 
   private:
     TvcrReader() = default;
-    [[nodiscard]] Result<Bytes> read_at(std::uint64_t offset, std::size_t length);
+    /// The `length` bytes at `offset`: a view into memory_, or read from
+    /// the file into `buffer`.
+    [[nodiscard]] Result<BytesView> read_at(std::uint64_t offset, std::size_t length,
+                                            Bytes& buffer);
     [[nodiscard]] Status load(std::uint64_t file_size);
 
     std::unique_ptr<std::ifstream> file_;
@@ -220,7 +205,6 @@ class TvcrReader {
     TvcrFileHeader header_;
     std::uint64_t total_records_ = 0;
     std::vector<TvcrBlockInfo> blocks_;
-    std::vector<std::string> domains_;
 };
 
 /// In-memory serialization of a packet list (golden fixtures, tests).
@@ -236,15 +220,40 @@ Status write_tvcr_file(const std::string& path, const std::vector<net::Packet>& 
                        TvcrOptions options = {});
 
 /// Parses one block header (kTvcrBlockHeaderLen bytes starting at the block
-/// magic), validating magic, codec and payload bounds. Exposed for forward
-/// block scans — the gateway tails a growing .tvcr that has no index or
-/// trailer yet, so it walks block headers instead.
+/// magic), validating magic, record count, codec and payload bounds. The
+/// CRC is checked by walk_tvcr once the payload is present.
 [[nodiscard]] Result<TvcrBlockInfo> parse_block_header(BytesView bytes);
 
+/// Where a forward walk over a .tvcr's blocks stands.
+struct TvcrWalk {
+    std::uint64_t offset = kTvcrHeaderLen;  // file offset of the next block or end record
+    std::uint64_t records = 0;              // records in the blocks walked so far
+    bool ended = false;                     // the end record was read
+};
+
+/// What walk_tvcr found at the front of the bytes after the last step.
+struct TvcrStep {
+    /// The whole block, CRC-checked, numbered on from the blocks before it
+    /// and with its offset set; empty at the end record or while bytes are
+    /// missing.
+    std::optional<TvcrBlockInfo> block;
+    /// Bytes the front block or end record occupies. With no block and the
+    /// walk not ended, the step needs at least this many bytes.
+    std::size_t size = 0;
+};
+
+/// One step of the block walk over `data`, the bytes at walk.offset: a
+/// whole block, the end record (walk.ended), "need more bytes", or an error
+/// (bad magic or header, CRC mismatch, a block whose first_index does not
+/// continue the walk, an end record whose total disagrees with the blocks).
+/// A completed step advances `walk`. The one walk behind TvcrReader and
+/// the gateway's tailing source.
+[[nodiscard]] Result<TvcrStep> walk_tvcr(TvcrWalk& walk, BytesView data);
+
 /// Decodes one stored (possibly compressed) block payload into records,
-/// CRC-checking and validating every column. `has_frames`/`snaplen` come
-/// from the file header. Shared by TvcrReader::read_block and the tailing
-/// scan, so both paths enforce identical corruption checks.
+/// validating every column. `stored` must have passed walk_tvcr's CRC
+/// check; `has_frames`/`snaplen` come from the file header. Shared by
+/// TvcrReader::read_block and the gateway.
 [[nodiscard]] Result<std::vector<TvcrRecord>> decode_block_payload(const TvcrBlockInfo& info,
                                                                    BytesView stored,
                                                                    bool has_frames,

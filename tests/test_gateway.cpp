@@ -5,8 +5,8 @@
 // batch run over the accepted-record subset the ledger identifies), the
 // tailing pcap/.tvcr source (arbitrary chunk boundaries, torn tails
 // accounted as truncated drops, a torn file header failing as the batch
-// reader does), agreement of every pcap reader on damaged input, and the
-// control protocol.
+// reader does), agreement of every pcap and every .tvcr reader on damaged
+// input, and the control protocol.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -424,14 +424,14 @@ TEST(GatewaySource, TornTvcrBlockAccountsItsDeclaredRecords) {
     tvcr_options.block_records = 32;
     Bytes wire = replay::to_tvcr_bytes(capture, tvcr_options);
 
-    // Cut mid-payload inside the last block before the index: find the
-    // final block by scanning forward from the header.
+    // Cut mid-payload inside the last block before the end record: find
+    // the final block by scanning forward from the header.
     std::size_t offset = replay::kTvcrHeaderLen;
     std::size_t last_block = 0;
     while (offset + replay::kTvcrBlockHeaderLen < wire.size()) {
         const auto info = replay::parse_block_header(
             BytesView(wire.data() + offset, replay::kTvcrBlockHeaderLen));
-        if (!info.ok()) break;  // reached the index
+        if (!info.ok()) break;  // reached the end record
         last_block = offset;
         offset += replay::kTvcrBlockHeaderLen + info.value().compressed_len;
     }
@@ -463,7 +463,7 @@ TEST(GatewaySource, CleanTvcrFinishHasNoTruncationAndSignalsEnd) {
         last = status.value();
         if (last == SourceStatus::kEnd) break;
     }
-    // The index magic, not feed EOF, is what ends a .tvcr stream.
+    // The end record, not feed EOF, is what ends a .tvcr stream.
     EXPECT_EQ(last, SourceStatus::kEnd);
     ASSERT_TRUE(source.finalize(gateway).ok());
     EXPECT_EQ(gateway.dropped_truncated(), 0U);
@@ -499,7 +499,7 @@ TEST(GatewaySource, TvcrBlocksLargerThanAChunkSurviveCompaction) {
          offset + replay::kTvcrBlockHeaderLen < wire.size();) {
         const auto info = replay::parse_block_header(
             BytesView(wire.data() + offset, replay::kTvcrBlockHeaderLen));
-        if (!info.ok()) break;  // reached the index
+        if (!info.ok()) break;  // reached the end record
         largest_block = std::max<std::size_t>(largest_block, info.value().compressed_len);
         offset += replay::kTvcrBlockHeaderLen + info.value().compressed_len;
     }
@@ -685,6 +685,116 @@ TEST(DecoderAgreement, EveryPcapReaderGivesTheSameOutcomeOnDamagedInput) {
     for (const std::size_t i : {4, 6, 7, 8}) {
         EXPECT_FALSE(from_bytes_outcome(damages[i].wire).error.empty()) << damages[i].name;
     }
+}
+
+/// The batch verdict on a .tvcr: open the reader (memory or file), then
+/// replay every block, as tvacr_analyze does.
+Outcome tvcr_batch_outcome(Result<replay::TvcrReader> reader) {
+    if (!reader.ok()) return failed(reader.error().message);
+    replay::ReplayEngine engine(std::move(reader).value());
+    auto analyzed = engine.run(kDevice);
+    if (!analyzed.ok()) return failed(analyzed.error().message);
+    return Outcome{"", engine.last_stats().records_replayed,
+                   replay::canonical_report(analyzed.value())};
+}
+
+void flip(Bytes& bytes, std::size_t at) { bytes[at] ^= 0x01; }
+
+TEST(DecoderAgreement, EveryTvcrReaderGivesTheSameOutcomeOnDamagedInput) {
+    auto capture = gateway_capture();
+    capture.resize(40);  // keeps the byte-at-a-time runs short
+    replay::TvcrOptions options;
+    options.block_records = 8;
+    const Bytes clean = replay::to_tvcr_bytes(capture, options);
+
+    // Block offsets, found by walking the block headers; the end record
+    // follows the last block.
+    std::vector<std::size_t> blocks;
+    std::size_t end = replay::kTvcrHeaderLen;
+    while (end + replay::kTvcrBlockHeaderLen <= clean.size()) {
+        const auto info = replay::parse_block_header(
+            BytesView(clean.data() + end, replay::kTvcrBlockHeaderLen));
+        if (!info.ok()) break;
+        blocks.push_back(end);
+        end += replay::kTvcrBlockHeaderLen + info.value().compressed_len;
+    }
+    ASSERT_EQ(blocks.size(), 5U);
+    const auto block_bytes = [&](std::size_t b) {
+        const std::size_t stop = b + 1 < blocks.size() ? blocks[b + 1] : end;
+        return Bytes(clean.begin() + static_cast<std::ptrdiff_t>(blocks[b]),
+                     clean.begin() + static_cast<std::ptrdiff_t>(stop));
+    };
+    const auto cut = [&clean](std::size_t length) {
+        return Bytes(clean.begin(), clean.begin() + static_cast<std::ptrdiff_t>(length));
+    };
+
+    struct Damage {
+        std::string name;
+        Bytes wire;
+        bool torn = false;  // a cut: the gateway must count truncated records
+    };
+    std::vector<Damage> damages;
+    damages.push_back({"clean", clean});
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+        damages.push_back({"cut before block " + std::to_string(b), cut(blocks[b]), true});
+    }
+    damages.push_back({"cut before the end record", cut(end), true});
+    damages.push_back({"cut mid-header", cut(blocks[1] + 20), true});
+    damages.push_back({"cut mid-payload", cut(blocks[1] + replay::kTvcrBlockHeaderLen + 3), true});
+    damages.push_back({"cut inside the end record", cut(clean.size() - 5), true});
+    // Last byte of each big-endian header field of block 1.
+    using Field = std::pair<std::string, std::size_t>;
+    const std::vector<Field> header_fields = {
+        {"magic", 0}, {"records", 7}, {"first_index", 15}, {"first_ts", 23}, {"last_ts", 31},
+        {"uncompressed_len", 35}, {"compressed_len", 39}, {"codec", 40}, {"crc", 44}};
+    for (const auto& [field, at] : header_fields) {
+        damages.push_back({"flipped " + field, clean});
+        flip(damages.back().wire, blocks[1] + at);
+    }
+    damages.push_back({"compressed_len past the end of the file", clean});
+    damages.back().wire[blocks[1] + 37] ^= 0x10;
+    damages.push_back({"flipped payload", clean});
+    flip(damages.back().wire, blocks[1] + replay::kTvcrBlockHeaderLen + 5);
+    const std::vector<Field> end_fields = {{"magic", 0}, {"total", 11}, {"crc", 15}};
+    for (const auto& [part, at] : end_fields) {
+        damages.push_back({"flipped end record " + part, clean});
+        flip(damages.back().wire, end + at);
+    }
+    damages.push_back({"duplicated block", cut(blocks[2])});
+    const Bytes block1 = block_bytes(1);
+    damages.back().wire.insert(damages.back().wire.end(), block1.begin(), block1.end());
+    damages.back().wire.insert(damages.back().wire.end(),
+                               clean.begin() + static_cast<std::ptrdiff_t>(blocks[2]),
+                               clean.end());
+    damages.push_back({"dropped block", cut(blocks[1])});
+    damages.back().wire.insert(damages.back().wire.end(),
+                               clean.begin() + static_cast<std::ptrdiff_t>(blocks[2]),
+                               clean.end());
+
+    // Either every reader accepts with the same report and no drop, or the
+    // batch reader errors and the gateway errors alike or counts the loss.
+    for (const Damage& damage : damages) {
+        SCOPED_TRACE(damage.name);
+        const Outcome expected = tvcr_batch_outcome(replay::TvcrReader::from_bytes(damage.wire));
+        const std::string path = write_temp("tvacr_damage.tvcr", damage.wire);
+        EXPECT_EQ(tvcr_batch_outcome(replay::TvcrReader::open(path)), expected);
+        EXPECT_EQ(expected.error.empty(), damage.name == "clean") << expected.error;
+        for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+            SCOPED_TRACE(chunk);
+            std::uint64_t truncated = 0;
+            const Outcome streamed = gateway_outcome(damage.wire, chunk, truncated);
+            if (expected.error.empty()) {
+                EXPECT_EQ(streamed, expected);
+                EXPECT_EQ(truncated, 0U);
+            } else if (streamed.error.empty()) {
+                EXPECT_GT(truncated, 0U);
+            } else {
+                EXPECT_FALSE(damage.torn) << "a cut must be counted, not an error";
+                EXPECT_EQ(streamed, expected);
+            }
+        }
+    }
+    EXPECT_EQ(tvcr_batch_outcome(replay::TvcrReader::from_bytes(clean)), accepted(capture));
 }
 
 /// What a batch tool reports for `bytes`: the format is sniffed, and

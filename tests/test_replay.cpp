@@ -1,16 +1,19 @@
 // Tests for the .tvcr record/replay layer: the byte codecs (varint, zigzag,
-// CRC-32, LZ), the TvcrWriter/TvcrReader format round-trip, the footer index
-// queries, the replay-determinism contract (replay-from-block-0 is
-// byte-identical to the batch engine; replay-from-block-k equals the batch
-// run over the record suffix; --since equals the batch run over the filtered
-// capture — at worker counts 1, 4 and 8), and the corruption-robustness
-// suite (truncations, bit flips, an index pointing past EOF: always a clean
-// Error, never UB — the CI sanitizer matrix runs all of this under
-// ASan/UBSan).
+// CRC-32, LZ), the TvcrWriter/TvcrReader format round-trip, the
+// replay-determinism contract (replay-from-block-0 is byte-identical to the
+// batch engine; replay-from-block-k equals the batch run over the record
+// suffix; --since equals the batch run over the filtered capture — at
+// worker counts 1, 4 and 8), and the corruption-robustness suite
+// (truncations, bit flips, crafted block payloads: always a clean Error,
+// never UB — the CI sanitizer matrix runs all of this under ASan/UBSan).
+// tests/test_gateway.cpp holds the damage table every .tvcr reader must
+// agree on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -265,6 +268,43 @@ TEST(TvcrFormatTest, FramesModeRoundTripsPcapByteForByte) {
     EXPECT_EQ(net::to_pcap_bytes(packets.value()), net::to_pcap_bytes(capture));
 }
 
+TEST(TvcrFormatTest, SnappedPcapRoundTripsThroughFramesModeByteForByte) {
+    // A capture snapped on the wire: the pcap declares snaplen 96 and every
+    // longer frame keeps only its first 96 bytes plus its original length.
+    // pcap -> frames-mode .tvcr -> pcap must give back the same bytes, so
+    // the export writes the stored snaplen and orig_len, not defaults.
+    constexpr std::uint32_t kSnaplen = 96;
+    ByteWriter pcap;
+    net::append_pcap_file_header(pcap, kSnaplen);
+    std::size_t capped = 0;
+    for (const net::Packet& packet : replay_capture()) {
+        const std::size_t incl = std::min<std::size_t>(packet.data.size(), kSnaplen);
+        capped += incl < packet.data.size() ? 1 : 0;
+        net::append_pcap_record(pcap, packet.timestamp, BytesView(packet.data.data(), incl),
+                                static_cast<std::uint32_t>(packet.data.size()));
+    }
+    ASSERT_GT(capped, 50U);
+    const Bytes original = std::move(pcap).take();
+    const std::string pcap_path = ::testing::TempDir() + "tvacr_snapped.pcap";
+    const std::string tvcr_path = ::testing::TempDir() + "tvacr_snapped.tvcr";
+    {
+        std::ofstream out(pcap_path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(original.data()),
+                  static_cast<std::streamsize>(original.size()));
+    }
+    TvcrOptions options;
+    options.keep_frames = true;
+    options.block_records = 64;
+    ASSERT_TRUE(transcode_pcap_to_tvcr(pcap_path, tvcr_path, options).ok());
+
+    auto reader = TvcrReader::open(tvcr_path);
+    ASSERT_TRUE(reader.ok()) << reader.error().message;
+    EXPECT_EQ(reader.value().snaplen(), kSnaplen);
+    auto exported = export_tvcr_to_pcap(reader.value());
+    ASSERT_TRUE(exported.ok()) << exported.error().message;
+    EXPECT_TRUE(exported.value() == original) << "frames-mode export changed the pcap bytes";
+}
+
 TEST(TvcrFormatTest, EventsModeRefusesFrameExport) {
     const Bytes tvcr = to_tvcr_bytes(replay_capture());
     EXPECT_FALSE(from_tvcr_bytes(tvcr).ok());
@@ -333,55 +373,6 @@ TEST(TvcrFormatTest, FinishTwiceIsAnError) {
     TvcrWriter writer(out);
     EXPECT_TRUE(writer.finish().ok());
     EXPECT_FALSE(writer.finish().ok());
-}
-
-// ------------------------------------------------------------------- index
-
-TEST(TvcrIndexTest, QueriesAreSupersetsAndPruneCorrectly) {
-    const auto capture = replay_capture();
-    TvcrOptions options;
-    options.block_records = 16;
-    const Bytes tvcr = to_tvcr_bytes(capture, options);
-    auto opened = TvcrReader::from_bytes(tvcr);
-    ASSERT_TRUE(opened.ok());
-    TvcrReader& reader = opened.value();
-    ASSERT_GT(reader.blocks().size(), 4U);
-
-    // Ground truth per block, recomputed from the decoded records.
-    const Ipv4Address acr(23, 0, 1, 10);
-    std::vector<bool> has_acr(reader.blocks().size(), false);
-    for (std::size_t b = 0; b < reader.blocks().size(); ++b) {
-        auto records = reader.read_block(b);
-        ASSERT_TRUE(records.ok());
-        for (const TvcrRecord& record : records.value()) {
-            if (record.parseable && (record.source == acr || record.destination == acr)) {
-                has_acr[b] = true;
-            }
-        }
-    }
-    const auto addr_blocks = reader.blocks_for_address(acr);
-    for (std::size_t b = 0; b < has_acr.size(); ++b) {
-        if (has_acr[b]) {
-            EXPECT_NE(std::find(addr_blocks.begin(), addr_blocks.end(), b), addr_blocks.end())
-                << "block " << b << " holds traffic for the address but was pruned";
-        }
-    }
-
-    // Domain queries: harvested names are in the footer table; blocks with
-    // attributed traffic are returned; unknown domains prune to nothing.
-    EXPECT_NE(std::find(reader.domains().begin(), reader.domains().end(),
-                        "acr-eu-prd.samsungcloud.tv"),
-              reader.domains().end());
-    EXPECT_FALSE(reader.blocks_for_domain("acr-eu-prd.samsungcloud.tv").empty());
-    EXPECT_TRUE(reader.blocks_for_domain("never-queried.example.com").empty());
-
-    // Time-range queries respect block boundaries.
-    const SimTime mid = reader.blocks()[2].first_ts;
-    const auto ranged = reader.blocks_in_range(mid, SimTime::hours(1));
-    ASSERT_FALSE(ranged.empty());
-    for (const std::size_t b : ranged) EXPECT_GE(reader.blocks()[b].last_ts, mid);
-    EXPECT_EQ(reader.first_block_at_or_after(SimTime{}), 0U);
-    EXPECT_EQ(reader.first_block_at_or_after(SimTime::hours(2)), reader.blocks().size());
 }
 
 // ------------------------------------------------------------- determinism
@@ -471,6 +462,15 @@ TEST(ReplayDeterminismTest, SinceEqualsBatchOverFilteredCapture) {
     tvcr_options.block_records = 16;
     const Bytes tvcr = to_tvcr_bytes(capture, tvcr_options);
 
+    // Whole blocks before the cutoff are skipped by their time range.
+    auto opened = TvcrReader::from_bytes(tvcr);
+    ASSERT_TRUE(opened.ok());
+    const TvcrReader& blocks = opened.value();
+    ASSERT_GT(blocks.blocks().size(), 4U);
+    EXPECT_EQ(blocks.first_block_at_or_after(SimTime{}), 0U);
+    EXPECT_EQ(blocks.first_block_at_or_after(blocks.blocks()[2].first_ts), 2U);
+    EXPECT_EQ(blocks.first_block_at_or_after(SimTime::hours(2)), blocks.blocks().size());
+
     for (const std::int64_t cutoff_ms : {0LL, 500LL, 1200LL, 10'000'000LL}) {
         SCOPED_TRACE(cutoff_ms);
         const SimTime since = SimTime::millis(cutoff_ms);
@@ -497,9 +497,8 @@ TEST(TvcrCorruptionTest, EveryTruncationFailsCleanly) {
     options.block_records = 16;
     const Bytes tvcr = to_tvcr_bytes(replay_capture(), options);
     // Sweep every prefix length (stepping through the interior, exhaustive
-    // near the structural boundaries): opening must return an Error — a
-    // truncated trailer, a short index, or an out-of-bounds block extent —
-    // and never crash or succeed.
+    // near the structural boundaries): opening must return an Error — no
+    // prefix holds the end record — and never crash or succeed.
     std::vector<std::size_t> lengths;
     for (std::size_t len = 0; len < tvcr.size(); len += 17) lengths.push_back(len);
     for (std::size_t back = 1; back <= 64 && back < tvcr.size(); ++back) {
@@ -529,56 +528,114 @@ TEST(TvcrCorruptionTest, BitFlipsNeverCrashAndPayloadFlipsAreDetected) {
         }
     }
 
-    // A flip inside the first block's compressed payload is always caught by
-    // the payload CRC.
+    // A flip inside the first block's stored payload is always caught by
+    // the block CRC, as soon as opening walks the block.
     Bytes corrupt = tvcr;
-    corrupt[kTvcrHeaderLen + 61] ^= 0x01;  // first payload byte of block 0
+    corrupt[kTvcrHeaderLen + kTvcrBlockHeaderLen] ^= 0x01;  // first payload byte of block 0
     auto reader = TvcrReader::from_bytes(corrupt);
-    ASSERT_TRUE(reader.ok());  // index is intact, open succeeds
+    ASSERT_FALSE(reader.ok());
+    EXPECT_NE(reader.error().message.find("checksum"), std::string::npos)
+        << reader.error().message;
+}
+
+TEST(TvcrCorruptionTest, FileChangedAfterOpenFailsTheBlockChecksum) {
+    // A file-backed reader reads each block anew, so the CRC is checked on
+    // every read, not only when the file is opened.
+    TvcrOptions options;
+    options.block_records = 16;
+    const Bytes tvcr = to_tvcr_bytes(replay_capture(), options);
+    const std::string path = ::testing::TempDir() + "tvacr_changed.tvcr";
+    const auto write = [&path](const Bytes& bytes) {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char*>(bytes.data()),
+                  static_cast<std::streamsize>(bytes.size()));
+    };
+    write(tvcr);
+    auto reader = TvcrReader::open(path);
+    ASSERT_TRUE(reader.ok()) << reader.error().message;
+    ASSERT_TRUE(reader.value().read_block(0).ok());
+    Bytes changed = tvcr;
+    changed[kTvcrHeaderLen + kTvcrBlockHeaderLen] ^= 0x01;
+    write(changed);
     auto block = reader.value().read_block(0);
     ASSERT_FALSE(block.ok());
-    EXPECT_NE(block.error().message.find("checksum"), std::string::npos)
-        << block.error().message;
+    EXPECT_EQ(block.error().message, "tvcr: block checksum mismatch");
 }
 
-Bytes patch_u64_be(Bytes data, std::size_t offset, std::uint64_t value) {
-    for (int i = 0; i < 8; ++i) {
-        data[offset + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(value >> (56 - 8 * i));
-    }
-    return data;
+/// A one-block events-mode .tvcr around a hand-built payload, with a valid
+/// block CRC and end record, so only the payload decoder can object.
+Bytes crafted_tvcr(const Bytes& payload, std::uint32_t records, std::int64_t first_ts_us) {
+    const Bytes empty = to_tvcr_bytes({});
+    ByteWriter block;
+    block.u32(kTvcrBlockMagic);
+    block.u32(records);
+    block.u64(0);  // first_index
+    block.u64(static_cast<std::uint64_t>(first_ts_us));
+    block.u64(static_cast<std::uint64_t>(first_ts_us));
+    block.u32(static_cast<std::uint32_t>(payload.size()));  // uncompressed
+    block.u32(static_cast<std::uint32_t>(payload.size()));  // stored
+    block.u8(0);                                            // codec: stored
+    block.u32(crc32(payload, crc32(block.view())));
+    block.raw(BytesView(payload));
+    ByteWriter end;
+    end.u32(kTvcrEndMagic);
+    end.u64(records);
+    end.u32(crc32(end.view()));
+
+    ByteWriter out;
+    out.raw(BytesView(empty.data(), kTvcrHeaderLen));
+    out.raw(block.view());
+    out.raw(end.view());
+    return std::move(out).take();
 }
 
-Bytes patch_u32_be(Bytes data, std::size_t offset, std::uint32_t value) {
-    for (int i = 0; i < 4; ++i) {
-        data[offset + static_cast<std::size_t>(i)] =
-            static_cast<std::uint8_t>(value >> (24 - 8 * i));
-    }
-    return data;
+/// The payload of one unparseable record of `frame_bytes` bytes.
+Bytes one_record_payload(std::uint64_t ts_delta, std::uint64_t frame_bytes,
+                         std::uint64_t orig_extra) {
+    ByteWriter payload;
+    put_varint(payload, 1);  // records
+    payload.u8(0);           // kind: unparseable
+    put_varint(payload, ts_delta);
+    put_varint(payload, frame_bytes);
+    put_varint(payload, orig_extra);
+    put_varint(payload, 0);  // address table
+    return std::move(payload).take();
 }
 
-TEST(TvcrCorruptionTest, IndexPointingPastEofIsRejected) {
-    const Bytes tvcr = to_tvcr_bytes(replay_capture());
-    const std::size_t trailer = tvcr.size() - kTvcrTrailerLen;
-    // index_offset beyond the file.
-    auto past_eof = patch_u64_be(tvcr, trailer, tvcr.size() + 1000);
-    auto reader = TvcrReader::from_bytes(past_eof);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_NE(reader.error().message.find("out of bounds"), std::string::npos);
-    // index_len running past the trailer.
-    auto oversized = patch_u32_be(tvcr, trailer + 8, 0x7FFFFFFFU);
-    EXPECT_FALSE(TvcrReader::from_bytes(oversized).ok());
-    // index_offset before the header ends.
-    auto underflow = patch_u64_be(tvcr, trailer, 3);
-    EXPECT_FALSE(TvcrReader::from_bytes(underflow).ok());
-    // A flip inside the index region trips the index CRC.
-    ByteReader trailer_reader(BytesView(tvcr.data() + trailer, 8));
-    const std::uint64_t index_offset = trailer_reader.u64().value();
-    Bytes index_flip = tvcr;
-    index_flip[static_cast<std::size_t>(index_offset) + 5] ^= 0x40;
-    auto flipped = TvcrReader::from_bytes(index_flip);
-    ASSERT_FALSE(flipped.ok());
-    EXPECT_NE(flipped.error().message.find("checksum"), std::string::npos);
+/// Decodes the only block of a crafted file; the file itself must open.
+Result<std::vector<TvcrRecord>> decode_crafted(const Bytes& tvcr) {
+    auto reader = TvcrReader::from_bytes(tvcr);
+    if (!reader.ok()) return make_error("open: " + reader.error().message);
+    return reader.value().read_block(0);
+}
+
+TEST(TvcrCorruptionTest, CraftedTimestampDeltaOverflowIsRejected) {
+    const std::int64_t near_max = std::numeric_limits<std::int64_t>::max() - 5;
+    const auto sane = decode_crafted(crafted_tvcr(one_record_payload(zigzag_encode(5), 10, 0), 1,
+                                                  near_max));
+    ASSERT_TRUE(sane.ok()) << sane.error().message;
+    EXPECT_EQ(sane.value()[0].timestamp.as_micros(), std::numeric_limits<std::int64_t>::max());
+
+    const auto up = decode_crafted(crafted_tvcr(one_record_payload(zigzag_encode(6), 10, 0), 1,
+                                                near_max));
+    ASSERT_FALSE(up.ok());
+    EXPECT_EQ(up.error().message, "tvcr: timestamp delta overflows");
+    const std::int64_t near_min = std::numeric_limits<std::int64_t>::min() + 5;
+    const auto down = decode_crafted(crafted_tvcr(one_record_payload(zigzag_encode(-6), 10, 0), 1,
+                                                  near_min));
+    ASSERT_FALSE(down.ok());
+    EXPECT_EQ(down.error().message, "tvcr: timestamp delta overflows");
+}
+
+TEST(TvcrCorruptionTest, CraftedOrigLenOverflowIsRejected) {
+    constexpr std::uint64_t kRoom = std::numeric_limits<std::uint32_t>::max() - 10;
+    const auto sane = decode_crafted(crafted_tvcr(one_record_payload(0, 10, kRoom), 1, 0));
+    ASSERT_TRUE(sane.ok()) << sane.error().message;
+    EXPECT_EQ(sane.value()[0].orig_len, std::numeric_limits<std::uint32_t>::max());
+
+    const auto wrapped = decode_crafted(crafted_tvcr(one_record_payload(0, 10, kRoom + 1), 1, 0));
+    ASSERT_FALSE(wrapped.ok());
+    EXPECT_EQ(wrapped.error().message, "tvcr: original frame length overflows");
 }
 
 TEST(TvcrCorruptionTest, ForeignMagicsAreRejected) {
@@ -626,7 +683,7 @@ TEST(TvcrWriterFailure, MidStreamFailureSurfacesInFinish) {
     // Regression: flush_block/finish never looked at the stream, so a disk
     // filling up mid-capture yielded a file with a valid-looking prefix and
     // a reported success. The failure must latch and finish() must refuse
-    // to certify the file with an index/trailer.
+    // to certify the file with an end record.
     const auto capture = replay_capture();
     FailingBuf buf(kTvcrHeaderLen + 200);  // room for the header + part of a block
     std::ostream out(&buf);
@@ -647,8 +704,8 @@ TEST(TvcrWriterFailure, FailedHeaderWriteLatchesImmediately) {
 }
 
 TEST(TvcrWriterFailure, UnfinishedWriterLeavesAHardReadError) {
-    // A writer that never reached finish() (crash, kill -9) leaves no
-    // trailer; opening such a file must be a hard Error, never a silently
+    // A writer that never reached finish() (crash, kill -9) leaves no end
+    // record; opening such a file must be a hard Error, never a silently
     // short capture. This pins the gateway's shutdown contract from the
     // reader side.
     std::ostringstream stream;

@@ -19,9 +19,9 @@
 // every jobs value. pcapng input falls back to the in-memory decoder (its
 // block structure needs the whole file).
 //
-// .tvcr input replays the indexed event stream instead of re-parsing
+// .tvcr input replays the recorded event stream instead of re-parsing
 // frames, and unlocks resumable analysis: --resume-from k restarts at block
-// boundary k, --since S skips ahead via the footer's time index. Either way
+// boundary k, --since S skips the blocks that end before S. Either way
 // the produced report is byte-identical to a batch run over the
 // corresponding packet range. --report writes the canonical (filename-free)
 // report used by the CI replay-determinism gate.
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     }
     const replay::CaptureFormat format = replay::sniff_capture_file(capture_path);
     if ((resume_from >= 0 || since_s >= 0) && format != replay::CaptureFormat::kTvcr) {
-        std::fprintf(stderr, "--resume-from/--since need an indexed .tvcr capture\n");
+        std::fprintf(stderr, "--resume-from/--since need a .tvcr capture\n");
         return 2;
     }
 

@@ -9,7 +9,7 @@
 //                 [--faults canonical|none|<spec>]
 //
 // pcap/pcapng output opens in Wireshark and feeds straight into
-// tvacr_analyze. --format tvcr records the indexed .tvcr replay format
+// tvacr_analyze. --format tvcr records the .tvcr replay format
 // instead (events mode: smallest, replays through tvacr_analyze
 // byte-identically, supports --resume-from/--since); tvcr-frames keeps the
 // raw frames too, so the file also exports losslessly back to pcap.

@@ -1,4 +1,4 @@
-// tvacr_transcode — convert captures between pcap and the indexed .tvcr
+// tvacr_transcode — convert captures between pcap and the .tvcr
 // record/replay format.
 //
 //   tvacr_transcode <in.pcap> <out.tvcr> [--frames] [--block-records N]
@@ -9,7 +9,8 @@
 // TvcrWriter. --frames keeps raw frame bytes so the file can be exported
 // back to pcap losslessly; without it only the decoded event stream is
 // stored (much smaller, still replays byte-identically).
-// tvcr -> pcap requires a frames-mode file; --from-block K exports only the
+// tvcr -> pcap requires a frames-mode file and writes the source pcap's
+// snaplen and original frame lengths back; --from-block K exports only the
 // record suffix starting at block boundary K — the CI replay-determinism
 // job uses that to build the reference capture a resumed analysis must
 // match. A flag for the other direction exits 2 instead of being ignored.
