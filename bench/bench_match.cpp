@@ -10,7 +10,8 @@
 // the engine-equality contract: a <4-bit nearest neighbour cannot straddle
 // all four bands), and unknown-content batches. The same mix runs against
 // a duplicated catalog that registers every content twice, where each
-// match must name the lower id. Both engines answer every batch; the run
+// match must name the lower id, and its index (postings and bytes) must be
+// no larger than the plain catalog's. Both engines answer every batch; the run
 // *fails* (non-zero exit) if any answer differs, so the published
 // queries/sec figure is certified byte-identical to the scalar semantics.
 // Throughput for both engines plus the speedup ratio land in a
@@ -139,8 +140,10 @@ int main(int argc, char** argv) {
     const auto catalog = fp::builtin_catalog(/*seed=*/555);
     for (const auto& info : catalog) library.add(info);
     const fp::MatchServer server(library);
-    std::printf("library: %zu contents, %zu reference hashes indexed, %zu postings\n",
-                library.size(), server.indexed_hashes(), server.postings());
+    std::printf("library: %zu contents, %zu reference hashes indexed, %zu postings, "
+                "%zu index bytes\n",
+                library.size(), server.indexed_hashes(), server.postings(),
+                server.index_bytes());
 
     // The duplicated catalog registers every content a second time under a
     // higher id, so every reference hash has two owners. The deduplicated
@@ -158,12 +161,18 @@ int main(int argc, char** argv) {
         twins.push_back(twin);
     }
     const fp::MatchServer duplicated_server(duplicated);
-    std::printf("duplicated: %zu contents, %zu reference hashes indexed, %zu postings\n",
+    std::printf("duplicated: %zu contents, %zu reference hashes indexed, %zu postings, "
+                "%zu index bytes\n",
                 duplicated.size(), duplicated_server.indexed_hashes(),
-                duplicated_server.postings());
+                duplicated_server.postings(), duplicated_server.index_bytes());
     if (duplicated_server.postings() != server.postings()) {
         std::fprintf(stderr, "DUPLICATED CATALOG POSTS %zu, NOT %zu\n",
                      duplicated_server.postings(), server.postings());
+        return 1;
+    }
+    if (duplicated_server.index_bytes() > server.index_bytes()) {
+        std::fprintf(stderr, "DUPLICATED CATALOG INDEX HOLDS %zu BYTES, MORE THAN %zu\n",
+                     duplicated_server.index_bytes(), server.index_bytes());
         return 1;
     }
 
@@ -234,11 +243,14 @@ int main(int argc, char** argv) {
     json.key("contents").value(static_cast<std::uint64_t>(library.size()));
     json.key("indexed_hashes").value(static_cast<std::uint64_t>(server.indexed_hashes()));
     json.key("postings").value(static_cast<std::uint64_t>(server.postings()));
+    json.key("index_bytes").value(static_cast<std::uint64_t>(server.index_bytes()));
     json.key("duplicated_contents").value(static_cast<std::uint64_t>(duplicated.size()));
     json.key("duplicated_indexed_hashes")
         .value(static_cast<std::uint64_t>(duplicated_server.indexed_hashes()));
     json.key("duplicated_postings")
         .value(static_cast<std::uint64_t>(duplicated_server.postings()));
+    json.key("duplicated_index_bytes")
+        .value(static_cast<std::uint64_t>(duplicated_server.index_bytes()));
     json.key("query_batches").value(static_cast<std::uint64_t>(queries.size()));
     json.key("records_per_batch").value(30);
     json.key("banded_queries_per_s").value(banded_qps);

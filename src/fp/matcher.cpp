@@ -34,6 +34,12 @@ struct Candidate {
     }
 };
 
+/// The (band, value) bucket of a hash's `band`-th 16-bit band.
+std::size_t bucket_of(VideoHash hash, int band) noexcept {
+    return (static_cast<std::size_t>(band) << 16) |
+           static_cast<std::uint16_t>(hash >> (band * 16));
+}
+
 /// Fixed-capacity open-addressing set of 64-bit hashes (linear probing),
 /// sized for at least `max_size` inserts at a load of at most one half.
 /// Slot value 0 marks an empty slot, so the hash 0 is tracked by a flag.
@@ -226,39 +232,69 @@ void MatchServer::reindex() {
         }
     }
 
-    // Counting sort into the flat two-level layout: size every (band, value)
-    // bucket, prefix-sum into offsets, then place postings. Placement follows
-    // the (content_id, position) walk, so within-bucket order is too.
-    std::vector<std::uint32_t> counts(kBucketCount, 0);
+    // Rank directory: mark every occupied (band, value) bucket, then rank
+    // each bitmap word by the set bits of the words below it.
+    occupied_.assign(kDirectoryWords, 0);
     for (const Posting& posting : distinct) {
         for (int band = 0; band < kBands; ++band) {
-            const auto value = static_cast<std::uint16_t>(posting.hash >> (band * 16));
-            ++counts[(static_cast<std::size_t>(band) << 16) | value];
+            const std::size_t bucket = bucket_of(posting.hash, band);
+            occupied_[bucket >> 6] |= 1ULL << (bucket & 63);
         }
     }
-    bucket_start_.assign(kBucketCount + 1, 0);
-    std::uint32_t running = 0;
-    for (std::size_t bucket = 0; bucket < kBucketCount; ++bucket) {
-        bucket_start_[bucket] = running;
-        running += counts[bucket];
+    rank_.assign(kDirectoryWords, 0);
+    std::uint32_t occupied_buckets = 0;
+    for (std::size_t word = 0; word < kDirectoryWords; ++word) {
+        rank_[word] = occupied_buckets;
+        occupied_buckets += static_cast<std::uint32_t>(swar::popcount64(occupied_[word]));
     }
-    bucket_start_[kBucketCount] = running;
 
+    // Counting sort over the occupied buckets: count ordinal k's postings in
+    // bucket_start_[k], and the running sum makes each entry its bucket's
+    // end (the extra last entry, the total). Placing the postings in reverse
+    // walk order at --bucket_start_[k] fills each bucket back to front,
+    // which keeps the (content_id, position) walk order within the bucket
+    // and leaves each entry at its bucket's start.
+    bucket_start_.assign(static_cast<std::size_t>(occupied_buckets) + 1, 0);
+    for (const Posting& posting : distinct) {
+        for (int band = 0; band < kBands; ++band) {
+            ++bucket_start_[ordinal(bucket_of(posting.hash, band))];
+        }
+    }
+    for (std::size_t k = 1; k < bucket_start_.size(); ++k) {
+        bucket_start_[k] += bucket_start_[k - 1];
+    }
     const std::size_t total_postings = distinct.size() * kBands;
     posting_hash_.assign(total_postings, 0);
     posting_content_.assign(total_postings, 0);
     posting_position_.assign(total_postings, 0);
-    std::vector<std::uint32_t> cursor(bucket_start_.begin(), bucket_start_.end() - 1);
-    for (const Posting& posting : distinct) {
+    for (auto posting = distinct.rbegin(); posting != distinct.rend(); ++posting) {
         for (int band = 0; band < kBands; ++band) {
-            const auto value = static_cast<std::uint16_t>(posting.hash >> (band * 16));
-            const std::size_t bucket = (static_cast<std::size_t>(band) << 16) | value;
-            const std::uint32_t at = cursor[bucket]++;
-            posting_hash_[at] = posting.hash;
-            posting_content_[at] = posting.content_id;
-            posting_position_[at] = posting.position;
+            const std::uint32_t at = --bucket_start_[ordinal(bucket_of(posting->hash, band))];
+            posting_hash_[at] = posting->hash;
+            posting_content_[at] = posting->content_id;
+            posting_position_[at] = posting->position;
         }
     }
+}
+
+std::uint32_t MatchServer::ordinal(std::size_t bucket) const noexcept {
+    const std::uint64_t below = (1ULL << (bucket & 63)) - 1;
+    return rank_[bucket >> 6] +
+           static_cast<std::uint32_t>(swar::popcount64(occupied_[bucket >> 6] & below));
+}
+
+MatchServer::Slice MatchServer::bucket_slice(std::size_t bucket) const noexcept {
+    if (((occupied_[bucket >> 6] >> (bucket & 63)) & 1) == 0) return {};
+    const std::uint32_t k = ordinal(bucket);
+    return {bucket_start_[k], bucket_start_[k + 1]};
+}
+
+std::size_t MatchServer::index_bytes() const noexcept {
+    return occupied_.size() * sizeof(std::uint64_t) + rank_.size() * sizeof(std::uint32_t) +
+           bucket_start_.size() * sizeof(std::uint32_t) +
+           posting_hash_.size() * sizeof(VideoHash) +
+           posting_content_.size() * sizeof(std::uint64_t) +
+           posting_position_.size() * sizeof(std::uint32_t);
 }
 
 std::optional<MatchResult> MatchServer::match(const FingerprintBatch& batch) const {
@@ -266,10 +302,9 @@ std::optional<MatchResult> MatchServer::match(const FingerprintBatch& batch) con
         Candidate best;
         const int max_hamming = options_.max_hamming;
         for (int band = 0; band < kBands; ++band) {
-            const auto value = static_cast<std::uint16_t>(query >> (band * 16));
-            const std::size_t bucket = (static_cast<std::size_t>(band) << 16) | value;
-            std::size_t i = bucket_start_[bucket];
-            const std::size_t end = bucket_start_[bucket + 1];
+            const Slice slice = bucket_slice(bucket_of(query, band));
+            std::size_t i = slice.start;
+            const std::size_t end = slice.end;
             // Verify in packed 4-wide blocks; the scalar kernel mops up the
             // tail. Same arithmetic either way (fp/swar.hpp), distances are
             // exact, and the (distance, content, position) total order makes

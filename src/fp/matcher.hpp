@@ -1,14 +1,26 @@
 // The ACR match server: identifies what content a fingerprint batch shows.
 //
-// Index: each 64-bit reference hash is cut into four 16-bit bands. The
-// band index is two-level: a flat offset table over all 4 * 65536 possible
-// (band, value) buckets pointing into one contiguous postings array sorted
-// by bucket (and, within a bucket, by content id then position). A batch
-// hash retrieves candidates sharing any band exactly (an LSH scheme — a
-// candidate whose flipped bits touch at most three of the four bands must
-// agree on the remaining band), and candidates are verified by exact
-// Hamming distance over the postings' packed hash column with the SWAR
-// kernels in fp/swar.hpp. Verified candidates vote for (content, time
+// Index: each 64-bit reference hash is cut into four 16-bit bands, and
+// each (band, value) pair names one of 4 * 65536 buckets. The postings of
+// all buckets sit in one contiguous array sorted by bucket (and, within a
+// bucket, by content id then position). A rank directory finds a bucket's
+// slice: a 4096-word occupancy bitmap (32 KB) with one bit per bucket, one
+// uint32 rank per word (16 KB) counting the set bits in the words below it,
+// and offsets for the occupied buckets only (at most postings + 1 entries).
+// An empty bucket is rejected by one bit test; an occupied bucket's
+// ordinal among the occupied ones is rank[w] plus the set bits below it in
+// its word (Jacobson's rank), and offsets[ordinal] .. offsets[ordinal + 1]
+// is its slice. The slices are the ones a flat offset table over every
+// bucket would give (an empty bucket's slice is empty either way), so no
+// lookup and no match result depends on the directory. A cell's catalog
+// occupies about 7,300 buckets, so its directory is about 78 KB where a
+// flat table of 4 * 65536 + 1 offsets was 1 MB.
+//
+// A batch hash retrieves candidates sharing any band exactly (an LSH
+// scheme — a candidate whose flipped bits touch at most three of the four
+// bands must agree on the remaining band), and candidates are verified by
+// exact Hamming distance over the postings' packed hash column with the
+// SWAR kernels in fp/swar.hpp. Verified candidates vote for (content, time
 // offset); the best-aligned content wins when enough records agree.
 //
 // Each distinct hash is posted once, at its least (content id, position).
@@ -94,16 +106,34 @@ class MatchServer {
     [[nodiscard]] std::size_t indexed_hashes() const noexcept { return indexed_hashes_; }
     /// Band postings in the index: four per distinct reference hash.
     [[nodiscard]] std::size_t postings() const noexcept { return posting_hash_.size(); }
+    /// Bytes the index holds: the bucket directory plus the posting columns.
+    [[nodiscard]] std::size_t index_bytes() const noexcept;
 
   private:
     static constexpr int kBands = 4;
     static constexpr std::size_t kBucketCount = static_cast<std::size_t>(kBands) << 16;
+    static constexpr std::size_t kDirectoryWords = kBucketCount / 64;
 
-    /// Flat two-level index (built by reindex): bucket_start_[b] ..
-    /// bucket_start_[b+1] delimit bucket b's postings in the three parallel
-    /// columns below. The hash column is what the SWAR verification loop
-    /// streams; content/position are only touched for surviving candidates.
-    std::vector<std::uint32_t> bucket_start_;    // kBucketCount + 1 offsets
+    /// Bucket b's postings: [start, end) in the posting columns, empty when
+    /// no posting has b's band value.
+    struct Slice {
+        std::size_t start = 0;
+        std::size_t end = 0;
+    };
+    [[nodiscard]] Slice bucket_slice(std::size_t bucket) const noexcept;
+    /// Occupied buckets below `bucket`: its entry in bucket_start_ when it
+    /// is occupied itself.
+    [[nodiscard]] std::uint32_t ordinal(std::size_t bucket) const noexcept;
+
+    /// Rank directory (built by reindex): bit b of occupied_ is set when
+    /// bucket b holds postings; rank_[w] counts the set bits of words below
+    /// w; bucket_start_ holds one offset per occupied bucket plus the end.
+    std::vector<std::uint64_t> occupied_;        // kDirectoryWords words
+    std::vector<std::uint32_t> rank_;            // kDirectoryWords ranks
+    std::vector<std::uint32_t> bucket_start_;    // occupied buckets + 1 offsets
+    /// Posting columns, sorted by bucket. The hash column is what the SWAR
+    /// verification loop streams; content/position are only touched for
+    /// surviving candidates.
     std::vector<VideoHash> posting_hash_;        // full 64-bit hash per posting
     std::vector<std::uint64_t> posting_content_;  // parallel: owning content id
     std::vector<std::uint32_t> posting_position_;  // parallel: reference step

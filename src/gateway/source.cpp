@@ -199,7 +199,16 @@ Result<SourceStatus> StreamSource::poll(Gateway& gateway, std::size_t max_bytes)
     if (status.value() == SourceStatus::kProgress) {
         append_and_compact(buffer_, consumed_, chunk);
         if (auto decoded = decode(gateway); !decoded.ok()) return decoded.error();
-        return tvcr_walk_.ended ? SourceStatus::kEnd : SourceStatus::kProgress;
+        if (!tvcr_walk_.ended) return SourceStatus::kProgress;
+        // Nothing may follow the end record, as in the batch reader. Bytes
+        // after it may sit in this chunk or still in the feed, so read the
+        // feed once more: idle or end is a clean end, a byte is an error.
+        if (pending().empty()) {
+            status = feed_->read_some(chunk, max_bytes > 0 ? max_bytes : 1);
+            if (!status.ok()) return status.error();
+            if (status.value() != SourceStatus::kProgress) return SourceStatus::kEnd;
+        }
+        return make_error("tvcr: bytes after the end record");
     }
     if (status.value() == SourceStatus::kEnd) feed_ended_ = true;
     return status.value();

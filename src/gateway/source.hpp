@@ -14,7 +14,8 @@
 // the batch readers run: net::decode_pcap_record for pcap, and
 // replay::walk_tvcr + decode_block_payload for .tvcr, the block walk
 // TvcrReader runs too. The .tvcr end record, when it finally appears, is
-// the writer's explicit end-of-stream marker.
+// the writer's explicit end-of-stream marker; a byte after it is an error,
+// as it is for the batch reader.
 #pragma once
 
 #include <cstdint>
@@ -63,8 +64,11 @@ class StreamSource {
 
     /// One poll turn: read up to max_bytes, decode, offer records to the
     /// gateway. kEnd means no further records can ever arrive. Errors are
-    /// structural (bad magic, record exceeds snaplen, corrupt block) and
-    /// unrecoverable.
+    /// structural (bad magic, record exceeds snaplen, corrupt block, bytes
+    /// after a .tvcr end record) and unrecoverable. The turn that reads a
+    /// .tvcr end record reads the feed once more when nothing followed the
+    /// end record in the chunk, so bytes after it fail the source as they
+    /// fail the batch reader.
     [[nodiscard]] Result<SourceStatus> poll(Gateway& gateway, std::size_t max_bytes);
 
     /// Marks true end-of-stream. Call exactly once, after the final poll,

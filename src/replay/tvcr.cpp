@@ -496,24 +496,6 @@ Bytes to_tvcr_bytes(const std::vector<net::Packet>& packets, TvcrOptions options
     return Bytes(buffer.begin(), buffer.end());
 }
 
-Result<std::vector<net::Packet>> from_tvcr_bytes(BytesView data) {
-    auto reader = TvcrReader::from_bytes(data);
-    if (!reader) return reader.error();
-    if (!reader.value().has_frames()) {
-        return make_error("tvcr: events-mode file has no frames (record with keep_frames)");
-    }
-    std::vector<net::Packet> packets;
-    packets.reserve(static_cast<std::size_t>(reader.value().total_records()));
-    for (std::size_t b = 0; b < reader.value().blocks().size(); ++b) {
-        auto records = reader.value().read_block(b);
-        if (!records) return records.error();
-        for (auto& record : records.value()) {
-            packets.push_back(net::Packet{record.timestamp, std::move(record.frame)});
-        }
-    }
-    return packets;
-}
-
 Status write_tvcr_file(const std::string& path, const std::vector<net::Packet>& packets,
                        TvcrOptions options) {
     // Finalized write: `path` only appears once finish() wrote the end record,

@@ -211,10 +211,6 @@ class TvcrReader {
 [[nodiscard]] Bytes to_tvcr_bytes(const std::vector<net::Packet>& packets,
                                   TvcrOptions options = {});
 
-/// Decodes a frames-mode .tvcr buffer back into packets; events-mode input
-/// is an error (the frames were deliberately not recorded).
-[[nodiscard]] Result<std::vector<net::Packet>> from_tvcr_bytes(BytesView data);
-
 /// File helpers.
 Status write_tvcr_file(const std::string& path, const std::vector<net::Packet>& packets,
                        TvcrOptions options = {});

@@ -66,7 +66,8 @@ TEST(ContentStreamTest, AudioIsDeterministicPerScene) {
     const ContentStream stream(9, ContentDynamics::for_kind(ContentKind::kLiveBroadcast));
     const auto a = stream.audio_at(SimTime::millis(100));
     const auto b = stream.audio_at(SimTime::millis(110));
-    if (stream.scene_index_at(SimTime::millis(100)) == stream.scene_index_at(SimTime::millis(110))) {
+    if (stream.scene_index_at(SimTime::millis(100)) ==
+        stream.scene_index_at(SimTime::millis(110))) {
         for (int band = 0; band < AudioWindow::kBands; ++band) {
             EXPECT_FLOAT_EQ(a.band_energy[band], b.band_energy[band]);
         }
@@ -1427,6 +1428,344 @@ TEST(MatcherDedupTest, NoisyTwinQueriesKeepTheirPinnedResults) {
         "100 16000000 12\n"
         "none\n";
     EXPECT_EQ(text, pinned);
+}
+
+// ------------------------------------------------------- bucket directory
+
+/// Which 16-bit values each band of the library's reference hashes takes:
+/// the index's occupied (band, value) buckets.
+std::array<std::vector<bool>, 4> occupied_band_values(const ContentLibrary& library) {
+    std::array<std::vector<bool>, 4> occupied;
+    for (auto& values : occupied) values.assign(std::size_t{1} << 16, false);
+    for (const auto& [content_id, entry] : library.entries()) {
+        for (const VideoHash hash : library.reference_hashes(content_id)) {
+            for (std::size_t band = 0; band < 4; ++band) {
+                occupied[band][(hash >> (16 * band)) & 0xFFFF] = true;
+            }
+        }
+    }
+    return occupied;
+}
+
+/// `hash` with each band's value passed through `move`; nullopt when `move`
+/// refuses any band.
+template <typename Move>
+std::optional<VideoHash> move_bands(VideoHash hash, Move&& move) {
+    VideoHash moved = 0;
+    for (int band = 0; band < 4; ++band) {
+        const auto value = static_cast<std::uint16_t>(hash >> (16 * band));
+        const std::optional<std::uint16_t> to = move(band, value);
+        if (!to) return std::nullopt;
+        moved |= static_cast<VideoHash>(*to) << (16 * band);
+    }
+    return moved;
+}
+
+/// 30-record, 500 ms batches over `track`, one per `starts` entry, each
+/// record's hash passed through `query` (records it refuses are skipped).
+template <typename Query>
+std::vector<FingerprintBatch> derived_batches(std::span<const VideoHash> track,
+                                              const std::vector<std::size_t>& starts,
+                                              Query&& query) {
+    std::vector<FingerprintBatch> batches;
+    for (const std::size_t start : starts) {
+        FingerprintBatch batch;
+        batch.device_id = 1;
+        batch.capture_period_ms = 500;
+        for (std::size_t i = 0; i < 30 && start + i < track.size(); ++i) {
+            const std::optional<VideoHash> hash = query(track[start + i], i);
+            if (!hash) continue;
+            CaptureRecord record;
+            record.offset_ms = static_cast<std::uint32_t>(500 * i);
+            record.video = *hash;
+            batch.records.push_back(record);
+        }
+        batches.push_back(std::move(batch));
+    }
+    return batches;
+}
+
+std::string result_line(const std::optional<MatchResult>& match) {
+    if (!match.has_value()) return "none\n";
+    return std::to_string(match->content_id) + " " +
+           std::to_string(match->content_offset.as_micros()) + " " +
+           std::to_string(match->votes) + "\n";
+}
+
+TEST_F(MatcherFixture, EmptyBucketsJustBelowOccupiedOnesRetrieveNothing) {
+    // Every band of every record is moved from its value v into the run of
+    // empty buckets just below bucket v, to the one nearest v in bits; a
+    // record is used only when bucket v - 1 is empty in all four bands and
+    // the reference hash stays within max_hamming. The banded engine then
+    // retrieves nothing, while the brute-force engine often matches. A
+    // lookup that skipped the occupancy bit would hand each of those empty
+    // buckets the slice of the next occupied one, bucket v, and match.
+    const auto occupied = occupied_band_values(library);
+    const MatchServer server(library);
+    const int max_hamming = MatchOptions{}.max_hamming;
+    const auto below_occupied = [&](VideoHash hash, std::size_t) -> std::optional<VideoHash> {
+        const auto moved = move_bands(hash, [&](int band, std::uint16_t value) {
+            const auto& values = occupied[static_cast<std::size_t>(band)];
+            std::optional<std::uint16_t> nearest;
+            for (int u = value - 1; u >= 0 && !values[static_cast<std::size_t>(u)]; --u) {
+                const auto below = static_cast<std::uint16_t>(u);
+                if (!nearest || std::popcount(static_cast<unsigned>(below ^ value)) <
+                                    std::popcount(static_cast<unsigned>(*nearest ^ value))) {
+                    nearest = below;
+                }
+            }
+            return nearest;
+        });
+        if (!moved || hamming(*moved, hash) > max_hamming) return std::nullopt;
+        return moved;
+    };
+    int batches = 0;
+    int reference_matches = 0;
+    for (const auto& info : catalog) {
+        const auto track = library.reference_hashes(info.id);
+        std::vector<std::size_t> starts;
+        for (std::size_t start = 0; start + 30 <= track.size(); start += 300) {
+            starts.push_back(start);
+        }
+        for (const auto& batch : derived_batches(track, starts, below_occupied)) {
+            if (batch.records.size() < 8) continue;
+            ++batches;
+            EXPECT_FALSE(server.match(batch).has_value()) << info.id;
+            reference_matches += server.match_reference(batch).has_value() ? 1 : 0;
+        }
+    }
+    EXPECT_GE(batches, 20);
+    EXPECT_GE(reference_matches, batches / 2);
+}
+
+TEST_F(MatcherFixture, QueriesAtBucketAndWordEdgesKeepTheirPinnedResults) {
+    // Queries whose band values sit next to or at the edges of the
+    // directory's 64-bucket words, and noisy queries with 4 or more flips
+    // per hash. The lines were recorded from the flat offset table the
+    // directory replaced; the slices, and so the results, must not move.
+    const auto occupied = occupied_band_values(library);
+    const MatchServer server(library);
+    // One band per record moved to v - 1 or v + 1 where that bucket is
+    // empty; the other three bands still retrieve the reference.
+    const auto neighbour = [&](int delta) {
+        return [&occupied, delta](VideoHash hash, std::size_t i) {
+            return move_bands(hash, [&](int band, std::uint16_t value) {
+                const auto moved = static_cast<std::uint16_t>(value + delta);
+                const bool empty = !occupied[static_cast<std::size_t>(band)][moved];
+                return std::optional<std::uint16_t>(
+                    static_cast<std::size_t>(band) == i % 4 && empty ? moved : value);
+            });
+        };
+    };
+    // One band per record moved to bit 0 or bit 63 of its directory word.
+    const auto word_edge = [](VideoHash hash, std::size_t i) {
+        return move_bands(hash, [i](int band, std::uint16_t value) {
+            if (static_cast<std::size_t>(band) != i % 4) return std::optional<std::uint16_t>(value);
+            return std::optional<std::uint16_t>(i % 8 < 4 ? value & ~0x3F : value | 0x3F);
+        });
+    };
+    // The first and last buckets of the directory, between true records.
+    const auto directory_ends = [](VideoHash hash, std::size_t i) {
+        return std::optional<VideoHash>(i % 4 == 1 ? 0 : i % 4 == 3 ? ~VideoHash{0} : hash);
+    };
+    Rng rng(0xB0C4E75ULL);
+    const auto noisy = [&rng](VideoHash hash, std::size_t) {
+        const int flips = 4 + static_cast<int>(rng() % 5);
+        for (int f = 0; f < flips; ++f) hash ^= 1ULL << (rng() % 64);
+        return std::optional<VideoHash>(hash);
+    };
+    std::string text;
+    for (std::size_t c = 0; c < 4; ++c) {
+        const auto track = library.reference_hashes(catalog[c].id);
+        const std::vector<std::size_t> starts = {120 + 400 * c, 2000 + 300 * c};
+        for (const auto& batch : derived_batches(track, starts, neighbour(-1))) {
+            text += "-1 " + result_line(server.match(batch));
+        }
+        for (const auto& batch : derived_batches(track, starts, neighbour(+1))) {
+            text += "+1 " + result_line(server.match(batch));
+        }
+        for (const auto& batch : derived_batches(track, starts, word_edge)) {
+            text += "edge " + result_line(server.match(batch));
+        }
+        for (const auto& batch : derived_batches(track, starts, directory_ends)) {
+            text += "ends " + result_line(server.match(batch));
+        }
+        for (const auto& batch : derived_batches(track, starts, noisy)) {
+            text += "noisy " + result_line(server.match(batch));
+        }
+    }
+    const std::string pinned =
+        "-1 1000 56000000 21\n"
+        "-1 1000 1000000000 23\n"
+        "+1 1000 56000000 21\n"
+        "+1 1000 1000000000 23\n"
+        "edge 1000 56000000 21\n"
+        "edge 1000 1000000000 22\n"
+        "ends 1000 56000000 11\n"
+        "ends 1000 1000000000 12\n"
+        "noisy none\n"
+        "noisy 1000 1000000000 16\n"
+        "-1 1001 256000000 15\n"
+        "-1 1001 1152000000 22\n"
+        "+1 1001 256000000 15\n"
+        "+1 1001 1152000000 22\n"
+        "edge 1001 256000000 15\n"
+        "edge 1001 1152000000 22\n"
+        "ends none\n"
+        "ends 1001 1152000000 12\n"
+        "noisy none\n"
+        "noisy 1001 1152000000 11\n"
+        "-1 1002 456000000 23\n"
+        "-1 1002 1296000000 23\n"
+        "+1 1002 456000000 23\n"
+        "+1 1002 1296000000 23\n"
+        "edge 1002 456000000 23\n"
+        "edge 1002 1296000000 23\n"
+        "ends 1002 456000000 12\n"
+        "ends 1002 1296000000 11\n"
+        "noisy 1002 456000000 13\n"
+        "noisy 1002 1296000000 13\n"
+        "-1 1003 656000000 26\n"
+        "-1 1003 1440000000 14\n"
+        "+1 1003 656000000 26\n"
+        "+1 1003 1440000000 16\n"
+        "edge 1003 656000000 26\n"
+        "edge 1003 1440000000 15\n"
+        "ends 1003 656000000 13\n"
+        "ends none\n"
+        "noisy 1003 656000000 12\n"
+        "noisy none\n";
+    EXPECT_EQ(text, pinned);
+}
+
+TEST_F(MatcherFixture, SingleBucketProbesFindTheBestPostingOfTheirBucket) {
+    // A probe shares one band with the index; its other three bands hold
+    // values no reference hash has. With max_hamming 64 every posting of
+    // that one bucket is a candidate and nothing else is, so the answer is
+    // the least (distance, content_id, position) among the distinct hashes
+    // with that band value. A slice that starts or ends in a neighbouring
+    // bucket, or past the last one, answers something else.
+    MatchOptions probe;
+    probe.max_hamming = 64;
+    probe.min_distinct_evidence = 1;
+    probe.offset_tolerance = ContentLibrary::kReferencePeriod;
+    const MatchServer server(library, probe);
+    const auto occupied = occupied_band_values(library);
+
+    // Each distinct hash at its least (content_id, position), as indexed.
+    struct Posting {
+        VideoHash hash;
+        std::uint64_t content_id;
+        std::int64_t position;
+    };
+    std::vector<Posting> postings;
+    std::vector<std::uint64_t> ids;
+    for (const auto& info : catalog) ids.push_back(info.id);
+    std::sort(ids.begin(), ids.end());
+    std::set<VideoHash> seen;
+    for (const std::uint64_t id : ids) {
+        const auto track = library.reference_hashes(id);
+        for (std::size_t p = 0; p < track.size(); ++p) {
+            if (seen.insert(track[p]).second) {
+                postings.push_back({track[p], id, static_cast<std::int64_t>(p)});
+            }
+        }
+    }
+    std::array<VideoHash, 4> empty_value{};
+    for (std::size_t band = 0; band < 4; ++band) {
+        empty_value[band] = static_cast<VideoHash>(
+            std::find(occupied[band].begin(), occupied[band].end(), false) -
+            occupied[band].begin());
+    }
+
+    int probes = 0;
+    for (std::size_t band = 0; band < 4; ++band) {
+        std::vector<VideoHash> values;  // occupied, ascending
+        for (std::size_t v = 0; v < occupied[band].size(); ++v) {
+            if (occupied[band][v]) values.push_back(v);
+        }
+        ASSERT_GE(values.size(), 2U);
+        for (std::size_t i = 0; i < values.size(); ++i) {
+            // The first and last bucket of the band, the occupied ones at
+            // bit 0 or 63 of a directory word, and a sample of the rest.
+            const VideoHash value = values[i];
+            if (i != 0 && i + 1 != values.size() && value % 64 != 0 && value % 64 != 63 &&
+                i % 31 != 0) {
+                continue;
+            }
+            VideoHash query = 0;
+            for (std::size_t b = 0; b < 4; ++b) {
+                query |= (b == band ? value : empty_value[b]) << (16 * b);
+            }
+            const Posting* best = nullptr;
+            for (const Posting& posting : postings) {
+                if (((posting.hash >> (16 * band)) & 0xFFFF) != value) continue;
+                if (best == nullptr || hamming(posting.hash, query) < hamming(best->hash, query)) {
+                    best = &posting;
+                }
+            }
+            ASSERT_NE(best, nullptr);
+            FingerprintBatch batch;
+            batch.device_id = 1;
+            batch.capture_period_ms = 500;
+            batch.records.assign(1, CaptureRecord{});
+            batch.records[0].video = query;
+            const auto match = server.match(batch);
+            ASSERT_TRUE(match.has_value()) << "band " << band << " value " << value;
+            EXPECT_EQ(match->content_id, best->content_id) << "band " << band << " value " << value;
+            EXPECT_EQ(match->content_offset, ContentLibrary::kReferencePeriod * best->position)
+                << "band " << band << " value " << value;
+            ++probes;
+        }
+    }
+    EXPECT_GE(probes, 100);
+}
+
+TEST(MatcherDirectoryTest, EmptyAndOneContentLibrariesAnswerQueries) {
+    // The directory is 4096 occupancy words and 4096 ranks whatever the
+    // library holds, plus one offset per occupied bucket and the end.
+    constexpr std::size_t kDirectoryBytes = 4096 * 8 + 4096 * 4;
+    FingerprintBatch edges;
+    edges.device_id = 1;
+    edges.capture_period_ms = 500;
+    for (const VideoHash hash : {VideoHash{0}, ~VideoHash{0}, VideoHash{0x8000000000000001ULL},
+                                 VideoHash{0x00000000FFFF0000ULL}}) {
+        CaptureRecord record;
+        record.offset_ms = static_cast<std::uint32_t>(500 * edges.records.size());
+        record.video = hash;
+        edges.records.push_back(record);
+    }
+
+    const ContentLibrary empty;
+    const MatchServer nothing(empty);
+    EXPECT_EQ(nothing.postings(), 0U);
+    EXPECT_EQ(nothing.index_bytes(), kDirectoryBytes + 4);
+    EXPECT_FALSE(nothing.match(edges).has_value());
+    EXPECT_FALSE(nothing.match_reference(edges).has_value());
+
+    ContentLibrary library;
+    const ContentInfo info = single_content_info();
+    library.add(info);
+    const MatchServer server(library);
+    const auto occupied = occupied_band_values(library);
+    std::size_t occupied_buckets = 0;
+    for (const auto& values : occupied) {
+        occupied_buckets +=
+            static_cast<std::size_t>(std::count(values.begin(), values.end(), true));
+    }
+    EXPECT_EQ(server.index_bytes(),
+              kDirectoryBytes + 4 * (occupied_buckets + 1) + 20 * server.postings());
+    expect_same_result(server.match(edges), server.match_reference(edges));
+    const auto track = library.reference_hashes(info.id);
+    for (const std::size_t start : {std::size_t{0}, track.size() / 2, track.size() - 30}) {
+        const auto batch = derived_batches(track, {start}, [](VideoHash hash, std::size_t) {
+            return std::optional<VideoHash>(hash);
+        })[0];
+        const auto match = server.match(batch);
+        ASSERT_TRUE(match.has_value()) << start;
+        EXPECT_EQ(match->content_id, info.id);
+        expect_same_result(match, server.match_reference(batch));
+    }
 }
 
 TEST(MatcherEdgeTest, MinDistinctEvidenceBoundary) {

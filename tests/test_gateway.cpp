@@ -770,6 +770,8 @@ TEST(DecoderAgreement, EveryTvcrReaderGivesTheSameOutcomeOnDamagedInput) {
     damages.back().wire.insert(damages.back().wire.end(),
                                clean.begin() + static_cast<std::ptrdiff_t>(blocks[2]),
                                clean.end());
+    damages.push_back({"8 zero bytes after the end record", clean});
+    damages.back().wire.resize(clean.size() + 8, 0);
 
     // Either every reader accepts with the same report and no drop, or the
     // batch reader errors and the gateway errors alike or counts the loss.

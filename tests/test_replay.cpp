@@ -263,9 +263,14 @@ TEST(TvcrFormatTest, FramesModeRoundTripsPcapByteForByte) {
     options.block_records = 64;
     const Bytes tvcr = to_tvcr_bytes(capture, options);
 
-    auto packets = from_tvcr_bytes(tvcr);
-    ASSERT_TRUE(packets.ok()) << packets.error().message;
-    EXPECT_EQ(net::to_pcap_bytes(packets.value()), net::to_pcap_bytes(capture));
+    // The export writes the stored snaplen and every orig_len, so the whole
+    // pcap, file header included, must come back.
+    auto reader = TvcrReader::from_bytes(tvcr);
+    ASSERT_TRUE(reader.ok()) << reader.error().message;
+    auto exported = export_tvcr_to_pcap(reader.value());
+    ASSERT_TRUE(exported.ok()) << exported.error().message;
+    EXPECT_TRUE(exported.value() == net::to_pcap_bytes(capture))
+        << "frames-mode export changed the pcap bytes";
 }
 
 TEST(TvcrFormatTest, SnappedPcapRoundTripsThroughFramesModeByteForByte) {
@@ -307,7 +312,6 @@ TEST(TvcrFormatTest, SnappedPcapRoundTripsThroughFramesModeByteForByte) {
 
 TEST(TvcrFormatTest, EventsModeRefusesFrameExport) {
     const Bytes tvcr = to_tvcr_bytes(replay_capture());
-    EXPECT_FALSE(from_tvcr_bytes(tvcr).ok());
     auto reader = TvcrReader::from_bytes(tvcr);
     ASSERT_TRUE(reader.ok());
     EXPECT_FALSE(export_tvcr_to_pcap(reader.value()).ok());
