@@ -1,7 +1,7 @@
 // bench_analyze — throughput/latency/memory benchmark for the streaming
 // capture analysis pipeline against the serial in-memory path.
 //
-//   bench_analyze [--jobs N] [--out BENCH_analyze.json]
+//   bench_analyze [--out BENCH_analyze.json]
 //
 // The workload is a deterministic synthetic capture (seeded Rng; DNS
 // responses are injected mid-stream, so remotes that send before their
@@ -13,14 +13,13 @@
 //
 // Two pipelines, same file, same device:
 //   baseline:  read file -> from_pcap_bytes materializes vector<Packet>
-//              -> serial CaptureAnalyzer::ingest_all
+//              -> the serial oracle (tests/oracle, oracle::analyze_serial)
 //   streaming: net::PcapReader -> StreamingCaptureAnalyzer (zero-copy
 //              parse, each packet attributed as it is read; finish()
 //              only hands the result over)
 // Results must be byte-identical (the process exits non-zero otherwise);
 // throughput, per-stage p50/p95 latency and the RSS proxy land in a
-// machine-readable BENCH_*.json. --jobs is accepted and recorded but has
-// no effect: attribution is one pass. Wall-clock readings here are benchmark
+// machine-readable BENCH_*.json. Wall-clock readings here are benchmark
 // instrumentation, not simulation state — hence the lint allowances.
 #include <sys/resource.h>
 
@@ -40,6 +39,7 @@
 #include "common/stats.hpp"
 #include "dns/message.hpp"
 #include "net/pcap.hpp"
+#include "oracle/serial.hpp"
 
 using namespace tvacr;
 
@@ -173,22 +173,15 @@ void write_stage(analysis::JsonWriter& json, const char* name, const StageStats&
 }
 
 int usage(const char* argv0) {
-    std::fprintf(stderr, "usage: %s [--jobs N] [--out BENCH_analyze.json]\n", argv0);
+    std::fprintf(stderr, "usage: %s [--out BENCH_analyze.json]\n", argv0);
     return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-    long jobs = 4;
     std::string out_path = "BENCH_analyze.json";
-    const auto positionals = common::parse_flags(
-        argc, argv,
-        {
-            {"--jobs", jobs, 1, 1024},
-            {"--out", out_path},
-        },
-        usage);
+    const auto positionals = common::parse_flags(argc, argv, {{"--out", out_path}}, usage);
     if (!positionals.empty()) return usage(argv[0]);
     const std::uint64_t packets = static_cast<std::uint64_t>(
         common::parse_env_int("TVACR_BENCH_PACKETS", 200000, 1, 1LL << 40));
@@ -251,8 +244,7 @@ int main(int argc, char** argv) {
             return 1;
         }
         const double t1 = now_seconds();
-        analysis::CaptureAnalyzer analyzer(kDevice);
-        analyzer.ingest_all(loaded.value());
+        const analysis::CaptureAnalyzer analyzer = oracle::analyze_serial(loaded.value(), kDevice);
         const double t2 = now_seconds();
         base_materialize.ms.push_back((t1 - t0) * 1e3);
         base_attribute.ms.push_back((t2 - t1) * 1e3);
@@ -268,8 +260,8 @@ int main(int argc, char** argv) {
 
     std::printf("baseline:  %10.0f pkts/s  (materialize p50 %.1f ms, attribute p50 %.1f ms)\n",
                 base_pps, base_materialize.p50(), base_attribute.p50());
-    std::printf("streaming: %10.0f pkts/s  (ingest p50 %.1f ms, finish p50 %.1f ms, %ld jobs)\n",
-                stream_pps, stream_ingest.p50(), stream_finish.p50(), jobs);
+    std::printf("streaming: %10.0f pkts/s  (ingest p50 %.1f ms, finish p50 %.1f ms)\n",
+                stream_pps, stream_ingest.p50(), stream_finish.p50());
     std::printf("speedup:   %.2fx   rss-proxy: %ld kB after streaming, %ld kB after baseline\n",
                 speedup, rss_after_stream, rss_after_baseline);
     std::printf("identical: %s\n", identical ? "yes" : "NO — STREAMING DIVERGED");
@@ -282,7 +274,6 @@ int main(int argc, char** argv) {
     json.key("domains").value(static_cast<std::uint64_t>(kDomains));
     json.key("pcap_bytes").value(static_cast<std::uint64_t>(pcap_bytes));
     json.end_object();
-    json.key("jobs").value(static_cast<std::int64_t>(jobs));
     json.key("repeats").value(repeats);
     json.key("baseline").begin_object();
     json.key("packets_per_sec").value(base_pps);

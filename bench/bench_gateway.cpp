@@ -12,11 +12,11 @@
 //   snapshot  p50/p95 latency of an incremental mid-stream snapshot (the
 //             control protocol's SNAPSHOT verb) taken every ~10% of the
 //             stream — the price of asking a live daemon for attribution.
-// The final snapshot must be byte-identical to the batch analyzer over the
-// same capture (exit non-zero otherwise) — the same gate the unit suite
-// and the CI integration job enforce, here at bench scale. Wall-clock
-// readings are benchmark instrumentation, not simulation state — hence the
-// lint allowance.
+// The final snapshot must be byte-identical to the serial oracle
+// (tests/oracle) over the same capture (exit non-zero otherwise) — the same
+// gate the unit suite and the CI integration job enforce, here at bench
+// scale. Wall-clock readings are benchmark instrumentation, not simulation
+// state — hence the lint allowance.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -35,6 +35,7 @@
 #include "gateway/gateway.hpp"
 #include "gateway/source.hpp"
 #include "net/pcap.hpp"
+#include "oracle/serial.hpp"
 #include "replay/replay.hpp"
 
 using namespace tvacr;
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
 
     const std::uint64_t total = generate_workload(pcap_path, packets, kDomains);
 
-    // Batch reference: the determinism gate the gateway must hit.
+    // Serial reference: the determinism gate the gateway must hit.
     std::string reference;
     {
         auto loaded = net::read_pcap_file(pcap_path);
@@ -144,9 +145,7 @@ int main(int argc, char** argv) {
             std::fprintf(stderr, "read failed: %s\n", loaded.error().message.c_str());
             return 1;
         }
-        analysis::CaptureAnalyzer analyzer(kDevice);
-        analyzer.ingest_all(loaded.value());
-        reference = replay::canonical_report(analyzer);
+        reference = replay::canonical_report(oracle::analyze_serial(loaded.value(), kDevice));
     }
 
     gateway::GatewayOptions options;

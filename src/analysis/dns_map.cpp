@@ -4,12 +4,6 @@
 
 namespace tvacr::analysis {
 
-void DnsMap::ingest(const net::ParsedPacket& packet) {
-    if (packet.udp && packet.udp->source_port == dns::kDnsPort) {
-        ingest_payload(packet.payload, packet.timestamp);
-    }
-}
-
 void DnsMap::ingest_payload(BytesView payload, SimTime timestamp) {
     auto message = dns::DnsMessage::decode(payload);
     if (!message || !message.value().is_response) return;
@@ -28,12 +22,6 @@ void DnsMap::ingest_payload(BytesView payload, SimTime timestamp) {
         by_address_.emplace(address, queried);  // first mapping wins
         entry.addresses.push_back(address);
     }
-}
-
-std::optional<std::string> DnsMap::domain_of(net::Ipv4Address address) const {
-    const std::string* domain = mapping_of(address);
-    if (domain == nullptr) return std::nullopt;
-    return *domain;
 }
 
 const std::string* DnsMap::mapping_of(net::Ipv4Address address) const {

@@ -6,34 +6,26 @@
 #pragma once
 
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/time.hpp"
-#include "net/packet.hpp"
+#include "net/address.hpp"
 
 namespace tvacr::analysis {
 
 class DnsMap {
   public:
-    /// Feeds one captured packet; DNS responses (UDP port 53) contribute
-    /// mappings, everything else is ignored.
-    void ingest(const net::ParsedPacket& packet);
-
-    /// Pre-extracted DNS payload (UDP datagram from the DNS source port),
-    /// for the streaming path and for replay from a .tvcr event stream
-    /// where the frame no longer exists. Identical semantics to ingesting a
-    /// DNS-port packet carrying `payload`.
+    /// Feeds the UDP payload of one captured datagram from the DNS source
+    /// port (the frame's, or a .tvcr record's where the frame no longer
+    /// exists). Responses contribute mappings; anything else is ignored.
     void ingest_payload(BytesView payload, SimTime timestamp);
 
-    /// Domain a server IP was resolved from, if seen. When several names
-    /// resolved to one IP, the first seen wins (stable attribution).
-    [[nodiscard]] std::optional<std::string> domain_of(net::Ipv4Address address) const;
-
-    /// domain_of without the copy: the mapped domain, or nullptr if the
-    /// address was never resolved. The pointer stays valid while the map
+    /// The domain a server IP was resolved from, or nullptr if the address
+    /// was never resolved. When several names resolved to one IP, the first
+    /// seen wins (stable attribution). The pointer stays valid while the map
     /// lives, since a mapping is never replaced.
     [[nodiscard]] const std::string* mapping_of(net::Ipv4Address address) const;
 

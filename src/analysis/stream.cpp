@@ -7,6 +7,20 @@
 
 namespace tvacr::analysis {
 
+DecodedRecord decode_record(BytesView frame, SimTime timestamp) {
+    const net::FrameSummary summary = net::summarize_frame(frame);
+    DecodedRecord record;
+    record.timestamp = timestamp;
+    record.frame_bytes = static_cast<std::uint32_t>(frame.size());
+    record.parseable = summary.attributable;
+    if (summary.attributable) {
+        record.source = summary.source;
+        record.destination = summary.destination;
+        record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
+    }
+    return record;
+}
+
 StreamingCaptureAnalyzer::StreamingCaptureAnalyzer(net::Ipv4Address device_ip,
                                                    StreamOptions /*options*/)
     : device_ip_(device_ip) {}
@@ -21,8 +35,16 @@ DomainStats& StreamingCaptureAnalyzer::bind(const std::string& domain, net::Ipv4
     return stats;
 }
 
-void StreamingCaptureAnalyzer::attribute(SimTime timestamp, std::uint32_t frame_bytes,
-                                         net::Ipv4Address source, net::Ipv4Address destination) {
+void StreamingCaptureAnalyzer::account(SimTime timestamp, std::uint32_t frame_bytes, bool parseable,
+                                       net::Ipv4Address source, net::Ipv4Address destination,
+                                       BytesView dns_payload) {
+    ++packets_total_;
+    if (!parseable) {
+        ++unparseable_;
+        return;
+    }
+    if (!dns_payload.empty()) dns_.ingest_payload(dns_payload, timestamp);
+
     const bool up = source == device_ip_;
     const bool down = destination == device_ip_;
     if (!up && !down) return;  // not the device's traffic (should not happen)
@@ -55,29 +77,16 @@ void StreamingCaptureAnalyzer::attribute(SimTime timestamp, std::uint32_t frame_
 }
 
 void StreamingCaptureAnalyzer::ingest(BytesView frame, SimTime timestamp) {
-    ++packets_total_;
     // summarize_frame replicates parse_packet_view's accept/reject decisions
-    // exactly (see net/fast_parse.hpp); `attributable` is the complement of
-    // the serial path's unparseable bucket, and `dns_payload` is the UDP
-    // payload DnsMap would harvest from a source-port-53 datagram.
+    // exactly (see net/fast_parse.hpp); `dns_payload` borrows the frame.
     const net::FrameSummary summary = net::summarize_frame(frame);
-    if (!summary.attributable) {
-        ++unparseable_;
-        return;
-    }
-    if (!summary.dns_payload.empty()) dns_.ingest_payload(summary.dns_payload, timestamp);
-    attribute(timestamp, static_cast<std::uint32_t>(frame.size()), summary.source,
-              summary.destination);
+    account(timestamp, static_cast<std::uint32_t>(frame.size()), summary.attributable,
+            summary.source, summary.destination, summary.dns_payload);
 }
 
 void StreamingCaptureAnalyzer::ingest(const DecodedRecord& record) {
-    ++packets_total_;
-    if (!record.parseable) {
-        ++unparseable_;
-        return;
-    }
-    if (!record.dns_payload.empty()) dns_.ingest_payload(record.dns_payload, record.timestamp);
-    attribute(record.timestamp, record.frame_bytes, record.source, record.destination);
+    account(record.timestamp, record.frame_bytes, record.parseable, record.source,
+            record.destination, record.dns_payload);
 }
 
 CaptureAnalyzer StreamingCaptureAnalyzer::finish() {

@@ -1,18 +1,17 @@
-// Streaming capture analysis.
+// Streaming capture analysis: the one attribution engine. Every tool, the
+// gateway, replay and the campaign's capture tap feed it, and it produces
+// the CaptureAnalyzer result. Packets arrive incrementally (pair it with
+// net::PcapReader so whole captures never sit in RAM) through a zero-copy
+// frame summary, or as DecodedRecords already reduced to that summary.
 //
-// The serial CaptureAnalyzer walks a fully materialized capture packet by
-// packet. This engine produces the *identical* analyzer — byte-for-byte on
-// every report and JSON output — while consuming packets incrementally
-// (pair it with net::PcapReader so whole captures never sit in RAM) through
-// a zero-copy parse.
-//
-// Each record is attributed as it is ingested, exactly as the serial path
-// does: DNS is harvested first, then the packet goes to its remote's
-// first mapping, or to "unresolved:<ip>" while there is none yet. A
-// per-remote route cache binds each remote to its domain slot once per
-// resolved state, so a resolved remote costs one cache lookup per packet.
-// A snapshot therefore costs a copy of what was attributed so far, never a
-// replay of the capture.
+// Each record is attributed as it is ingested, in capture order: DNS is
+// harvested first, then the packet goes to its remote's first mapping, or
+// to "unresolved:<ip>" while there is none yet. A per-remote route cache
+// binds each remote to its domain slot once per resolved state, so a
+// resolved remote costs one cache lookup per packet. A snapshot therefore
+// costs a copy of what was attributed so far, never a replay of the
+// capture. A serial parse-every-layer engine lives in tests/oracle/ as the
+// comparand of the byte-identity tests and benches.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +27,8 @@
 namespace tvacr::analysis {
 
 /// Accepted for compatibility and ignored: attribution is one serial pass
-/// in capture order, and the result never depended on either field.
+/// in capture order, and the result never depended on either field. It
+/// stays while the benchmark worker (acrbench/worker.cpp) still sets it.
 struct StreamOptions {
     std::size_t shards = 0;
     common::ThreadPool* pool = nullptr;
@@ -49,6 +49,11 @@ struct DecodedRecord {
     Bytes dns_payload;  // UDP payload iff sourced from the DNS port
 };
 
+/// The one frame-to-record step (net::summarize_frame's verdict, with the
+/// DNS payload copied out of the frame): what TvcrWriter stores and what
+/// the gateway's pcap source offers to its ring.
+[[nodiscard]] DecodedRecord decode_record(BytesView frame, SimTime timestamp);
+
 class StreamingCaptureAnalyzer {
   public:
     explicit StreamingCaptureAnalyzer(net::Ipv4Address device_ip, StreamOptions options = {});
@@ -61,13 +66,13 @@ class StreamingCaptureAnalyzer {
     StreamingCaptureAnalyzer& operator=(StreamingCaptureAnalyzer&&) = default;
 
     /// Ingests one captured frame (order must be capture order). The frame
-    /// bytes are only borrowed for the duration of the call.
+    /// bytes, DNS payload included, are only borrowed for the duration of
+    /// the call: no record is built.
     void ingest(BytesView frame, SimTime timestamp);
     void ingest(const net::Packet& packet) { ingest(packet.data, packet.timestamp); }
 
-    /// Ingests one pre-decoded record (replay path). Mirrors the frame
-    /// overload exactly: same unparseable accounting, DNS harvesting, and
-    /// attribution, minus the parse.
+    /// Ingests one pre-decoded record (replay and gateway path): the same
+    /// accounting step as the frame overload, minus the parse.
     void ingest(const DecodedRecord& record);
 
     /// Returns the assembled analyzer and leaves this one empty.
@@ -87,9 +92,10 @@ class StreamingCaptureAnalyzer {
         DomainStats* unresolved = nullptr;
     };
 
-    /// Attributes one parseable packet (DNS already harvested).
-    void attribute(SimTime timestamp, std::uint32_t frame_bytes, net::Ipv4Address source,
-                   net::Ipv4Address destination);
+    /// The step both ingest overloads share: counts the packet, harvests
+    /// `dns_payload`, then attributes a parseable packet.
+    void account(SimTime timestamp, std::uint32_t frame_bytes, bool parseable,
+                 net::Ipv4Address source, net::Ipv4Address destination, BytesView dns_payload);
     /// The domain's stats with `remote` among its addresses.
     DomainStats& bind(const std::string& domain, net::Ipv4Address remote);
 
@@ -108,8 +114,7 @@ class StreamingCaptureAnalyzer {
                                                           net::Ipv4Address device_ip,
                                                           StreamOptions options = {});
 
-/// Runs the streaming engine over an in-memory capture (same result as the
-/// serial CaptureAnalyzer::ingest_all, proven by the byte-identity tests).
+/// Runs the streaming engine over an in-memory capture.
 [[nodiscard]] CaptureAnalyzer analyze_packets(const std::vector<net::Packet>& packets,
                                               net::Ipv4Address device_ip,
                                               StreamOptions options = {});

@@ -4,48 +4,6 @@
 
 namespace tvacr::analysis {
 
-void CaptureAnalyzer::ingest(const net::Packet& packet) {
-    ++packets_total_;
-    auto parsed = net::parse_packet(packet);
-    if (!parsed || !parsed.value().ip) {
-        ++unparseable_;
-        return;
-    }
-    dns_.ingest(parsed.value());
-
-    const auto& ip = *parsed.value().ip;
-    const bool up = ip.source == device_ip_;
-    const bool down = ip.destination == device_ip_;
-    if (!up && !down) return;  // not the device's traffic (should not happen)
-
-    const net::Ipv4Address remote = up ? ip.destination : ip.source;
-    const std::string domain =
-        dns_.domain_of(remote).value_or("unresolved:" + remote.to_string());
-
-    auto& stats = domains_[domain];
-    if (stats.packets == 0) {
-        stats.domain = domain;
-        stats.first_seen = packet.timestamp;
-    }
-    if (std::find(stats.addresses.begin(), stats.addresses.end(), remote) ==
-        stats.addresses.end()) {
-        stats.addresses.push_back(remote);
-    }
-    stats.packets += 1;
-    if (up) {
-        stats.bytes_up += packet.size();
-    } else {
-        stats.bytes_down += packet.size();
-    }
-    stats.last_seen = packet.timestamp;
-    stats.events.push_back(PacketEvent{packet.timestamp, static_cast<std::uint32_t>(packet.size()),
-                                       up});
-}
-
-void CaptureAnalyzer::ingest_all(const std::vector<net::Packet>& packets) {
-    for (const auto& packet : packets) ingest(packet);
-}
-
 std::vector<const DomainStats*> CaptureAnalyzer::domains_by_bytes() const {
     std::vector<const DomainStats*> out;
     out.reserve(domains_.size());

@@ -3,12 +3,15 @@
 // (packet timing).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/dns_map.hpp"
-#include "net/packet.hpp"
+#include "common/time.hpp"
+#include "net/address.hpp"
 
 namespace tvacr::analysis {
 
@@ -35,15 +38,20 @@ struct DomainStats {
     }
 };
 
-/// Walks a capture: harvests DNS, attributes every IP packet involving the
-/// device to the remote endpoint's domain (or "unresolved:<ip>").
+/// The analysis of one capture: its harvested DNS and every IP packet
+/// involving the device, attributed to the remote endpoint's domain (or
+/// "unresolved:<ip>"). StreamingCaptureAnalyzer builds it; this type only
+/// holds and queries the result.
 class CaptureAnalyzer {
   public:
-    explicit CaptureAnalyzer(net::Ipv4Address device_ip) : device_ip_(device_ip) {}
-
-    /// Ingests a raw captured frame (order must be capture order).
-    void ingest(const net::Packet& packet);
-    void ingest_all(const std::vector<net::Packet>& packets);
+    CaptureAnalyzer(net::Ipv4Address device_ip, DnsMap dns,
+                    std::map<std::string, DomainStats> domains, std::uint64_t packets_total,
+                    std::uint64_t unparseable)
+        : device_ip_(device_ip),
+          dns_(std::move(dns)),
+          domains_(std::move(domains)),
+          packets_total_(packets_total),
+          unparseable_(unparseable) {}
 
     [[nodiscard]] const DnsMap& dns() const noexcept { return dns_; }
     [[nodiscard]] net::Ipv4Address device_ip() const noexcept { return device_ip_; }
@@ -57,17 +65,6 @@ class CaptureAnalyzer {
     [[nodiscard]] std::uint64_t unparseable() const noexcept { return unparseable_; }
 
   private:
-    friend class StreamingCaptureAnalyzer;  // hands over its attributed domains
-
-    CaptureAnalyzer(net::Ipv4Address device_ip, DnsMap dns,
-                    std::map<std::string, DomainStats> domains, std::uint64_t packets_total,
-                    std::uint64_t unparseable)
-        : device_ip_(device_ip),
-          dns_(std::move(dns)),
-          domains_(std::move(domains)),
-          packets_total_(packets_total),
-          unparseable_(unparseable) {}
-
     net::Ipv4Address device_ip_;
     DnsMap dns_;
     std::map<std::string, DomainStats> domains_;

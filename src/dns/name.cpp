@@ -14,7 +14,9 @@ Result<DomainName> DomainName::parse(std::string_view text) {
 
     std::size_t total = 0;
     for (const auto& label : split(body, '.')) {
-        if (label.empty()) return make_error("DomainName: empty label in '" + std::string(text) + "'");
+        if (label.empty()) {
+            return make_error("DomainName: empty label in '" + std::string(text) + "'");
+        }
         if (label.size() > 63) return make_error("DomainName: label exceeds 63 octets");
         total += label.size() + 1;
         name.labels_.push_back(to_lower(label));
@@ -36,7 +38,7 @@ std::string DomainName::to_string() const {
     return join(labels_, ".");
 }
 
-bool DomainName::is_subdomain_of(const DomainName& suffix) const {
+bool DomainName::is_within(const DomainName& suffix) const {
     if (suffix.labels_.size() > labels_.size()) return false;
     return std::equal(suffix.labels_.rbegin(), suffix.labels_.rend(), labels_.rbegin());
 }

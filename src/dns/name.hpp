@@ -31,7 +31,7 @@ class DomainName {
     [[nodiscard]] std::string to_string() const;
 
     /// True if this name is `suffix` or ends with ".suffix".
-    [[nodiscard]] bool is_subdomain_of(const DomainName& suffix) const;
+    [[nodiscard]] bool is_within(const DomainName& suffix) const;
 
     auto operator<=>(const DomainName&) const = default;
 

@@ -2,8 +2,6 @@
 
 #include <fstream>
 
-#include "net/fast_parse.hpp"
-
 #if defined(__unix__) || defined(__APPLE__)
 #define TVACR_GATEWAY_HAVE_FD 1
 #include <cerrno>
@@ -26,21 +24,6 @@ void append_and_compact(Bytes& buffer, std::size_t& consumed, BytesView bytes) {
         consumed = 0;
     }
     buffer.insert(buffer.end(), bytes.begin(), bytes.end());
-}
-
-analysis::DecodedRecord record_from_pcap(const net::PcapRecord& pcap) {
-    const BytesView frame = pcap.frame;
-    analysis::DecodedRecord record;
-    record.timestamp = pcap.timestamp;
-    record.frame_bytes = static_cast<std::uint32_t>(frame.size());
-    const net::FrameSummary summary = net::summarize_frame(frame);
-    record.parseable = summary.attributable;
-    if (summary.attributable) {
-        record.source = summary.source;
-        record.destination = summary.destination;
-        record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
-    }
-    return record;
 }
 
 }  // namespace
@@ -158,7 +141,8 @@ Status StreamSource::decode_pcap(Gateway& gateway) {
         auto step = net::decode_pcap_record(*pcap_, pending());
         if (!step.ok()) return step.error();
         if (!step.value().record) return Status::success();  // wait for the rest
-        offer(gateway, record_from_pcap(*step.value().record));
+        const net::PcapRecord& pcap = *step.value().record;
+        offer(gateway, analysis::decode_record(pcap.frame, pcap.timestamp));
         consumed_ += step.value().size;
     }
 }
@@ -183,7 +167,7 @@ Status StreamSource::decode_tvcr(Gateway& gateway) {
                                                         tvcr_->snaplen);
             if (!records.ok()) return records.error();
             for (replay::TvcrRecord& record : records.value()) {
-                offer(gateway, replay::to_decoded_record(std::move(record)));
+                offer(gateway, std::move(record));
             }
         }
         consumed_ += step.value().size;

@@ -77,6 +77,9 @@ const std::map<std::string, std::set<std::string>>& layering_contract() {
         {"gateway", {"analysis", "common", "net", "obs", "replay"}},
         {"fleet", {"analysis", "common", "dns", "fault", "net", "obs", "replay", "tv"}},
         {"core", {"analysis", "common", "fault", "fp", "geo", "obs", "replay", "sim", "tv"}},
+        // The test-only reference engines (tests/oracle): no module may
+        // include them, so a library edge to "oracle/..." is a finding.
+        {"oracle", {}},
     };
     return kContract;
 }

@@ -40,9 +40,9 @@ Result<analysis::CaptureAnalyzer> ReplayEngine::run(net::Ipv4Address device_ip,
         auto records = reader_.read_block(b);
         if (!records) return records.error();
         ++stats_.blocks_read;
-        for (TvcrRecord& record : records.value()) {
+        for (const TvcrRecord& record : records.value()) {
             if (options.since.has_value() && record.timestamp < *options.since) continue;
-            analyzer.ingest(to_decoded_record(std::move(record)));
+            analyzer.ingest(record);
             ++stats_.records_replayed;
         }
     }

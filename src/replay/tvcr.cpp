@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "common/file_io.hpp"
-#include "net/fast_parse.hpp"
 #include "net/pcapng.hpp"
 #include "replay/codec.hpp"
 
@@ -63,17 +62,6 @@ Result<TvcrFileHeader> parse_tvcr_file_header(BytesView data) {
     return header;
 }
 
-analysis::DecodedRecord to_decoded_record(TvcrRecord&& record) {
-    analysis::DecodedRecord decoded;
-    decoded.timestamp = record.timestamp;
-    decoded.frame_bytes = record.frame_bytes;
-    decoded.parseable = record.parseable;
-    decoded.source = record.source;
-    decoded.destination = record.destination;
-    decoded.dns_payload = std::move(record.dns_payload);
-    return decoded;
-}
-
 // ------------------------------------------------------------- TvcrWriter
 
 struct TvcrWriter::Impl {
@@ -101,20 +89,10 @@ TvcrWriter::TvcrWriter(std::ostream& out, TvcrOptions options)
 TvcrWriter::~TvcrWriter() = default;
 
 void TvcrWriter::add(BytesView frame, SimTime timestamp, std::uint32_t orig_len) {
-    TvcrRecord record;
-    record.timestamp = timestamp;
-    record.frame_bytes = static_cast<std::uint32_t>(frame.size());
+    TvcrRecord record{analysis::decode_record(frame, timestamp), 0, {}};
     // The stored difference orig_len - frame_bytes must not wrap.
     record.orig_len = std::max(orig_len, record.frame_bytes);
     if (options_.keep_frames) record.frame.assign(frame.begin(), frame.end());
-
-    const net::FrameSummary summary = net::summarize_frame(frame);
-    if (summary.attributable) {
-        record.parseable = true;
-        record.source = summary.source;
-        record.destination = summary.destination;
-        record.dns_payload.assign(summary.dns_payload.begin(), summary.dns_payload.end());
-    }
 
     impl_->pending.push_back(std::move(record));
     ++records_total_;

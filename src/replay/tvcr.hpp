@@ -91,21 +91,13 @@ struct TvcrOptions {
     std::uint32_t snaplen = net::kPcapSnapLen;
 };
 
-/// One decoded record, as stored in (and read back from) a .tvcr block.
-struct TvcrRecord {
-    SimTime timestamp;
-    std::uint32_t frame_bytes = 0;  // captured (post-snaplen) frame length
-    std::uint32_t orig_len = 0;     // original frame length before capping
-    bool parseable = false;         // decoded as Ethernet/IPv4 at write time
-    net::Ipv4Address source;
-    net::Ipv4Address destination;
-    Bytes dns_payload;  // UDP payload iff sourced from the DNS port
-    Bytes frame;        // raw frame bytes (frames mode only)
+/// One decoded record, as stored in (and read back from) a .tvcr block:
+/// the analyzer's DecodedRecord, which replay ingests as is, plus what a
+/// pcap export needs. frame_bytes is the captured (post-snaplen) length.
+struct TvcrRecord : analysis::DecodedRecord {
+    std::uint32_t orig_len = 0;  // original frame length before capping
+    Bytes frame;                 // raw frame bytes (frames mode only)
 };
-
-/// The analyzer-facing part of a record, for replay through
-/// StreamingCaptureAnalyzer. The DNS payload is moved, not copied.
-[[nodiscard]] analysis::DecodedRecord to_decoded_record(TvcrRecord&& record);
 
 /// One block header, plus where the walk found it: everything a reader
 /// needs to fetch, verify and decode the block without touching other

@@ -103,7 +103,7 @@ void Cloud::block_domain(const std::string& name) {
 
 bool Cloud::is_blocked(const dns::DomainName& name) const {
     for (const auto& blocked : blocklist_) {
-        if (name.is_subdomain_of(blocked)) return true;
+        if (name.is_within(blocked)) return true;
     }
     return false;
 }

@@ -19,6 +19,7 @@
 #include "common/rng.hpp"
 #include "common/strings.hpp"
 #include "dns/message.hpp"
+#include "oracle/serial.hpp"
 
 namespace tvacr::analysis {
 namespace {
@@ -50,29 +51,37 @@ net::Packet tcp_packet(Ipv4Address src, Ipv4Address dst, SimTime t, std::size_t 
 
 // ------------------------------------------------------------------ DnsMap
 
+/// Feeds one captured packet to `map` as the engines do: the UDP payload
+/// of a datagram from the DNS source port, nothing for anything else.
+void harvest(DnsMap& map, const net::Packet& packet) {
+    const auto parsed = net::parse_packet(packet).value();
+    if (parsed.udp && parsed.udp->source_port == dns::kDnsPort) {
+        map.ingest_payload(parsed.payload, parsed.timestamp);
+    }
+}
+
 TEST(DnsMapTest, HarvestsAddressMappings) {
     DnsMap map;
-    const auto packet = dns_response_packet("acr-eu-prd.samsungcloud.tv", kServer, SimTime{});
-    map.ingest(net::parse_packet(packet).value());
+    harvest(map, dns_response_packet("acr-eu-prd.samsungcloud.tv", kServer, SimTime{}));
     EXPECT_EQ(map.responses_seen(), 1U);
-    ASSERT_TRUE(map.domain_of(kServer).has_value());
-    EXPECT_EQ(*map.domain_of(kServer), "acr-eu-prd.samsungcloud.tv");
-    EXPECT_FALSE(map.domain_of(Ipv4Address(1, 1, 1, 1)).has_value());
+    ASSERT_NE(map.mapping_of(kServer), nullptr);
+    EXPECT_EQ(*map.mapping_of(kServer), "acr-eu-prd.samsungcloud.tv");
+    EXPECT_EQ(map.mapping_of(Ipv4Address(1, 1, 1, 1)), nullptr);
 }
 
 TEST(DnsMapTest, FirstMappingWins) {
     DnsMap map;
-    map.ingest(net::parse_packet(dns_response_packet("first.example.com", kServer, SimTime{}))
-                   .value());
-    map.ingest(net::parse_packet(dns_response_packet("second.example.com", kServer, SimTime{}))
-                   .value());
-    EXPECT_EQ(*map.domain_of(kServer), "first.example.com");
+    harvest(map, dns_response_packet("first.example.com", kServer, SimTime{}));
+    harvest(map, dns_response_packet("second.example.com", kServer, SimTime{}));
+    EXPECT_EQ(*map.mapping_of(kServer), "first.example.com");
     EXPECT_EQ(map.queried_names().size(), 2U);
 }
 
 TEST(DnsMapTest, IgnoresNonDnsTraffic) {
     DnsMap map;
-    map.ingest(net::parse_packet(tcp_packet(kDevice, kServer, SimTime{}, 100)).value());
+    harvest(map, tcp_packet(kDevice, kServer, SimTime{}, 100));
+    // A payload that is not a DNS response is ignored too.
+    map.ingest_payload(Bytes(100, 0xEE), SimTime{});
     EXPECT_EQ(map.responses_seen(), 0U);
     EXPECT_EQ(map.mapping_count(), 0U);
 }
@@ -80,10 +89,12 @@ TEST(DnsMapTest, IgnoresNonDnsTraffic) {
 // --------------------------------------------------------- CaptureAnalyzer
 
 TEST(CaptureAnalyzerTest, AttributesTrafficByDomainAndDirection) {
-    CaptureAnalyzer analyzer(kDevice);
-    analyzer.ingest(dns_response_packet("acr-eu-prd.samsungcloud.tv", kServer, SimTime::millis(1)));
-    analyzer.ingest(tcp_packet(kDevice, kServer, SimTime::millis(10), 1000));  // up
-    analyzer.ingest(tcp_packet(kServer, kDevice, SimTime::millis(20), 300));   // down
+    std::vector<net::Packet> capture;
+    capture.push_back(
+        dns_response_packet("acr-eu-prd.samsungcloud.tv", kServer, SimTime::millis(1)));
+    capture.push_back(tcp_packet(kDevice, kServer, SimTime::millis(10), 1000));  // up
+    capture.push_back(tcp_packet(kServer, kDevice, SimTime::millis(20), 300));   // down
+    const auto analyzer = analyze_packets(capture, kDevice);
 
     const auto* stats = analyzer.find("acr-eu-prd.samsungcloud.tv");
     ASSERT_NE(stats, nullptr);
@@ -97,8 +108,8 @@ TEST(CaptureAnalyzerTest, AttributesTrafficByDomainAndDirection) {
 }
 
 TEST(CaptureAnalyzerTest, UnresolvedIpsGetPlaceholderDomain) {
-    CaptureAnalyzer analyzer(kDevice);
-    analyzer.ingest(tcp_packet(kDevice, Ipv4Address(8, 8, 4, 4), SimTime{}, 64));
+    const auto analyzer =
+        analyze_packets({tcp_packet(kDevice, Ipv4Address(8, 8, 4, 4), SimTime{}, 64)}, kDevice);
     const auto domains = analyzer.domains_by_bytes();
     ASSERT_EQ(domains.size(), 1U);
     ASSERT_NE(analyzer.find("unresolved:8.8.4.4"), nullptr);
@@ -106,11 +117,13 @@ TEST(CaptureAnalyzerTest, UnresolvedIpsGetPlaceholderDomain) {
 }
 
 TEST(CaptureAnalyzerTest, SortsByBytes) {
-    CaptureAnalyzer analyzer(kDevice);
-    analyzer.ingest(dns_response_packet("small.example.com", Ipv4Address(23, 0, 1, 1), SimTime{}));
-    analyzer.ingest(dns_response_packet("big.example.com", Ipv4Address(23, 0, 2, 1), SimTime{}));
-    analyzer.ingest(tcp_packet(kDevice, Ipv4Address(23, 0, 1, 1), SimTime{}, 10));
-    analyzer.ingest(tcp_packet(kDevice, Ipv4Address(23, 0, 2, 1), SimTime{}, 5000));
+    std::vector<net::Packet> capture;
+    capture.push_back(
+        dns_response_packet("small.example.com", Ipv4Address(23, 0, 1, 1), SimTime{}));
+    capture.push_back(dns_response_packet("big.example.com", Ipv4Address(23, 0, 2, 1), SimTime{}));
+    capture.push_back(tcp_packet(kDevice, Ipv4Address(23, 0, 1, 1), SimTime{}, 10));
+    capture.push_back(tcp_packet(kDevice, Ipv4Address(23, 0, 2, 1), SimTime{}, 5000));
+    const auto analyzer = analyze_packets(capture, kDevice);
     const auto sorted = analyzer.domains_by_bytes();
     ASSERT_GE(sorted.size(), 2U);
     EXPECT_EQ(sorted[0]->domain, "big.example.com");
@@ -123,15 +136,16 @@ TEST(CaptureAnalyzerTest, EqualByteDomainsRankAlphabetically) {
     // the sort's internal partitioning — nondeterministic across standard
     // libraries, and a byte-diff in every rendered table. Ties now break
     // alphabetically.
-    CaptureAnalyzer analyzer(kDevice);
+    std::vector<net::Packet> capture;
     const int kTies = 24;
     for (int d = 0; d < kTies; ++d) {
         char name[32];
         std::snprintf(name, sizeof(name), "tie%02d.example.com", d);
         const Ipv4Address server(23, 1, 0, static_cast<std::uint8_t>(d + 1));
-        analyzer.ingest(dns_response_packet(name, server, SimTime::millis(d)));
-        analyzer.ingest(tcp_packet(kDevice, server, SimTime::millis(100 + d), 400));
+        capture.push_back(dns_response_packet(name, server, SimTime::millis(d)));
+        capture.push_back(tcp_packet(kDevice, server, SimTime::millis(100 + d), 400));
     }
+    const auto analyzer = analyze_packets(capture, kDevice);
     std::vector<std::string> ranked;
     for (const auto* stats : analyzer.domains_by_bytes()) {
         if (stats->domain.rfind("tie", 0) == 0) ranked.push_back(stats->domain);
@@ -276,14 +290,13 @@ TEST(AcrDetectTest, BlocklistMatchesSuffixes) {
 
 CaptureAnalyzer analyzer_with(const std::string& domain, Ipv4Address server,
                               const std::vector<PacketEvent>& events) {
-    CaptureAnalyzer analyzer(kDevice);
-    analyzer.ingest(dns_response_packet(domain, server, SimTime{}));
+    std::vector<net::Packet> capture{dns_response_packet(domain, server, SimTime{})};
     for (const auto& event : events) {
-        analyzer.ingest(tcp_packet(event.device_to_server ? kDevice : server,
-                                   event.device_to_server ? server : kDevice, event.timestamp,
-                                   event.frame_bytes));
+        capture.push_back(tcp_packet(event.device_to_server ? kDevice : server,
+                                     event.device_to_server ? server : kDevice, event.timestamp,
+                                     event.frame_bytes));
     }
-    return analyzer;
+    return analyze_packets(capture, kDevice);
 }
 
 TEST(AcrDetectTest, RegularAcrNamedDomainIsFlagged) {
@@ -320,7 +333,7 @@ TEST(AcrDetectTest, OptOutDifferentialConfirmsAndRefutes) {
     const auto opted_in = analyzer_with("eu-acr3.alphonso.tv", kServer,
                                         periodic_events(SimTime::seconds(15), 30));
     // Control capture where the domain is gone: differential positive.
-    const CaptureAnalyzer empty_control(kDevice);
+    const CaptureAnalyzer empty_control = analyze_packets({}, kDevice);
     const AcrDomainIdentifier identifier;
     const auto find_acr = [](const std::vector<AcrFinding>& findings) -> const AcrFinding* {
         for (const auto& finding : findings) {
@@ -485,8 +498,7 @@ std::vector<net::Packet> temporal_capture() {
 
 TEST(StreamingAnalyzerTest, MatchesSerialOnTemporalDnsCorners) {
     const auto capture = temporal_capture();
-    CaptureAnalyzer serial(kDevice);
-    serial.ingest_all(capture);
+    const CaptureAnalyzer serial = oracle::analyze_serial(capture, kDevice);
 
     // Pre-birth traffic stays unresolved even though the mapping exists by
     // the end of the capture — in both engines.
@@ -525,8 +537,7 @@ TEST(StreamingAnalyzerTest, GoldenCapturesAreByteIdenticalToSerialPath) {
     const char* name = "/samsung_uk_linear_2min_seed7.pcap";
     const auto packets = net::read_pcap_file(dir + name);
     ASSERT_TRUE(packets.ok());
-    CaptureAnalyzer serial(kDevice);
-    serial.ingest_all(packets.value());
+    const CaptureAnalyzer serial = oracle::analyze_serial(packets.value(), kDevice);
 
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
         SCOPED_TRACE(shards);
@@ -551,8 +562,7 @@ TEST(StreamingAnalyzerTest, PcapngFallbackPathMatchesSerial) {
     ASSERT_TRUE(decoded.ok()) << decoded.error().message;
     ASSERT_EQ(decoded.value().size(), capture.size());
 
-    CaptureAnalyzer serial(kDevice);
-    serial.ingest_all(capture);
+    const CaptureAnalyzer serial = oracle::analyze_serial(capture, kDevice);
     common::ThreadPool pool(4);
     for (const std::size_t shards : {std::size_t{1}, std::size_t{4}, std::size_t{7}}) {
         SCOPED_TRACE(shards);

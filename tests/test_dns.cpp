@@ -36,9 +36,9 @@ TEST(DomainNameTest, RejectsOversizedLabels) {
 
 TEST(DomainNameTest, SubdomainMatching) {
     const auto parent = DomainName::parse("alphonso.tv").value();
-    EXPECT_TRUE(DomainName::parse("eu-acr7.alphonso.tv").value().is_subdomain_of(parent));
-    EXPECT_TRUE(parent.is_subdomain_of(parent));
-    EXPECT_FALSE(DomainName::parse("alphonso.tv.evil.com").value().is_subdomain_of(parent));
+    EXPECT_TRUE(DomainName::parse("eu-acr7.alphonso.tv").value().is_within(parent));
+    EXPECT_TRUE(parent.is_within(parent));
+    EXPECT_FALSE(DomainName::parse("alphonso.tv.evil.com").value().is_within(parent));
 }
 
 TEST(DomainNameTest, ReverseOf) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis/acr_detect.hpp"
+#include "analysis/stream.hpp"
 #include "core/campaign.hpp"
 #include "core/mitm_audit.hpp"
 #include "sim/dns_client.hpp"
@@ -217,8 +218,7 @@ TEST(VoiceToggleTest, VoiceServiceGatedIndependentlyOfAcr) {
         bed.tv().set_scenario(spec.scenario);
         bed.plug().schedule_cycle(SimTime::seconds(1), SimTime::seconds(1) + spec.duration);
         bed.simulator().run_until(SimTime::seconds(6) + spec.duration);
-        analysis::CaptureAnalyzer analyzer(bed.tv().station().ip());
-        analyzer.ingest_all(bed.capture());
+        const auto analyzer = analysis::analyze_packets(bed.capture(), bed.tv().station().ip());
         EXPECT_DOUBLE_EQ(analyzer.kilobytes_for(voice_domain), 0.0);
         double acr_kb = 0.0;
         for (const auto& domain : bed.tv().acr().domain_names()) {
@@ -233,8 +233,7 @@ TEST(VoiceToggleTest, VoiceServiceGatedIndependentlyOfAcr) {
         bed.tv().set_scenario(spec.scenario);
         bed.plug().schedule_cycle(SimTime::seconds(1), SimTime::seconds(1) + spec.duration);
         bed.simulator().run_until(SimTime::seconds(6) + spec.duration);
-        analysis::CaptureAnalyzer analyzer(bed.tv().station().ip());
-        analyzer.ingest_all(bed.capture());
+        const auto analyzer = analysis::analyze_packets(bed.capture(), bed.tv().station().ip());
         EXPECT_GT(analyzer.kilobytes_for(voice_domain), 1.0);
         double acr_kb = 0.0;
         for (const auto& domain : bed.tv().acr().domain_names()) {

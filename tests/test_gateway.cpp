@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/stream.hpp"
 #include "analysis/traffic.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -24,7 +25,6 @@
 #include "gateway/control.hpp"
 #include "gateway/gateway.hpp"
 #include "gateway/source.hpp"
-#include "net/fast_parse.hpp"
 #include "net/packet.hpp"
 #include "net/pcap.hpp"
 #include "replay/replay.hpp"
@@ -267,15 +267,7 @@ TEST(GatewayBackpressure, ConservationHoldsOverRandomizedLoadPatterns) {
         while (next < capture.size()) {
             const auto burst = static_cast<std::size_t>(rng.uniform(1, 48));
             for (std::size_t i = 0; i < burst && next < capture.size(); ++i, ++next) {
-                analysis::DecodedRecord record;
-                record.timestamp = capture[next].timestamp;
-                record.frame_bytes = static_cast<std::uint32_t>(capture[next].data.size());
-                const auto view = net::summarize_frame(capture[next].data);
-                record.parseable = view.attributable;
-                record.source = view.source;
-                record.destination = view.destination;
-                record.dns_payload.assign(view.dns_payload.begin(), view.dns_payload.end());
-                gateway.offer(std::move(record));
+                gateway.offer(analysis::decode_record(capture[next].data, capture[next].timestamp));
             }
             if (rng.chance(0.2)) gateway.note_truncated(rng.uniform(1, 3));
             gateway.drain(static_cast<std::size_t>(rng.uniform(0, 24)));
@@ -311,15 +303,8 @@ TEST(GatewayBackpressure, GrownRingDropsLikeAFullRing) {
         const std::size_t burst = kSteps[step % std::size(kSteps)][0];
         const std::size_t take = kSteps[step % std::size(kSteps)][1];
         for (std::size_t i = 0; i < burst && next < capture.size(); ++i, ++next) {
-            const auto view = net::summarize_frame(capture[next].data);
-            analysis::DecodedRecord record;
-            record.timestamp = capture[next].timestamp;
-            record.frame_bytes = static_cast<std::uint32_t>(capture[next].data.size());
-            record.parseable = view.attributable;
-            record.source = view.source;
-            record.destination = view.destination;
-            record.dns_payload.assign(view.dns_payload.begin(), view.dns_payload.end());
             const bool expect_accept = waiting < kCapacity;
+            auto record = analysis::decode_record(capture[next].data, capture[next].timestamp);
             ASSERT_EQ(gateway.offer(std::move(record)), expect_accept) << "offer " << next;
             if (expect_accept) {
                 ++waiting;

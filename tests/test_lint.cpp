@@ -704,10 +704,11 @@ TEST(LintReport, GoldenJsonReport) {
 
 // ----------------------------------------------------------- include graph
 
-/// The graph fixture subtree, read from tests/lint_fixtures/graph/ but keyed
-/// by src/-relative display paths so the layering contract engages.
-std::vector<std::pair<std::string, std::string>> graph_fixture_sources() {
-    const std::filesystem::path root = std::filesystem::path(fixture_root()) / "graph";
+/// A fixture subtree (default tests/lint_fixtures/graph/), keyed by
+/// src/-relative display paths so the layering contract engages.
+std::vector<std::pair<std::string, std::string>> graph_fixture_sources(
+    const std::string& subtree = "graph") {
+    const std::filesystem::path root = std::filesystem::path(fixture_root()) / subtree;
     std::vector<std::string> relatives;
     for (const auto& entry : std::filesystem::recursive_directory_iterator(root)) {
         if (entry.is_regular_file()) {
@@ -756,6 +757,24 @@ TEST(LintIncludeGraph, LayeringViolationsAndCycleAreFound) {
         }
     }
     EXPECT_TRUE(saw_cycle);
+}
+
+TEST(LintIncludeGraph, LibraryIncludingTheTestOracleIsALayeringFinding) {
+    // tests/oracle holds reference engines for tests and benches only; the
+    // contract lists "oracle" with no module allowed to depend on it.
+    const auto& contract = layering_contract();
+    ASSERT_EQ(contract.count("oracle"), 1u);
+    for (const auto& [module, deps] : contract) EXPECT_EQ(deps.count("oracle"), 0u) << module;
+
+    std::vector<Finding> findings;
+    IncludeGraph::build(graph_fixture_sources("oracle")).check(findings);
+    ASSERT_EQ(findings.size(), 1u);
+    EXPECT_EQ(findings[0].rule, kIncludeLayeringRule);
+    EXPECT_EQ(findings[0].path, "src/analysis/engine.hpp");
+    EXPECT_EQ(findings[0].line, 5u);
+    EXPECT_NE(findings[0].message.find("module 'analysis' may not include 'oracle/serial.hpp'"),
+              std::string::npos)
+        << findings[0].message;
 }
 
 TEST(LintIncludeGraph, CheckIsStableAcrossInputOrder) {

@@ -1,7 +1,6 @@
 // tvacr_analyze — ACR traffic analysis for a capture file.
 //
-//   tvacr_analyze <capture.{pcap,pcapng,tvcr}> <device-ip>
-//                 [--minutes N] [--jobs N]
+//   tvacr_analyze <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N]
 //                 [--resume-from BLOCK] [--since SECONDS] [--report out.txt]
 //
 // Runs the paper's analysis pipeline on an arbitrary capture: per-domain
@@ -12,12 +11,12 @@
 // the file's magic number (replay::sniff_capture_format); an unrecognized
 // magic is read as pcap and fails with the pcap reader's error.
 //
-// Plain pcap input is streamed: the capture is read incrementally through
-// net::PcapReader and each packet is attributed as it is read, so the
-// capture's frames never sit in memory. --jobs N is accepted and has no
-// effect: attribution is one pass, and the output is byte-identical for
-// every jobs value. pcapng input falls back to the in-memory decoder (its
-// block structure needs the whole file).
+// Every input goes through the one streaming attribution engine
+// (analysis::StreamingCaptureAnalyzer), one pass in capture order. Plain
+// pcap input is read incrementally through net::PcapReader and each packet
+// is attributed as it is read, so the capture's frames never sit in memory.
+// pcapng input falls back to the in-memory decoder (its block structure
+// needs the whole file).
 //
 // .tvcr input replays the recorded event stream instead of re-parsing
 // frames, and unlocks resumable analysis: --resume-from k restarts at block
@@ -26,7 +25,8 @@
 // corresponding packet range. --report writes the canonical (filename-free)
 // report used by the CI replay-determinism gate.
 //
-// Unknown flags and flags missing their value exit 2 with usage.
+// Unknown flags (--jobs among them: there is nothing to parallelize) and
+// flags missing their value exit 2 with usage.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -48,7 +48,7 @@ namespace {
 
 int usage(const char* argv0) {
     std::fprintf(stderr,
-                 "usage: %s <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N] [--jobs N]\n"
+                 "usage: %s <capture.{pcap,pcapng,tvcr}> <device-ip> [--minutes N]\n"
                  "          [--resume-from BLOCK] [--since SECONDS] [--report out.txt]\n",
                  argv0);
     return 2;
@@ -58,7 +58,6 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
     long long minutes = 60;
-    long jobs = 1;
     long long resume_from = -1;  // -1: flag not given
     long long since_s = -1;
     std::string report_path;
@@ -66,7 +65,6 @@ int main(int argc, char** argv) {
         argc, argv,
         {
             {"--minutes", minutes, 1, 1 << 24},
-            {"--jobs", jobs, 1, 1024},
             {"--resume-from", resume_from, 0, 1LL << 40},
             {"--since", since_s, 0, 1LL << 40},
             {"--report", report_path},

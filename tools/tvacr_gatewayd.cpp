@@ -1,18 +1,20 @@
 // tvacr_gatewayd — resident ingest gateway daemon.
 //
 //   tvacr_gatewayd <capture.{pcap,tvcr}|fd:N> <device-ip>
-//                  [--jobs N] [--ring N] [--ingest-bytes N] [--drain-batch N]
+//                  [--ring N] [--ingest-bytes N] [--drain-batch N]
 //                  [--follow] [--control]
 //                  [--snapshot-out P] [--metrics-out P] [--ledger-out P]
 //
 // Continuously ingests a capture stream — a pcap/.tvcr file (tailed for
 // growth with --follow, so it may still be written) or raw pcap bytes on an
 // inherited descriptor ("fd:N") — through a fixed-size ring buffer into the
-// streaming attribution engine (--jobs is accepted and has no effect: it
-// attributes in one pass). Backpressure is explicit: when the ring is
-// full, records are dropped and ledgered per reason, and the accounting
-// invariant offered == accepted + dropped holds exactly at all times (the
-// daemon verifies it at exit and fails loudly if violated).
+// streaming attribution engine, one pass in capture order. Without
+// --follow, a file source ends at its first idle poll (the file is
+// complete), while an fd source waits for its writer to close it.
+// Backpressure is explicit: when the ring is full, records are dropped and
+// ledgered per reason, and the accounting invariant offered == accepted +
+// dropped holds exactly at all times (the daemon verifies it at exit and
+// fails loudly if violated).
 //
 // --control serves the line protocol from gateway/control.hpp on
 // stdin/stdout (SNAPSHOT, METRICS, STATS, LEDGER, DRAIN, SHUTDOWN), e.g.:
@@ -27,9 +29,9 @@
 // ingest, drains the ring, takes the final snapshot, and finalizes every
 // output file via tmp+rename — the snapshot a dying daemon leaves behind is
 // complete or absent, never torn. The final snapshot is byte-identical to
-// `tvacr_analyze --report` over the same capture at any --jobs value; under
-// forced drops it matches the batch run over the accepted subset, which the
-// ledger identifies by offer index.
+// `tvacr_analyze --report` over the same capture; under forced drops it
+// matches the batch run over the accepted subset, which the ledger
+// identifies by offer index.
 #include <chrono>
 #include <cstdio>
 #include <csignal>
@@ -60,7 +62,7 @@ namespace {
 int usage(const char* argv0) {
     std::fprintf(stderr,
                  "usage: %s <capture.{pcap,tvcr}|fd:N> <device-ip>\n"
-                 "          [--jobs N] [--ring N] [--ingest-bytes N] [--drain-batch N]\n"
+                 "          [--ring N] [--ingest-bytes N] [--drain-batch N]\n"
                  "          [--follow] [--control]\n"
                  "          [--snapshot-out P] [--metrics-out P] [--ledger-out P]\n",
                  argv0);
@@ -130,7 +132,6 @@ class ControlChannel {
 }  // namespace
 
 int main(int argc, char** argv) {
-    long long jobs = 1;
     gateway::GatewayOptions options;
     std::size_t ingest_bytes = 256 * 1024;
     std::size_t drain_batch = 4096;
@@ -142,7 +143,6 @@ int main(int argc, char** argv) {
     const auto positionals = common::parse_flags(
         argc, argv,
         {
-            {"--jobs", jobs, 1, 1024},
             {"--ring", options.ring_capacity, 1, 1 << 28},
             {"--ingest-bytes", ingest_bytes, 1, 1 << 30},
             {"--drain-batch", drain_batch, 1, 1 << 28},
@@ -162,8 +162,9 @@ int main(int argc, char** argv) {
     }
     options.device_ip = device_ip.value();
 
+    const bool fd_source = source_arg.rfind("fd:", 0) == 0;
     auto source = [&]() -> Result<gateway::StreamSource> {
-        if (source_arg.rfind("fd:", 0) == 0) {
+        if (fd_source) {
             const long long fd =
                 common::parse_flag_int("fd:<n> source", source_arg.substr(3), 0, 1 << 20);
             if (control && fd == 0) {
@@ -203,7 +204,9 @@ int main(int argc, char** argv) {
                 case gateway::SourceStatus::kProgress: idle = false; break;
                 case gateway::SourceStatus::kEnd: source_done = true; break;
                 case gateway::SourceStatus::kIdle:
-                    if (!follow) source_done = true;
+                    // An idle file is complete unless followed; an idle pipe
+                    // only has a slow writer, and ends at kEnd (EOF).
+                    if (!follow && !fd_source) source_done = true;
                     break;
             }
         }
