@@ -107,6 +107,9 @@ class ByteWriter {
     /// Appends `count` copies of `fill`.
     void fill(std::size_t count, std::uint8_t fill_byte);
 
+    /// Empties the buffer and keeps its capacity.
+    void clear() noexcept { buffer_.clear(); }
+
     /// Overwrites 2 bytes at `offset` (e.g. a length/checksum backpatch).
     void patch_u16(std::size_t offset, std::uint16_t v);
 

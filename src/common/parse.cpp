@@ -26,7 +26,12 @@ bool accumulate_digits(std::string_view digits, std::uint64_t limit, std::uint64
 }
 
 std::string range_text(long long min, long long max) {
-    return "[" + std::to_string(min) + ", " + std::to_string(max) + "]";
+    std::string text = "[";
+    text += std::to_string(min);
+    text += ", ";
+    text += std::to_string(max);
+    text += ']';
+    return text;
 }
 
 }  // namespace

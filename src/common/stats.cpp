@@ -43,6 +43,33 @@ double percentile_select(std::span<double> xs, double q) {
     return lo_value + (hi_value - lo_value) * frac;
 }
 
+constexpr std::size_t kLagBlock = 32;
+
+// Sets num[k], for every k < kLagBlock, to the sum of d[i] * partner[i + k]
+// over i in [0, shared), from 0.0 in ascending i. Each clone vectorizes
+// across k (one lane per lag), so no lane reorders its own sum, and with
+// contraction off no clone fuses the multiply into the add: every clone
+// gives the bits of the lag-at-a-time loop. Not under TSan, as hash_lanes
+// in fp/content.cpp.
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__)) && \
+    !defined(__SANITIZE_THREAD__)
+__attribute__((target_clones("avx512f", "avx2", "default")))
+#endif
+#if defined(__GNUC__) && !defined(__clang__)
+__attribute__((optimize("fp-contract=off")))
+#endif
+void lag_block_sums(const double* d, const double* partner, std::size_t shared, double* num) {
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#endif
+    std::array<double, kLagBlock> acc{};
+    for (std::size_t i = 0; i < shared; ++i) {
+        const double di = d[i];
+        for (std::size_t k = 0; k < kLagBlock; ++k) acc[k] += di * partner[i + k];
+    }
+    std::copy(acc.begin(), acc.end(), num);
+}
+
 }  // namespace
 
 double percentile(std::span<const double> xs, double q) {
@@ -87,20 +114,15 @@ std::optional<PeriodEstimate> dominant_period(std::span<const double> xs, std::s
         }
     };
 
-    // kWidth lags per pass: each keeps its own accumulator over the indices
-    // all of them share, then finishes its own tail, so every sum still runs
+    // kLagBlock lags per pass: the kernel sums each over the indices all of
+    // them share, then each finishes its own tail, so every sum still runs
     // in ascending i.
-    constexpr std::size_t kWidth = 8;
     std::size_t lag = min_lag;
-    for (; lag <= last_lag && last_lag - lag >= kWidth - 1; lag += kWidth) {
-        std::array<double, kWidth> num{};
-        const std::size_t shared = n - (lag + kWidth - 1);
-        for (std::size_t i = 0; i < shared; ++i) {
-            const double di = d[i];
-            const double* partner = &d[i + lag];
-            for (std::size_t k = 0; k < kWidth; ++k) num[k] += di * partner[k];
-        }
-        for (std::size_t k = 0; k < kWidth; ++k) {
+    for (; lag <= last_lag && last_lag - lag >= kLagBlock - 1; lag += kLagBlock) {
+        std::array<double, kLagBlock> num;
+        const std::size_t shared = n - (lag + kLagBlock - 1);
+        lag_block_sums(d.data(), d.data() + lag, shared, num.data());
+        for (std::size_t k = 0; k < kLagBlock; ++k) {
             for (std::size_t i = shared; i + lag + k < n; ++i) num[k] += d[i] * d[i + lag + k];
             consider(lag + k, num[k]);
         }

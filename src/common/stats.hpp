@@ -33,10 +33,14 @@ namespace tvacr {
 /// autocorrelation (in [-1, 1]; lag 0 and a zero-variance series score 0).
 /// Returns nullopt if no lag scores at least `threshold`; ties keep the
 /// smaller lag. Used to recover ACR burst periods from packets-per-bucket
-/// series. The mean, deviations and denominator are computed once and
-/// several lags share each pass over the series, but every lag's numerator
-/// is still summed in ascending index order, so scores are bit-equal to a
-/// lag-at-a-time evaluation.
+/// series. The mean, deviations and denominator are computed once and 32
+/// lags share each pass over the series (a kernel built for AVX-512F, AVX2
+/// and the baseline ISA, one vector lane per lag), but every lag's
+/// numerator is still summed from 0.0 in ascending index order, so scores
+/// are bit-equal to a lag-at-a-time evaluation on every clone. Contraction
+/// is off in that kernel: the compiler would otherwise fuse each multiply
+/// and add into one FMA in the AVX-512F clone (GCC's default in C++), and
+/// an FMA rounds once instead of twice, which changes the score bits.
 struct PeriodEstimate {
     std::size_t lag_samples = 0;
     double score = 0.0;

@@ -450,8 +450,8 @@ class FloatLiteralSpellingRule final : public Rule {
                 std::isdigit(static_cast<unsigned char>(token.text[dot + 1])) != 0;
             if (digit_before && digit_after) continue;
             std::string fixed = token.text;
-            if (!digit_after) fixed.insert(dot + 1, "0");
-            if (!digit_before) fixed.insert(dot, "0");
+            if (!digit_after) fixed.insert(dot + 1, 1, '0');
+            if (!digit_before) fixed.insert(dot, 1, '0');
             report(file, token.line,
                    "float literal '" + token.text + "' should be spelled '" + fixed + "'", out);
         }

@@ -1,6 +1,7 @@
 #include "net/pcap.hpp"
 
 #include <algorithm>
+#include <array>
 #include <fstream>
 #include <ostream>
 
@@ -23,14 +24,39 @@ std::uint32_t load_u32(const std::uint8_t* p, bool swapped) noexcept {
     return swapped ? bytes::load_u32be(p) : bytes::load_u32le(p);
 }
 
+// Frames longer than the snaplen are truncated on write, as libpcap does:
+// incl_len is capped, orig_len preserves the true size. (The reader rejects
+// incl_len > snaplen, so an uncapped writer would produce captures it could
+// never read back.)
+std::size_t captured_len(const Packet& packet) noexcept {
+    return std::min<std::size_t>(packet.data.size(), kPcapSnapLen);
+}
+
+using RecordHeader = std::array<std::uint8_t, kPcapRecordHeaderLen>;
+
+RecordHeader record_header(SimTime timestamp, std::size_t incl_len, std::uint32_t orig_len) {
+    const std::int64_t micros = timestamp.as_micros();
+    const std::uint32_t fields[] = {static_cast<std::uint32_t>(micros / 1'000'000),
+                                    static_cast<std::uint32_t>(micros % 1'000'000),
+                                    static_cast<std::uint32_t>(incl_len), orig_len};
+    RecordHeader header;
+    for (std::size_t f = 0; f < 4; ++f) {
+        for (std::size_t b = 0; b < 4; ++b) {
+            header[f * 4 + b] = static_cast<std::uint8_t>(fields[f] >> (8 * b));
+        }
+    }
+    return header;
+}
+
 void append_record(ByteWriter& out, const Packet& packet) {
-    // Frames longer than the snaplen are truncated on write, as libpcap
-    // does: incl_len is capped, orig_len preserves the true size. (The
-    // reader rejects incl_len > snaplen, so an uncapped writer would
-    // produce captures it could never read back.)
-    const std::size_t incl = std::min<std::size_t>(packet.data.size(), kPcapSnapLen);
-    append_pcap_record(out, packet.timestamp, BytesView(packet.data.data(), incl),
+    append_pcap_record(out, packet.timestamp, BytesView(packet.data.data(), captured_len(packet)),
                        static_cast<std::uint32_t>(packet.data.size()));
+}
+
+bool write_bytes(std::ostream& out, BytesView bytes) {
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    return out.good();
 }
 
 }  // namespace
@@ -47,29 +73,22 @@ void append_pcap_file_header(ByteWriter& out, std::uint32_t snaplen) {
 
 void append_pcap_record(ByteWriter& out, SimTime timestamp, BytesView frame,
                         std::uint32_t orig_len) {
-    const std::int64_t micros = timestamp.as_micros();
-    out.u32le(static_cast<std::uint32_t>(micros / 1'000'000));
-    out.u32le(static_cast<std::uint32_t>(micros % 1'000'000));
-    out.u32le(static_cast<std::uint32_t>(frame.size()));
-    out.u32le(orig_len);
+    out.raw(record_header(timestamp, frame.size(), orig_len));
     out.raw(frame);
 }
 
 PcapWriter::PcapWriter(std::ostream& out) : out_(out) {
     ByteWriter header;
     append_pcap_file_header(header);
-    out_.write(reinterpret_cast<const char*>(header.view().data()),
-               static_cast<std::streamsize>(header.size()));
-    if (!out_.good()) failed_ = true;
+    if (!write_bytes(out_, header.view())) failed_ = true;
 }
 
 void PcapWriter::write(const Packet& packet) {
     if (failed_) return;  // first failure is sticky; don't interleave garbage
-    ByteWriter record;
-    append_record(record, packet);
-    out_.write(reinterpret_cast<const char*>(record.view().data()),
-               static_cast<std::streamsize>(record.size()));
-    if (!out_.good()) {
+    const std::size_t incl = captured_len(packet);
+    if (!write_bytes(out_, record_header(packet.timestamp, incl,
+                                         static_cast<std::uint32_t>(packet.data.size()))) ||
+        !write_bytes(out_, BytesView(packet.data.data(), incl))) {
         failed_ = true;
         return;
     }
@@ -85,7 +104,9 @@ Status PcapWriter::finish() {
 }
 
 Bytes to_pcap_bytes(const std::vector<Packet>& packets) {
-    ByteWriter out;
+    std::size_t size = kPcapGlobalHeaderLen;
+    for (const auto& packet : packets) size += kPcapRecordHeaderLen + captured_len(packet);
+    ByteWriter out(size);
     append_pcap_file_header(out);
     for (const auto& packet : packets) append_record(out, packet);
     return std::move(out).take();
@@ -161,12 +182,25 @@ Result<std::vector<Packet>> from_pcap_bytes(BytesView data) {
 
 Status write_pcap_file(const std::string& path, const std::vector<Packet>& packets) {
     // Finalized write: a crash or full disk mid-write must not leave a
-    // valid-looking-but-short capture at `path`.
+    // valid-looking-but-short capture at `path`. The records stream out
+    // through one bounded buffer, so the file is never held whole.
+    constexpr std::size_t kChunk = 1 << 20;
+    static_assert(kChunk >= kPcapGlobalHeaderLen + kPcapRecordHeaderLen + kPcapSnapLen);
     return common::write_file_finalized(path, [&](std::ostream& file) -> Status {
-        const Bytes bytes = to_pcap_bytes(packets);
-        file.write(reinterpret_cast<const char*>(bytes.data()),
-                   static_cast<std::streamsize>(bytes.size()));
-        if (!file) return make_error("pcap: write failed: " + path);
+        ByteWriter chunk(kChunk);
+        const auto flush = [&] {
+            const bool ok = write_bytes(file, chunk.view());
+            chunk.clear();
+            return ok;
+        };
+        append_pcap_file_header(chunk);
+        for (const auto& packet : packets) {
+            if (chunk.size() + kPcapRecordHeaderLen + captured_len(packet) > kChunk && !flush()) {
+                return make_error("pcap: write failed: " + path);
+            }
+            append_record(chunk, packet);
+        }
+        if (!flush()) return make_error("pcap: write failed: " + path);
         return Status::success();
     });
 }

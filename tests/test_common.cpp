@@ -347,13 +347,14 @@ TEST(Stats, DominantPeriodMatchesPerLagOracle) {
             }
         }
     }
-    // Lag ranges of every width mod the block width, on a longer real-valued
-    // series with bursts.
+    // Lag ranges of every width from 1 to two 32-lag blocks plus one, on a
+    // longer real-valued series with bursts: no block, one block plus a
+    // remainder, and two blocks plus one lag.
     std::vector<double> bursty;
     for (int i = 0; i < 500; ++i) {
         bursty.push_back((i % 30 < 2 ? 40.0 : 0.0) + rng.uniform01() * 3.0);
     }
-    for (std::size_t width = 1; width <= 33; ++width) {
+    for (std::size_t width = 1; width <= 65; ++width) {
         for (const double threshold : thresholds) {
             expect_same_period(bursty, 10, 10 + width - 1, threshold);
             expect_same_period(bursty, 0, width - 1, threshold);
@@ -383,19 +384,37 @@ TEST(Stats, DominantPeriodMatchesOracleOnDegenerateSeries) {
     EXPECT_EQ(zero->lag_samples, 0U);
 }
 
+/// Compares the whole identify() window (lags 10 to 1200) and every window
+/// of one 32-lag block's width, so each lane of a block, tail included, is
+/// the winner somewhere and its score bits are compared.
+void expect_same_period_in_every_block(std::span<const double> hour) {
+    for (const double threshold : {-1.0, 0.25}) expect_same_period(hour, 10, 1200, threshold);
+    for (std::size_t lag = 10; lag + 31 <= 1200; ++lag) {
+        expect_same_period(hour, lag, lag + 31, -1.0);
+    }
+}
+
 TEST(Stats, DominantPeriodMatchesOracleOnAnHourSeries) {
-    // An LG-like hour in 500 ms buckets: a burst every 15 s with noise, the
-    // lag window identify() searches (5 s to 10 min).
+    // An LG-like hour in 500 ms buckets, shaped as identify() builds it:
+    // integer packet counts, a burst every 15 s plus stray packets.
     Rng rng(15);
     std::vector<double> hour(7200, 0.0);
     for (std::size_t i = 0; i < hour.size(); ++i) {
         if (i % 30 == 0) hour[i] += 20.0 + static_cast<double>(rng.uniform(0, 6));
         if (rng.uniform01() < 0.05) hour[i] += 1.0;
     }
-    for (const double threshold : {-1.0, 0.25}) expect_same_period(hour, 10, 1200, threshold);
-    // Every window of one block's width, so each lane of a block, tail
-    // included, is the winner somewhere and its score bits are compared.
-    for (std::size_t lag = 10; lag + 7 <= 1200; ++lag) expect_same_period(hour, lag, lag + 7, -1.0);
+    expect_same_period_in_every_block(hour);
+}
+
+TEST(Stats, DominantPeriodMatchesOracleOnARealValuedHour) {
+    // Real values whose products and partial sums round in nearly every
+    // term, so a reordered or fused sum would show in the score bits.
+    Rng rng(7);
+    std::vector<double> hour(7200);
+    for (std::size_t i = 0; i < hour.size(); ++i) {
+        hour[i] = (i % 120 < 3 ? 9.75 : 0.0) + rng.normal(1.0, 0.4) + rng.uniform01() * 1e-3;
+    }
+    expect_same_period_in_every_block(hour);
 }
 
 TEST(Stats, AutocorrelationDetectsPeriodicSignal) {

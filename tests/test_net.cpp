@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 
 #include "common/rng.hpp"
@@ -662,6 +664,54 @@ TEST(PcapTest, FileRoundTrip) {
     ASSERT_TRUE(restored.ok());
     EXPECT_EQ(restored.value().size(), packets.size());
     EXPECT_FALSE(read_pcap_file(path + ".missing").ok());
+}
+
+Bytes read_whole_file(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return Bytes(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void expect_file_equals_in_memory(const std::string& name, const std::vector<Packet>& packets) {
+    SCOPED_TRACE(name);
+    const std::string path = ::testing::TempDir() + name;
+    ASSERT_TRUE(write_pcap_file(path, packets).ok());
+    EXPECT_EQ(read_whole_file(path), to_pcap_bytes(packets));
+}
+
+TEST(PcapTest, StreamedFileEqualsInMemoryBytes) {
+    expect_file_equals_in_memory("tvacr_pcap_empty.pcap", {});
+    expect_file_equals_in_memory("tvacr_pcap_one.pcap", {make_tcp_frame({1, 2, 3})});
+    // Longer than the snaplen: both writers cap incl_len and keep orig_len.
+    Packet jumbo{SimTime::seconds(4), Bytes(kPcapSnapLen + 1000, 0x5A)};
+    expect_file_equals_in_memory("tvacr_pcap_jumbo.pcap", {make_tcp_frame(), jumbo});
+    // About 5 MiB in odd-sized records, so they cross the writer's 1 MiB
+    // buffer bound several times, each time at a different record offset.
+    Rng rng(31);
+    std::vector<Packet> many;
+    std::size_t total = 0;
+    while (total < (5U << 20)) {
+        Packet packet{SimTime::micros(static_cast<std::int64_t>(many.size()) * 1'001),
+                      Bytes(static_cast<std::size_t>(rng.uniform(1, 70'000)), 0)};
+        for (auto& byte : packet.data) byte = static_cast<std::uint8_t>(rng());
+        total += packet.data.size();
+        many.push_back(std::move(packet));
+    }
+    many.push_back(jumbo);
+    expect_file_equals_in_memory("tvacr_pcap_many.pcap", many);
+}
+
+TEST(PcapTest, FailedFileWriteLeavesNoFile) {
+    // The finalized write streams into `path`.tmp; pointing that at
+    // /dev/full makes the stream itself fail (ENOSPC) partway through.
+    if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+    const std::string path = ::testing::TempDir() + "tvacr_pcap_full.pcap";
+    std::filesystem::remove(path);
+    std::filesystem::remove(path + ".tmp");
+    std::filesystem::create_symlink("/dev/full", path + ".tmp");
+    std::vector<Packet> packets(40, Packet{SimTime::seconds(1), Bytes(60'000, 0x11)});
+    EXPECT_FALSE(write_pcap_file(path, packets).ok());
+    EXPECT_FALSE(std::filesystem::exists(path));
+    EXPECT_FALSE(std::filesystem::is_symlink(path + ".tmp"));
 }
 
 // ------------------------------------------------------------------- pcapng
