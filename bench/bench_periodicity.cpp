@@ -2,7 +2,9 @@
 // recover each ACR endpoint's contact cadence — LG uploads every 15 s with
 // one-minute peaks; Samsung's fingerprint channel every 60 s with ~5-minute
 // peaks; and the regular cadence that separates ACR endpoints from ordinary
-// ad/tracking domains such as samsungads.com.
+// ad/tracking domains such as samsungads.com. Exits 1 unless both UK
+// fingerprint channels show the paper's cadence and period.
+#include <cmath>
 #include <cstdio>
 #include <iostream>
 
@@ -18,6 +20,7 @@ int main() {
     std::printf("%-8s %-36s %8s %10s %8s %8s\n", "Brand", "Domain", "bursts", "interval",
                 "cv", "period");
 
+    constexpr int kHeadlineChecks = 4;  // two per UK fingerprint domain
     int checks_passed = 0;
     int checks_total = 0;
     for (const tv::Brand brand : {tv::Brand::kLg, tv::Brand::kSamsung}) {
@@ -40,19 +43,23 @@ int main() {
                         stats->domain.c_str(), cadence.bursts, cadence.mean_interval_s,
                         cadence.cv, period);
 
-            // The paper's headline cadences.
+            // The paper's headline cadences: the burst interval and the
+            // autocorrelation period of each UK fingerprint channel, the
+            // period within one 500 ms bucket of the paper's.
             if (stats->domain.find("alphonso") != std::string::npos) {
-                ++checks_total;
+                checks_total += 2;
                 if (cadence.mean_interval_s > 13 && cadence.mean_interval_s < 17) ++checks_passed;
+                if (std::abs(period - 15.0) <= 0.5) ++checks_passed;
             }
             if (stats->domain.find("acr-eu-prd") != std::string::npos) {
-                ++checks_total;
+                checks_total += 2;
                 if (cadence.mean_interval_s > 50 && cadence.mean_interval_s < 70) ++checks_passed;
+                if (std::abs(period - 60.0) <= 0.5) ++checks_passed;
             }
         }
     }
     std::printf("\nHeadline cadence checks passed: %d/%d "
-                "(LG ~15 s; Samsung fingerprint ~60 s)\n",
-                checks_passed, checks_total);
-    return checks_passed == checks_total ? 0 : 1;
+                "(interval and period: LG ~15 s; Samsung fingerprint ~60 s)\n",
+                checks_passed, kHeadlineChecks);
+    return checks_total == kHeadlineChecks && checks_passed == checks_total ? 0 : 1;
 }

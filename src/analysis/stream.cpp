@@ -105,7 +105,8 @@ CaptureAnalyzer StreamingCaptureAnalyzer::snapshot() const {
 }
 
 Result<CaptureAnalyzer> analyze_pcap_stream(const std::string& path, net::Ipv4Address device_ip,
-                                            StreamOptions options) {
+                                            StreamOptions options,
+                                            std::uint64_t* torn_tail_bytes) {
     auto reader = net::PcapReader::open(path);
     if (!reader) return reader.error();
     StreamingCaptureAnalyzer analyzer(device_ip, options);
@@ -115,6 +116,7 @@ Result<CaptureAnalyzer> analyze_pcap_stream(const std::string& path, net::Ipv4Ad
         if (!record.value().has_value()) break;
         analyzer.ingest(record.value()->frame, record.value()->timestamp);
     }
+    if (torn_tail_bytes != nullptr) *torn_tail_bytes = reader.value().torn_tail_bytes();
     return analyzer.finish();
 }
 

@@ -109,10 +109,12 @@ class StreamingCaptureAnalyzer {
 
 /// Streams a pcap file through the analyzer. The capture is never fully
 /// materialized; peak memory is the reader's buffer plus the attributed
-/// per-domain events.
-[[nodiscard]] Result<CaptureAnalyzer> analyze_pcap_stream(const std::string& path,
-                                                          net::Ipv4Address device_ip,
-                                                          StreamOptions options = {});
+/// per-domain events. A cut-off final record is not analyzed; when
+/// `torn_tail_bytes` is set it receives that record's byte count (0 for a
+/// clean end, see net::PcapReader::torn_tail_bytes).
+[[nodiscard]] Result<CaptureAnalyzer> analyze_pcap_stream(
+    const std::string& path, net::Ipv4Address device_ip, StreamOptions options = {},
+    std::uint64_t* torn_tail_bytes = nullptr);
 
 /// Runs the streaming engine over an in-memory capture.
 [[nodiscard]] CaptureAnalyzer analyze_packets(const std::vector<net::Packet>& packets,

@@ -44,6 +44,7 @@ double percentile_select(std::span<double> xs, double q) {
 }
 
 constexpr std::size_t kLagBlock = 32;
+constexpr double kFundamentalShare = 0.8;
 
 // Sets num[k], for every k < kLagBlock, to the sum of d[i] * partner[i + k]
 // over i in [0, shared), from 0.0 in ascending i. Each clone vectorizes
@@ -105,13 +106,12 @@ std::optional<PeriodEstimate> dominant_period(std::span<const double> xs, std::s
         den += d[i] * d[i];
     }
 
-    std::optional<PeriodEstimate> best;
+    // Every lag's score first; the selection below needs the peak.
+    std::vector<double> scores;
+    scores.reserve(last_lag - min_lag + 1);
     const auto consider = [&](std::size_t lag, double num) {
         // tvacr-lint: allow(no-float-equality) den is a sum of squares: 0 iff every term is 0
-        const double score = lag == 0 || den == 0.0 ? 0.0 : num / den;
-        if (score >= threshold && (!best || score > best->score)) {
-            best = PeriodEstimate{lag, score};
-        }
+        scores.push_back(lag == 0 || den == 0.0 ? 0.0 : num / den);
     };
 
     // kLagBlock lags per pass: the kernel sums each over the indices all of
@@ -132,7 +132,18 @@ std::optional<PeriodEstimate> dominant_period(std::span<const double> xs, std::s
         for (std::size_t i = 0; i + lag < n; ++i) num += d[i] * d[i + lag];
         consider(lag, num);
     }
-    return best;
+
+    // The fundamental, not a harmonic: a train with period p also scores
+    // high at 2p, 3p, ..., and noise can tip the argmax onto one of them.
+    // As YIN's first-dip rule, take the first lag within kFundamentalShare
+    // of the peak (and at least `threshold`). With a negative peak the cut
+    // is the peak itself, so the first lag that reaches it.
+    const double peak = *std::max_element(scores.begin(), scores.end());
+    if (peak < threshold) return std::nullopt;
+    const double cut = std::max(threshold, std::min(peak, kFundamentalShare * peak));
+    const auto first = std::find_if(scores.begin(), scores.end(),
+                                    [cut](double score) { return score >= cut; });
+    return PeriodEstimate{min_lag + static_cast<std::size_t>(first - scores.begin()), *first};
 }
 
 std::vector<CdfPoint> empirical_cdf(std::vector<double> xs) {

@@ -29,10 +29,12 @@ namespace tvacr {
 /// Coefficient of variation (stddev/mean); 0 when the mean is 0.
 [[nodiscard]] double coefficient_of_variation(std::span<const double> xs);
 
-/// Searches lags in [min_lag, max_lag] for the peak of the normalized
-/// autocorrelation (in [-1, 1]; lag 0 and a zero-variance series score 0).
-/// Returns nullopt if no lag scores at least `threshold`; ties keep the
-/// smaller lag. Used to recover ACR burst periods from packets-per-bucket
+/// Searches lags in [min_lag, max_lag] for the fundamental period of the
+/// normalized autocorrelation (in [-1, 1]; lag 0 and a zero-variance series
+/// score 0): the first lag whose score reaches 0.8x the peak score and
+/// `threshold` (YIN's first-dip rule), so a harmonic that happens to peak
+/// higher does not win. Returns nullopt if no lag scores at least
+/// `threshold`. Used to recover ACR burst periods from packets-per-bucket
 /// series. The mean, deviations and denominator are computed once and 32
 /// lags share each pass over the series (a kernel built for AVX-512F, AVX2
 /// and the baseline ISA, one vector lane per lag), but every lag's

@@ -44,6 +44,7 @@ void ThreadPool::shutdown() {
 void ThreadPool::worker_loop(std::size_t worker_index) {
     for (;;) {
         Entry entry;
+        TaskTiming timing;
         const TaskObserver* observer = nullptr;
         {
             std::unique_lock<std::mutex> lock(mutex_);
@@ -51,15 +52,16 @@ void ThreadPool::worker_loop(std::size_t worker_index) {
             if (tasks_.empty()) return;  // stopping_ and fully drained
             entry = std::move(tasks_.front());
             tasks_.pop();
+            // Stamped under the lock, so start times follow the FIFO
+            // dequeue order.
+            timing.start_ns = now_ns();
             // Stable for the task's duration: set_observer is not called
             // while tasks are in flight (see header contract).
             if (observer_) observer = &observer_;
         }
-        TaskTiming timing;
         timing.sequence = entry.sequence;
         timing.worker = worker_index;
         timing.enqueue_ns = entry.enqueue_ns;
-        timing.start_ns = now_ns();
         entry.fn();  // packaged_task routes any exception into the future
         timing.finish_ns = now_ns();
         if (observer != nullptr) (*observer)(timing);

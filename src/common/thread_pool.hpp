@@ -36,7 +36,9 @@ class ThreadPool {
     [[nodiscard]] std::size_t worker_count() const noexcept { return worker_count_; }
 
     /// Wall-clock timing of one executed task. Timestamps are nanoseconds on
-    /// the steady clock, relative to pool construction.
+    /// the steady clock, relative to pool construction. start_ns is taken as
+    /// the task leaves the queue, under the queue's lock, so tasks start in
+    /// submission order.
     struct TaskTiming {
         std::uint64_t sequence = 0;  // submission order, starting at 0
         std::size_t worker = 0;      // index of the worker that ran the task

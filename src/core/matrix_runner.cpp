@@ -5,10 +5,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <numeric>
 #include <thread>
 
 #include "common/parse.hpp"
 #include "common/thread_pool.hpp"
+#include "tv/calibration.hpp"
 
 namespace tvacr::core {
 
@@ -18,6 +20,45 @@ int default_jobs() {
     // Malformed TVACR_JOBS exits 2 naming the variable — a typo'd override
     // must not silently fall back to a different parallelism level.
     return static_cast<int>(common::parse_env_int("TVACR_JOBS", fallback, 1, 1024));
+}
+
+namespace {
+
+// Weights of estimated_cost, in ms per simulated hour: the fit to the serial
+// profile of the 96 paper cells (EXPERIMENTS.md). A fingerprinting cell pays
+// a fixed matching cost plus a per-capture cost, so LG's 360,000 captures an
+// hour cost about twice Samsung's 7,200.
+constexpr double kBaseMs = 1.3;            // every cell
+constexpr double kOptedInMs = 1.0;         // traffic that runs only while opted in
+constexpr double kStreamMs = 65.0;         // the OTT scenario's CDN video flow
+constexpr double kFingerprintMs = 49.0;    // a fingerprinting cell's fixed share
+constexpr double kPerCaptureMs = 1.64e-4;  // one fingerprint capture
+
+}  // namespace
+
+double estimated_cost(const ExperimentSpec& spec) {
+    const bool opted_in = tv::is_opted_in(spec.phase);
+    double per_hour = kBaseMs;
+    if (opted_in) per_hour += kOptedInMs;
+    if (spec.scenario == tv::Scenario::kOtt) per_hour += kStreamMs;
+    if (opted_in &&
+        tv::acr_mode_for(spec.brand, spec.country, spec.scenario) == tv::AcrMode::kActive) {
+        const SimTime capture_period = tv::acr_schedule(spec.brand).capture_period;
+        per_hour += kFingerprintMs +
+                    kPerCaptureMs * static_cast<double>(SimTime::hours(1) / capture_period);
+    }
+    return per_hour * (spec.duration.as_seconds() / 3600.0);
+}
+
+std::vector<std::size_t> costliest_first(const std::vector<ExperimentSpec>& specs) {
+    std::vector<double> costs;
+    costs.reserve(specs.size());
+    for (const auto& spec : specs) costs.push_back(estimated_cost(spec));
+    std::vector<std::size_t> order(specs.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&costs](std::size_t a, std::size_t b) { return costs[a] > costs[b]; });
+    return order;
 }
 
 MatrixRunner::MatrixRunner(int jobs) : jobs_(std::max(jobs, 1)) {}
@@ -105,27 +146,36 @@ auto run_in_order(const std::vector<ExperimentSpec>& specs, int jobs, obs::Scope
         return outputs;
     }
 
-    common::ThreadPool pool(std::min<std::size_t>(static_cast<std::size_t>(jobs), specs.size()));
+    // Longest-processing-time list scheduling: the pool's FIFO queue hands
+    // the costliest cells out first, so no long cell starts last and leaves
+    // the other workers idle. Everything the observer touches is declared
+    // before the pool, which drains its queue on destruction even when a
+    // get() below throws.
+    const std::vector<std::size_t> order = costliest_first(specs);
     std::vector<common::ThreadPool::TaskTiming> timings(specs.size());
     std::atomic<std::size_t> observed{0};
+    common::ThreadPool pool(std::min<std::size_t>(static_cast<std::size_t>(jobs), specs.size()));
     if (profile != nullptr) {
-        // Each observer call owns slot [sequence] exclusively; the release
+        // A task's sequence is its submission rank; order[] maps it back to
+        // the spec it ran, and each spec's slot has one writer. The release
         // increment pairs with the acquire loop below, which is needed
         // because the observer fires *after* the task's future is satisfied.
-        pool.set_observer([&timings, &observed](const common::ThreadPool::TaskTiming& timing) {
-            timings[timing.sequence] = timing;
+        pool.set_observer([&timings, &order,
+                           &observed](const common::ThreadPool::TaskTiming& timing) {
+            timings[order[timing.sequence]] = timing;
             observed.fetch_add(1, std::memory_order_release);
         });
     }
-    std::vector<std::future<Output>> futures;
-    futures.reserve(specs.size());
-    for (const auto& spec : specs) {
-        // tvacr-lint: allow(no-ref-capture-into-threadpool) futures are
-        // drained in submission order below, before job leaves scope
-        futures.push_back(pool.submit([spec, &job]() { return job(spec); }));
+    std::vector<std::future<Output>> futures(specs.size());
+    for (const std::size_t index : order) {
+        const ExperimentSpec& spec = specs[index];
+        // tvacr-lint: allow(no-ref-capture-into-threadpool) every future is
+        // drained below, before job leaves scope
+        futures[index] = pool.submit([spec, &job]() { return job(spec); });
     }
-    // get() in submission order: completion order cannot reorder results,
-    // and the first job exception propagates here.
+    // get() in input order: neither submission nor completion order can
+    // reorder results, and the first job exception in input order
+    // propagates here.
     for (auto& future : futures) outputs.push_back(future.get());
     if (profile != nullptr) {
         while (observed.load(std::memory_order_acquire) < specs.size()) {

@@ -2,13 +2,14 @@
 // {country x phase x scenario x brand} matrix where every cell is an
 // independent ExperimentSpec with its own testbed (Simulator, Rng streams,
 // Cloud); MatrixRunner expands such a matrix into jobs, runs them on a
-// ThreadPool, and reassembles the results in matrix order regardless of
-// completion order. Because each cell is a fully isolated deterministic
-// simulation, the output is bit-identical for any worker count — the serial
-// path (jobs == 1) never touches a thread and matches the historical
-// single-core behaviour exactly.
+// ThreadPool costliest cell first, and reassembles the results in matrix
+// order regardless of submission or completion order. Because each cell is
+// a fully isolated deterministic simulation, the output is bit-identical for
+// any worker count — the serial path (jobs == 1) never touches a thread and
+// runs the cells in input order.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/campaign.hpp"
@@ -37,6 +38,19 @@ struct MatrixSpec {
     fault::FaultSpec faults;
 };
 
+/// Deterministic estimate of one cell's serial run time, in milliseconds of
+/// a Release build on the calibration host (EXPERIMENTS.md keeps the serial
+/// per-cell profile the weights were fitted to). It reads only the spec and
+/// the device model it selects: the duration, whether the cell fingerprints
+/// (tv::acr_mode_for is kActive and the phase is opted in), the brand's
+/// capture cadence (tv::acr_schedule) and whether the scenario streams
+/// video (OTT). Only the ranking it induces is used, never the value.
+[[nodiscard]] double estimated_cost(const ExperimentSpec& spec);
+
+/// Indices of `specs`, costliest estimate first (longest-processing-time
+/// list scheduling); a stable sort, so equal estimates keep input order.
+[[nodiscard]] std::vector<std::size_t> costliest_first(const std::vector<ExperimentSpec>& specs);
+
 class MatrixRunner {
   public:
     explicit MatrixRunner(int jobs = default_jobs());
@@ -45,8 +59,9 @@ class MatrixRunner {
 
     /// Installs a profiling sink. While set, every run records wall-clock
     /// per-cell queue-wait and run time into it: one "runner"-category trace
-    /// span per cell (tid = worker index) plus runner.queue_wait_us /
-    /// runner.run_us histograms. Wall-clock data is nondeterministic by
+    /// span per cell, in input order and named after the cell it timed
+    /// (tid = worker index), plus runner.queue_wait_us / runner.run_us
+    /// histograms. Wall-clock data is nondeterministic by
     /// nature — keep the profile scope separate from the deterministic
     /// per-cell metrics (tools write it only into --trace output).
     void set_profile(obs::Scope* profile) noexcept { profile_ = profile; }
@@ -56,8 +71,9 @@ class MatrixRunner {
     [[nodiscard]] static std::vector<ExperimentSpec> expand(const MatrixSpec& matrix);
 
     /// Runs every spec (each on a fresh isolated testbed) and returns the
-    /// full results in input order. Exceptions from a job propagate to the
-    /// caller. Captures can be large — prefer run_traces() for sweeps.
+    /// full results in input order. On more than one worker the cells are
+    /// submitted in costliest_first() order. Exceptions from a job propagate
+    /// to the caller (the first spec in input order whose job threw). Captures can be large — prefer run_traces() for sweeps.
     [[nodiscard]] std::vector<ExperimentResult> run_experiments(
         const std::vector<ExperimentSpec>& specs) const;
 

@@ -312,10 +312,14 @@ Result<std::optional<PcapRecord>> PcapReader::next() {
             return step.value().record;
         }
         // A truncated trailing record (incomplete header or body) ends the
-        // capture cleanly, matching from_pcap_bytes. A mapping already holds
-        // every byte; the buffered backend first tries to read the rest.
+        // capture, matching from_pcap_bytes, and its bytes are counted. A
+        // mapping already holds every byte; the buffered backend first tries
+        // to read the rest.
         const std::size_t need = step.value().size;
-        if (mapped_ != nullptr || buffered(need) < need) done_ = true;
+        if (mapped_ != nullptr || buffered(need) < need) {
+            done_ = true;
+            torn_tail_bytes_ = end_ - begin_;
+        }
     }
     return std::optional<PcapRecord>(std::nullopt);
 }

@@ -151,6 +151,9 @@ class PcapReader {
     [[nodiscard]] Result<std::optional<PcapRecord>> next();
 
     [[nodiscard]] std::uint64_t packets_read() const noexcept { return packets_read_; }
+    /// Bytes of a cut-off final record (its partial header or body), counted
+    /// once next() has reached the end; 0 when the capture ends cleanly.
+    [[nodiscard]] std::uint64_t torn_tail_bytes() const noexcept { return torn_tail_bytes_; }
     /// The file header's declared snaplen, before clamping.
     [[nodiscard]] std::uint32_t declared_snaplen() const noexcept {
         return header_.declared_snaplen;
@@ -185,6 +188,7 @@ class PcapReader {
     bool done_ = false;
     PcapFileHeader header_;
     std::uint64_t packets_read_ = 0;
+    std::uint64_t torn_tail_bytes_ = 0;
 };
 
 }  // namespace tvacr::net

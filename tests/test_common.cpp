@@ -305,18 +305,23 @@ double autocorrelation(std::span<const double> xs, std::size_t lag) {
     return num / den;
 }
 
-// The lag-at-a-time period search dominant_period must reproduce.
+// The lag-at-a-time period search dominant_period must reproduce: find the
+// peak score, then return the first lag scoring at least 0.8x the peak and
+// the threshold (or the peak itself when the peak is negative).
 std::optional<PeriodEstimate> reference_dominant_period(std::span<const double> xs,
                                                         std::size_t min_lag,
                                                         std::size_t max_lag, double threshold) {
-    std::optional<PeriodEstimate> best;
+    std::optional<double> peak;
     for (std::size_t lag = min_lag; lag <= max_lag && lag < xs.size(); ++lag) {
         const double score = autocorrelation(xs, lag);
-        if (score >= threshold && (!best || score > best->score)) {
-            best = PeriodEstimate{lag, score};
-        }
+        if (!peak || score > *peak) peak = score;
     }
-    return best;
+    if (!peak || *peak < threshold) return std::nullopt;
+    const double cut = std::max(threshold, std::min(*peak, 0.8 * *peak));
+    for (std::size_t lag = min_lag;; ++lag) {
+        const double score = autocorrelation(xs, lag);
+        if (score >= cut) return PeriodEstimate{lag, score};
+    }
 }
 
 void expect_same_period(std::span<const double> xs, std::size_t min_lag, std::size_t max_lag,
@@ -431,6 +436,19 @@ TEST(Stats, DominantPeriodFindsImpulseTrain) {
     const auto period = dominant_period(xs, 2, 50, 0.5);
     ASSERT_TRUE(period.has_value());
     EXPECT_EQ(period->lag_samples, 15U);
+}
+
+TEST(Stats, DominantPeriodPrefersTheFundamentalOverAPeakingHarmonic) {
+    // A burst every 15 samples, every fourth one twice as large (LG's 15 s
+    // uploads with one-minute peaks): lag 60 scores highest (0.90), but lag
+    // 15 scores 0.82, within 0.8x of it, and is the fundamental.
+    std::vector<double> xs(600, 0.0);
+    for (std::size_t i = 0; i < xs.size(); i += 15) xs[i] = i % 60 == 0 ? 2.0 : 1.0;
+    EXPECT_GT(autocorrelation(xs, 60), autocorrelation(xs, 15));
+    const auto period = dominant_period(xs, 10, 120, 0.25);
+    ASSERT_TRUE(period.has_value());
+    EXPECT_EQ(period->lag_samples, 15U);
+    EXPECT_EQ(period->score, autocorrelation(xs, 15));
 }
 
 TEST(Stats, DominantPeriodRejectsNoise) {

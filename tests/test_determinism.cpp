@@ -6,9 +6,15 @@
 // seeds diverge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <string>
+
 #include "core/matrix_runner.hpp"
 #include "fault/spec.hpp"
 #include "net/pcap.hpp"
+#include "tv/calibration.hpp"
 
 namespace tvacr::core {
 namespace {
@@ -196,6 +202,145 @@ TEST(MatrixDeterminismTest, DifferentSeedsDiverge) {
         }
     }
     EXPECT_TRUE(any_difference);
+}
+
+MatrixSpec table2_matrix() {
+    MatrixSpec matrix;
+    matrix.countries = {tv::Country::kUk};
+    matrix.phases = {tv::Phase::kLInOIn};
+    return matrix;
+}
+
+std::vector<std::string> names_in(const std::vector<ExperimentSpec>& specs,
+                                  const std::vector<std::size_t>& order) {
+    std::vector<std::string> names;
+    for (const std::size_t index : order) names.push_back(specs[index].name());
+    return names;
+}
+
+TEST(MatrixSchedulingTest, CostEstimateRanksTable2LongestFirst) {
+    const auto specs = MatrixRunner::expand(table2_matrix());
+    const auto ranked = names_in(specs, costliest_first(specs));
+    ASSERT_EQ(ranked.size(), 12U);
+    // The two LG fingerprinting hours first, in expand order (Linear before
+    // HDMI: equal estimates keep input order).
+    EXPECT_EQ(ranked[0], "LG/UK/Linear/LIn-OIn");
+    EXPECT_EQ(ranked[1], "LG/UK/HDMI/LIn-OIn");
+    // Idle, FAST and Screen Cast of both brands close the list.
+    std::vector<std::string> tail(ranked.begin() + 6, ranked.end());
+    std::sort(tail.begin(), tail.end());
+    const std::vector<std::string> cheap = {
+        "LG/UK/FAST/LIn-OIn",         "LG/UK/Idle/LIn-OIn",
+        "LG/UK/Screen Cast/LIn-OIn",  "Samsung/UK/FAST/LIn-OIn",
+        "Samsung/UK/Idle/LIn-OIn",    "Samsung/UK/Screen Cast/LIn-OIn",
+    };
+    EXPECT_EQ(tail, cheap);
+
+    // Opted-out cells rank below the same cells opted in, and never cost
+    // more; a cell that fingerprints when opted in costs strictly more.
+    MatrixSpec both = table2_matrix();
+    both.countries = {tv::Country::kUk, tv::Country::kUs};
+    both.phases = {tv::Phase::kLInOIn, tv::Phase::kLInOOut};
+    const auto cells = MatrixRunner::expand(both);
+    const auto order = costliest_first(cells);
+    std::vector<std::size_t> rank(cells.size());
+    for (std::size_t r = 0; r < order.size(); ++r) rank[order[r]] = r;
+    std::size_t pairs = 0;
+    for (std::size_t in = 0; in < cells.size(); ++in) {
+        if (cells[in].phase != tv::Phase::kLInOIn) continue;
+        for (std::size_t out = 0; out < cells.size(); ++out) {
+            if (cells[out].phase != tv::Phase::kLInOOut || cells[out].brand != cells[in].brand ||
+                cells[out].country != cells[in].country ||
+                cells[out].scenario != cells[in].scenario) {
+                continue;
+            }
+            SCOPED_TRACE(cells[in].name());
+            ++pairs;
+            EXPECT_GT(rank[out], rank[in]);
+            EXPECT_LE(estimated_cost(cells[out]), estimated_cost(cells[in]));
+            if (tv::acr_mode_for(cells[in].brand, cells[in].country, cells[in].scenario) ==
+                tv::AcrMode::kActive) {
+                EXPECT_LT(estimated_cost(cells[out]), estimated_cost(cells[in]));
+            }
+        }
+    }
+    EXPECT_EQ(pairs, cells.size() / 2);
+}
+
+TEST(MatrixSchedulingTest, ProfiledRunStartsCostliestCellsFirst) {
+    // The pool's queue is FIFO and stamps each start as the task leaves it,
+    // so start times follow the submission ranks exactly.
+    constexpr int kJobs = 2;
+    MatrixSpec matrix = table2_matrix();
+    matrix.duration = SimTime::minutes(2);
+    const auto specs = MatrixRunner::expand(matrix);
+    const auto order = costliest_first(specs);
+    std::map<std::string, std::size_t> rank_of;
+    for (std::size_t r = 0; r < order.size(); ++r) rank_of[specs[order[r]].name()] = r;
+
+    MatrixRunner runner(kJobs);
+    obs::Scope profile;
+    runner.set_profile(&profile);
+    (void)runner.run(matrix);
+    const auto& events = profile.trace.events();
+    ASSERT_EQ(events.size(), specs.size());
+    // One span per cell, in input order, named after that cell.
+    for (std::size_t i = 0; i < specs.size(); ++i) EXPECT_EQ(events[i].name, specs[i].name());
+
+    // Each span carries the timing of the task that ran its cell: a span
+    // that starts strictly earlier has the smaller submission rank. Under
+    // the rank-indexed attribution this fails, because spans would then
+    // start in input order.
+    for (const auto& a : events) {
+        for (const auto& b : events) {
+            if (a.ts_us < b.ts_us) {
+                EXPECT_LT(rank_of.at(a.name), rank_of.at(b.name)) << a.name << " / " << b.name;
+            }
+        }
+    }
+    // The kJobs earliest-starting spans are the kJobs costliest cells.
+    std::vector<const obs::TraceEvent*> by_start;
+    for (const auto& event : events) by_start.push_back(&event);
+    std::stable_sort(by_start.begin(), by_start.end(),
+                     [](const auto* a, const auto* b) { return a->ts_us < b->ts_us; });
+    std::set<std::string> first_started;
+    std::set<std::string> costliest;
+    for (std::size_t r = 0; r < kJobs; ++r) {
+        first_started.insert(by_start[r]->name);
+        costliest.insert(specs[order[r]].name());
+    }
+    EXPECT_EQ(first_started, costliest);
+    const auto* run_hist = profile.metrics.histogram_data("runner.run_us");
+    ASSERT_NE(run_hist, nullptr);
+    EXPECT_EQ(run_hist->count, specs.size());
+}
+
+TEST(MatrixSchedulingTest, ReorderedSubmissionKeepsOutputBytes) {
+    // Opted-in and opted-out cells together, so the submission order
+    // interleaves phases and differs from input order.
+    MatrixSpec matrix = table2_matrix();
+    matrix.phases = {tv::Phase::kLInOIn, tv::Phase::kLOutOOut};
+    matrix.duration = SimTime::minutes(2);
+    matrix.seed = 31;
+    const auto specs = MatrixRunner::expand(matrix);
+    const auto order = costliest_first(specs);
+    ASSERT_FALSE(std::is_sorted(order.begin(), order.end()));
+
+    const auto reference_runs = MatrixRunner(1).run_experiments(specs);
+    const std::string reference_metrics = merged_metrics(MatrixRunner(1).run(matrix)).to_json();
+    for (const int jobs : {4, 8}) {
+        SCOPED_TRACE("jobs=" + std::to_string(jobs));
+        const auto runs = MatrixRunner(jobs).run_experiments(specs);
+        ASSERT_EQ(runs.size(), reference_runs.size());
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            SCOPED_TRACE(specs[i].name());
+            EXPECT_EQ(runs[i].spec.name(), specs[i].name());
+            EXPECT_EQ(net::to_pcap_bytes(runs[i].capture),
+                      net::to_pcap_bytes(reference_runs[i].capture));
+            EXPECT_EQ(runs[i].metrics.to_json(), reference_runs[i].metrics.to_json());
+        }
+        EXPECT_EQ(merged_metrics(MatrixRunner(jobs).run(matrix)).to_json(), reference_metrics);
+    }
 }
 
 TEST(MatrixDeterminismTest, ExpandEnumeratesInMatrixOrder) {

@@ -559,6 +559,31 @@ TEST(PcapReaderTest, ToleratesTruncatedFinalRecord) {
     EXPECT_FALSE(second.value().has_value());  // truncation ends the capture cleanly
 }
 
+TEST(PcapReaderTest, CountsTheBytesOfATornFinalRecord) {
+    const auto packets = sample_packets();
+    const Bytes whole = to_pcap_bytes(packets);
+    const std::size_t second_record =
+        kPcapGlobalHeaderLen + kPcapRecordHeaderLen + packets[0].data.size();
+    // Every cut inside the second record, header and body, and the clean end.
+    for (std::size_t size = second_record; size <= whole.size(); ++size) {
+        SCOPED_TRACE("size=" + std::to_string(size));
+        const std::string path =
+            write_temp("tvacr_pcap_torn.pcap", Bytes(whole.begin(), whole.begin() + size));
+        for (const PcapBackend backend : {PcapBackend::kAuto, PcapBackend::kBuffered}) {
+            auto reader = PcapReader::open(path, backend);
+            ASSERT_TRUE(reader.ok());
+            while (true) {
+                auto record = reader.value().next();
+                ASSERT_TRUE(record.ok());
+                if (!record.value().has_value()) break;
+            }
+            const bool clean = size == second_record || size == whole.size();
+            EXPECT_EQ(reader.value().packets_read(), size == whole.size() ? 2U : 1U);
+            EXPECT_EQ(reader.value().torn_tail_bytes(), clean ? 0U : size - second_record);
+        }
+    }
+}
+
 TEST(PcapReaderTest, HonorsDeclaredSnapLenAndRejectsExcess) {
     const std::string big = write_temp("tvacr_pcap_stream_big.pcap",
                                        foreign_pcap(0x80000, 300000));
@@ -606,6 +631,7 @@ void expect_backends_agree(const std::string& path) {
                                b.value()->frame.begin()));
     }
     EXPECT_EQ(mapped.value().packets_read(), buffered.value().packets_read());
+    EXPECT_EQ(mapped.value().torn_tail_bytes(), buffered.value().torn_tail_bytes());
 }
 
 TEST(PcapReaderTest, MappedBackendStreamsIdenticallyToBuffered) {

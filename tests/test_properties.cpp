@@ -4,6 +4,7 @@
 // hang, on arbitrary bytes).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -386,8 +387,8 @@ TEST(ThreadPoolTest, ShutdownDrainsAcceptedTasksUnderConcurrentSubmission) {
 
 TEST(ThreadPoolTest, ObserverSeesEveryTaskWithOrderedTimings) {
     // The profiling observer must fire exactly once per task with a unique
-    // sequence number, monotone enqueue <= start <= finish timestamps, and a
-    // worker index inside the pool.
+    // sequence number, monotone enqueue <= start <= finish timestamps, a
+    // worker index inside the pool, and starts in submission order.
     constexpr int kTasks = 50;
     constexpr std::size_t kWorkers = 3;
     std::mutex mutex;
@@ -421,6 +422,13 @@ TEST(ThreadPoolTest, ObserverSeesEveryTaskWithOrderedTimings) {
         EXPECT_LT(timing.worker, kWorkers);
         EXPECT_GE(timing.queue_wait_ns(), 0);
         EXPECT_GE(timing.run_ns(), 0);
+    }
+    // The FIFO queue stamps each start as the task leaves it, so tasks
+    // start in submission order.
+    std::sort(timings.begin(), timings.end(),
+              [](const auto& a, const auto& b) { return a.sequence < b.sequence; });
+    for (std::size_t i = 1; i < timings.size(); ++i) {
+        EXPECT_LE(timings[i - 1].start_ns, timings[i].start_ns) << "sequence " << i;
     }
 }
 

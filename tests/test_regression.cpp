@@ -78,11 +78,12 @@ std::map<std::string, double> hourly_periods(tv::Brand brand) {
 
 // No golden or report gates period_seconds, so these pin it per domain. A
 // change to the period search or to burst timing has to update them. For the
-// ACR channels the search lands on a small multiple of the upload cadence
-// (LG 15 s, Samsung 60 s), not on the cadence itself.
+// ACR channels the search lands on the upload cadence itself (LG 15 s,
+// Samsung 60 s, paper §4.1): the first lag within 0.8x of the peak score, not
+// the harmonic (30.5 s, 180.5 s) that happens to score highest.
 TEST(CalibrationRegression, LgLinearHourPeriodsArePinned) {
     const std::map<std::string, double> expected = {
-        {"aic-common.lgthinq.com", 0.0}, {"eu-acr5.alphonso.tv", 30.5},
+        {"aic-common.lgthinq.com", 0.0}, {"eu-acr5.alphonso.tv", 15.0},
         {"lgappstv.com", 0.0},           {"lgtvsdp.com", 0.0},
         {"ngfts.lge.com", 0.0},          {"ntp.lge.com", 0.0},
         {"snu.lge.com", 0.0},            {"unresolved:9.9.9.9", 0.0},
@@ -93,7 +94,7 @@ TEST(CalibrationRegression, LgLinearHourPeriodsArePinned) {
 
 TEST(CalibrationRegression, SamsungLinearHourPeriodsArePinned) {
     const std::map<std::string, double> expected = {
-        {"acr-eu-prd.samsungcloud.tv", 180.5},
+        {"acr-eu-prd.samsungcloud.tv", 60.0},
         {"acr0.samsungcloudsolution.com", 240.0},
         {"art.samsungcloud.tv", 0.0},
         {"config.samsungads.com", 0.0},

@@ -115,11 +115,22 @@ int main(int argc, char** argv) {
         }
         analyzed = analysis::analyze_packets(packets.value(), device_ip.value());
     } else {
-        analyzed = analysis::analyze_pcap_stream(capture_path, device_ip.value());
+        std::uint64_t torn_tail_bytes = 0;
+        analyzed = analysis::analyze_pcap_stream(capture_path, device_ip.value(), {},
+                                                 &torn_tail_bytes);
         if (!analyzed.ok()) {
             std::fprintf(stderr, "cannot read %s: %s\n", capture_path,
                          analyzed.error().message.c_str());
             return 1;
+        }
+        // A capture cut mid-record is still analyzed (stdout, --report and
+        // the exit code are those of the records before the cut), but the
+        // cut is never silent.
+        if (torn_tail_bytes != 0) {
+            std::fprintf(stderr,
+                         "warning: capture ends inside a record; %llu trailing bytes not "
+                         "analyzed\n",
+                         static_cast<unsigned long long>(torn_tail_bytes));
         }
     }
     const analysis::CaptureAnalyzer& analyzer = analyzed.value();
